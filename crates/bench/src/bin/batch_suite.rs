@@ -5,17 +5,16 @@
 //! ```text
 //! batch_suite [--jobs N] [--suites simple,artificial | --all | --real]
 //!             [--only name,name] [--skip name[,name]] [--method td|bu]
-//!             [--oracle SPEC] [--search-jobs N] [--json PATH]
+//!             [--oracle SPEC] [--json PATH]
 //!             [--compare-sequential] [--via-server] [--store PATH]
 //!             [--no-prune]
 //! ```
 //!
 //! `--jobs` parallelises *across benchmarks* (the embarrassingly
-//! parallel axis); `--search-jobs` additionally parallelises the
-//! template search *inside* each lift. `--only` restricts the run to
-//! named benchmarks; `--skip` excludes named benchmarks (e.g. the
-//! known-unsolved `sa_4d_add` budget-burner) and records them in the
-//! suite JSON's `skipped` field. `--oracle` selects the guidance
+//! parallel axis); each lift runs the one sequential search. `--only`
+//! restricts the run to named benchmarks; `--skip` excludes named
+//! benchmarks (e.g. the known-unsolved `sa_4d_add` budget-burner) and
+//! records them in the suite JSON's `skipped` field. `--oracle` selects the guidance
 //! source by spec (`synthetic`, `synthetic:SEED`, `replay:PATH`,
 //! `record:PATH[:INNER]`), so whole suites can be recorded to a
 //! fixture and replayed offline. `--compare-sequential` reruns the
@@ -27,7 +26,7 @@
 //! one step further out: the suite runs through an already-listening
 //! wire endpoint (a `lift_router` fronting a replica set, or a single
 //! `lift_server --listen`) over `--jobs` TCP connections; the method
-//! and search-jobs ride as per-request overrides, and stores live on
+//! rides as a per-request override, and stores live on
 //! the replicas, so `--store` does not combine with it. `--no-prune`
 //! disables the static-analysis candidate pruning (feasibility
 //! pre-checks + algebraic-equivalence dedup), the knob behind the
@@ -48,7 +47,6 @@ use gtl_benchsuite::{all_benchmarks, real_world_benchmarks, suite_from_name, Ben
 
 struct Args {
     jobs: usize,
-    search_jobs: usize,
     suites: Option<Vec<String>>,
     only: Option<Vec<String>>,
     skip: Vec<String>,
@@ -64,7 +62,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: batch_suite [--jobs N] [--suites simple,artificial | --all | --real] \
-[--only name,name] [--skip name[,name]] [--method td|bu] [--oracle SPEC] [--search-jobs N] \
+[--only name,name] [--skip name[,name]] [--method td|bu] [--oracle SPEC] \
 [--json PATH] [--compare-sequential] [--via-server] [--via-router ADDR] [--store PATH] \
 [--no-prune]";
 
@@ -76,7 +74,6 @@ fn usage_error(message: &str) -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        search_jobs: 1,
         suites: None,
         only: None,
         skip: Vec::new(),
@@ -102,9 +99,6 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--jobs" => args.jobs = int_value("--jobs", value("--jobs")),
-            "--search-jobs" => {
-                args.search_jobs = int_value("--search-jobs", value("--search-jobs"))
-            }
             "--suites" => {
                 args.suites =
                     Some(value("--suites").split(',').map(str::to_string).collect())
@@ -133,7 +127,6 @@ fn parse_args() -> Args {
         }
     }
     args.jobs = args.jobs.max(1);
-    args.search_jobs = args.search_jobs.max(1);
     if args.compare_sequential && args.store.is_some() {
         // Warm hits make the parallel wall near-zero while the
         // comparison rerun searches cold — the recorded speedup would
@@ -210,7 +203,6 @@ fn main() {
         "td" => StaggConfig::top_down(),
         other => usage_error(&format!("unknown method `{other}` (td|bu)")),
     }
-    .with_jobs(args.search_jobs)
     .with_pruning(!args.no_prune);
     if let Some(raw) = &args.oracle {
         let spec = OracleSpec::from_cli_name(raw)
@@ -244,10 +236,9 @@ fn main() {
     });
 
     eprintln!(
-        "batch: {} benchmarks, {} jobs, search-jobs {}, oracle {}{}{}",
+        "batch: {} benchmarks, {} jobs, oracle {}{}{}",
         benchmarks.len(),
         args.jobs,
-        args.search_jobs,
         config.oracle.cli_name(),
         if skipped.is_empty() {
             String::new()
@@ -265,7 +256,7 @@ fn main() {
     let mut warm_hits: Option<usize> = None;
     let batch = if let Some(addr) = &args.via_router {
         // The endpoint executes with its own base configuration; the
-        // method and search width ride as per-request overrides so the
+        // method rides as a per-request override so the
         // run is reproducible regardless of how the replicas were
         // started (and so the router's routing key resolves the same
         // configuration the replicas do).
@@ -274,7 +265,6 @@ fn main() {
                 "bu" => gtl::SearchMode::BottomUp,
                 _ => gtl::SearchMode::TopDown,
             }),
-            search_jobs: Some(args.search_jobs),
             ..Default::default()
         };
         run_batch_via_router(

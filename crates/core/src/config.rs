@@ -93,11 +93,9 @@ pub struct StaggConfig {
     pub full_grammar_tensors: usize,
     /// Maximum tensor dimension in the unrefined full grammar.
     pub full_grammar_max_dim: usize,
-    /// Worker threads for the search + validate + verify stage. `1` (the
-    /// default) runs the sequential engine, bit-identical to the paper
-    /// artifact; `> 1` runs the parallel engine, which preserves outcome
-    /// classification but may return a different (semantically
-    /// equivalent) verified program first.
+    /// Fixed at `1`: the search is one best-first loop in the paper
+    /// artifact's pop order, and the pipeline no longer reads this
+    /// field. It stays for readers that still check it.
     pub jobs: usize,
     /// Which oracle provider guides the lift (see
     /// [`OracleSpec::from_cli_name`] for the stable spellings). Used by
@@ -188,13 +186,6 @@ impl StaggConfig {
     /// Replaces the search budget.
     pub fn with_budget(mut self, budget: SearchBudget) -> StaggConfig {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the worker-thread count for the search stage (`1` =
-    /// sequential; `0` is treated as `1`).
-    pub fn with_jobs(mut self, jobs: usize) -> StaggConfig {
-        self.jobs = jobs.max(1);
         self
     }
 

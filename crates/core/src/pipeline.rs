@@ -10,14 +10,15 @@
 //! candidates it already rejected, and the grammar is re-learned over
 //! the accumulated candidate pool.
 
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 use gtl_analysis::analyze_kernel;
 use gtl_oracle::{OracleFeedback, OracleProvider, OracleQuery};
 use gtl_search::{
-    parallel_bottom_up_search_hooked, parallel_top_down_search_hooked, CheckOutcome,
-    ParallelOptions, PenaltyContext, SearchHooks, SearchOutcome,
+    bottom_up_search_hooked, top_down_search_hooked, CheckOutcome, PenaltyContext, SearchHooks,
+    SearchOutcome,
 };
 use gtl_taco::{parse_program, preprocess_candidate, EvalCache, TacoProgram};
 use gtl_trace::{Phase, PhaseCollector, PhaseSpan, PhaseTimes};
@@ -28,8 +29,7 @@ use gtl_template::{
     TemplateGrammar,
 };
 use gtl_validate::{
-    generate_examples, validate_template_cached, IoExample, LiftTask, SharedValidationStats,
-    ValidationStats,
+    generate_examples, validate_template_cached, IoExample, LiftTask, ValidationStats,
 };
 use gtl_verify::verify_candidate_cached;
 
@@ -55,11 +55,11 @@ pub struct LiftQuery {
 /// Incremental observations of one running lift, for serving layers
 /// that stream progress to clients.
 ///
-/// Methods are called from search worker threads (hence the `Sync`
-/// bound) while the lift is in flight; implementations should be quick
-/// and must not block on the lift itself. All methods default to
-/// no-ops, so observers implement only what they report.
-pub trait LiftObserver: Sync {
+/// Methods are called on the lifting thread while the lift is in
+/// flight; implementations should be quick and must not block on the
+/// lift itself. All methods default to no-ops, so observers implement
+/// only what they report.
+pub trait LiftObserver {
     /// An oracle round-trip finished: `parsed` of `received` raw
     /// candidates survived preprocessing/parsing/templatisation. Fires
     /// once per oracle round.
@@ -88,10 +88,9 @@ pub struct LiftHooks<'a> {
     /// Cancellation + live progress for the search stage. A raised
     /// cancel flag also short-circuits in-flight template checks.
     pub search: SearchHooks,
-    /// A caller-owned [`EvalCache`] shared by every search worker of
-    /// this lift and reusable across lifts (a serving worker keeps one
-    /// per thread, so repeated kernels never recompile). `None` gives
-    /// each search worker a private, per-lift cache.
+    /// A caller-owned [`EvalCache`] reusable across lifts (a serving
+    /// worker keeps one per thread, so repeated kernels never
+    /// recompile). `None` gives each search round a private cache.
     pub eval_cache: Option<&'a EvalCache>,
 }
 
@@ -104,23 +103,6 @@ pub struct LiftHooks<'a> {
 pub struct Stagg {
     provider: Arc<dyn OracleProvider>,
     config: StaggConfig,
-}
-
-/// A checker's evaluation cache: private and per-lift by default,
-/// caller-provided (and shared across lifts) through
-/// [`LiftHooks::eval_cache`].
-enum CacheRef<'a> {
-    Owned(Box<EvalCache>),
-    Shared(&'a EvalCache),
-}
-
-impl CacheRef<'_> {
-    fn get(&self) -> &EvalCache {
-        match self {
-            CacheRef::Owned(cache) => cache,
-            CacheRef::Shared(cache) => cache,
-        }
-    }
 }
 
 /// How many rejected candidates a failed round hands back to the
@@ -397,7 +379,7 @@ impl Stagg {
         let observer = hooks.observer;
         let cancel = hooks.search.cancel.clone();
         let pruning = self.config.pruning;
-        // Feasibility fact shared by every checker this round: whether a
+        // Feasibility fact for every template this round: whether a
         // constant-filled output could even match the examples. A
         // constant-only RHS produces one value everywhere, so any
         // non-uniform example output refutes every such template at once.
@@ -409,32 +391,35 @@ impl Stagg {
             }
         };
         // Canonical fingerprints of templates already validated this
-        // round. The parallel engine dedups equivalence classes in its
-        // own seen-set before candidates reach a checker, so this set
-        // only fires on the sequential path — no double counting.
-        let seen_canonical: Mutex<std::collections::HashSet<u64>> =
-            Mutex::new(std::collections::HashSet::new());
+        // round: the one deduplication layer of the lift.
+        let mut seen_canonical: HashSet<u64> = HashSet::new();
         // A bounded sample of rejected candidates, collected only when
         // a later round could use it as feedback.
         let collect_rejected = self.config.oracle_rounds.max(1) > 1;
-        let rejected: Mutex<Vec<String>> = Mutex::new(Vec::new());
+        let mut rejected: Vec<String> = Vec::new();
+        let mut stats = ValidationStats::default();
+        // Every evaluation goes through an `EvalCache`, so a template
+        // checked against N examples/substitutions compiles once per
+        // shape signature, and the verifier reuses the same compiled
+        // kernels. The caller's cache outlives the lift; otherwise the
+        // round gets a private one.
+        let owned_cache;
+        let cache: &EvalCache = match hooks.eval_cache {
+            Some(shared) => shared,
+            None => {
+                owned_cache = EvalCache::default();
+                &owned_cache
+            }
+        };
 
-        // The one checking contract both engines share: validate the
-        // template's substitutions on the examples, verify survivors.
-        // Each checker routes every evaluation through an `EvalCache`, so
-        // a template checked against N examples/substitutions compiles
-        // once per shape signature, and the verifier reuses the same
-        // compiled kernels. A raised external cancel flag short-circuits
-        // the check, so cancellation is prompt even mid-validation.
-        let check_template = |template: &TacoProgram,
-                              stats: &mut ValidationStats,
-                              cache: &EvalCache|
-         -> CheckOutcome {
+        // The checker: validate the template's substitutions on the
+        // examples, verify survivors. A raised external cancel flag
+        // short-circuits the check, so cancellation is prompt even
+        // mid-validation.
+        let mut checker = |template: &TacoProgram| -> CheckOutcome {
             // Phase accounting: the whole check is Validate time except
             // the slice spent inside the bounded verifier, which the
-            // callback below measures into `verify_us`. Each worker
-            // records wall time, so with `jobs > 1` these phases sum
-            // CPU time across workers.
+            // callback below measures into `verify_us`.
             let check_started = Instant::now();
             let verify_us = std::cell::Cell::new(0u64);
             let outcome = (|| -> CheckOutcome {
@@ -462,11 +447,7 @@ impl Stagg {
                 // Equivalence: templates with equal canonical
                 // fingerprints enumerate identical substitution sets, so
                 // re-validating one is pure waste.
-                if !seen_canonical
-                    .lock()
-                    .expect("canonical set poisoned")
-                    .insert(gtl_taco::canonical_fingerprint(template))
-                {
+                if !seen_canonical.insert(gtl_taco::canonical_fingerprint(template)) {
                     stats.pruned_equivalent += 1;
                     return CheckOutcome::Failed;
                 }
@@ -486,16 +467,13 @@ impl Stagg {
                     verify_us.set(verify_us.get().saturating_add(us));
                     equivalent
                 },
-                stats,
+                &mut stats,
                 cache,
             ) {
                 Some(concrete) => CheckOutcome::Verified(concrete),
                 None => {
-                    if collect_rejected {
-                        let mut sample = rejected.lock().expect("feedback sample poisoned");
-                        if sample.len() < FEEDBACK_CANDIDATES {
-                            sample.push(template.to_string());
-                        }
+                    if collect_rejected && rejected.len() < FEEDBACK_CANDIDATES {
+                        rejected.push(template.to_string());
                     }
                     CheckOutcome::Failed
                 }
@@ -509,58 +487,27 @@ impl Stagg {
             outcome
         };
 
-        // ③ Search. `jobs = 1` (the default) delegates to the hooked
-        // sequential loop — bit-identical pop order to the paper
-        // artifact — while `jobs > 1` runs the parallel engine with one
-        // private checker per worker; both paths accumulate validation
-        // statistics in the shared atomic counters and honour the
-        // caller's cancellation/progress hooks.
-        let opts = ParallelOptions::with_jobs(self.config.jobs);
-        let shared_stats = SharedValidationStats::default();
-        // Search time is the engine's wall clock minus whatever the
-        // checkers attributed to validation/verification meanwhile —
-        // exact with `jobs = 1`, a saturating lower bound with parallel
-        // workers (whose check time is CPU time, not wall time).
+        // ③ Search: one best-first loop, in the paper artifact's pop
+        // order, honouring the caller's cancellation/progress hooks.
+        // Search time is the loop's wall clock minus whatever the
+        // checker attributed to validation/verification meanwhile.
         let inner_before =
             phases.micros(Phase::Validate).saturating_add(phases.micros(Phase::Verify));
-        let outcome: SearchOutcome = {
-            let shared = &shared_stats;
-            let check_template = &check_template;
-            let external_cache = hooks.eval_cache;
-            let make_checker = move |_worker: usize| {
-                // One private cache per worker (no contention on the hot
-                // path), unless the caller supplied a longer-lived one —
-                // `EvalCache` is sharded and thread-safe, so sharing is
-                // sound and lets compilations amortise across lifts.
-                let cache = match external_cache {
-                    Some(shared_cache) => CacheRef::Shared(shared_cache),
-                    None => CacheRef::Owned(Box::default()),
-                };
-                move |template: &TacoProgram| -> CheckOutcome {
-                    let mut local = ValidationStats::default();
-                    let result = check_template(template, &mut local, cache.get());
-                    shared.add(&local);
-                    result
-                }
-            };
-            match self.config.mode {
-                SearchMode::TopDown => parallel_top_down_search_hooked(
-                    &grammar,
-                    &ctx,
-                    self.config.budget,
-                    opts,
-                    &hooks.search,
-                    make_checker,
-                ),
-                SearchMode::BottomUp => parallel_bottom_up_search_hooked(
-                    &grammar,
-                    &ctx,
-                    self.config.budget,
-                    opts,
-                    &hooks.search,
-                    make_checker,
-                ),
-            }
+        let outcome: SearchOutcome = match self.config.mode {
+            SearchMode::TopDown => top_down_search_hooked(
+                &grammar,
+                &ctx,
+                self.config.budget,
+                &hooks.search,
+                &mut checker,
+            ),
+            SearchMode::BottomUp => bottom_up_search_hooked(
+                &grammar,
+                &ctx,
+                self.config.budget,
+                &hooks.search,
+                &mut checker,
+            ),
         };
         let inner_during = phases
             .micros(Phase::Validate)
@@ -568,25 +515,21 @@ impl Stagg {
             .saturating_sub(inner_before);
         let engine_us = outcome.elapsed.as_micros().min(u64::MAX as u128) as u64;
         phases.add(Phase::Search, engine_us.saturating_sub(inner_during));
-        let snap = shared_stats.snapshot();
         (
             RoundOutcome {
                 attempts: outcome.attempts,
                 nodes_expanded: outcome.nodes_expanded,
                 elapsed: outcome.elapsed,
-                substitutions_tried: snap.substitutions_tried,
-                pruned_infeasible: snap.pruned_infeasible,
-                // Equivalents are pruned at two disjoint layers: the
-                // parallel engine's seen-set (before a checker sees the
-                // candidate) and the checker-level set (sequential path).
-                pruned_equivalent: snap.pruned_equivalent + outcome.pruned_equivalent,
-                unchecked_kernels: snap.unchecked_kernels,
+                substitutions_tried: stats.substitutions_tried,
+                pruned_infeasible: stats.pruned_infeasible,
+                pruned_equivalent: stats.pruned_equivalent,
+                unchecked_kernels: stats.unchecked_kernels,
                 dim_list,
                 template: outcome.template,
                 solution: outcome.solution,
                 stop: outcome.stop,
             },
-            rejected.into_inner().expect("feedback sample poisoned"),
+            rejected,
         )
     }
 }
@@ -843,28 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_jobs_lift_figure2_with_matching_classification() {
-        let query = figure2_query();
-        let run = |jobs: usize| {
-            let cfg = StaggConfig::top_down().with_jobs(jobs);
-            Stagg::new(paper_provider(), cfg).lift(&query)
-        };
-        let seq = run(1);
-        let par = run(4);
-        assert_eq!(seq.solved(), par.solved(), "classification must agree");
-        assert!(par.solved(), "parallel failure: {:?}", par.failure);
-        // Both solutions must verify against the legacy kernel (they may
-        // be distinct but semantically equivalent programs).
-        let outcome = gtl_verify::verify_candidate(
-            &query.task,
-            par.solution.as_ref().unwrap(),
-            &StaggConfig::top_down().verify,
-        );
-        assert!(outcome.is_equivalent());
-        assert!(par.substitutions_tried >= 1, "shared stats must flow back");
-    }
-
-    #[test]
     fn hooks_observer_and_shared_cache_flow_through() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -954,7 +875,7 @@ mod tests {
 
     #[test]
     fn phase_times_partition_the_lift() {
-        // With `jobs = 1` the phases partition the wall clock: no phase
+        // The phases partition the wall clock: no phase
         // can exceed `elapsed`, the sum stays within it, and the
         // pipeline phases together account for (nearly) all of it — the
         // observability tier's ≥90 % coverage contract.

@@ -74,8 +74,8 @@ pub struct LiftReport {
     /// against non-constant outputs).
     pub pruned_infeasible: u64,
     /// Templates skipped because an algebraically equivalent one had
-    /// already been checked (canonical-fingerprint dedup, summed over
-    /// the search engine's seen-set and the validation-layer set).
+    /// already been checked (the checker's per-round
+    /// canonical-fingerprint set).
     pub pruned_equivalent: u64,
     /// Batched-evaluation shape groups that ran the unchecked integer
     /// fast path under an interval overflow proof.
@@ -96,9 +96,7 @@ pub struct LiftReport {
     pub search_elapsed: Duration,
     /// Per-phase time attribution (oracle, grammar learning, search,
     /// validation, verification; the serving layer adds store appends).
-    /// With `jobs = 1` the pipeline phases partition `elapsed`; with
-    /// parallel search, validation/verification report CPU time summed
-    /// across workers, so the total can exceed wall clock. A wall-clock
+    /// The pipeline phases partition `elapsed`. A wall-clock
     /// measurement, excluded from [`LiftReport::deterministic_eq`] like
     /// the other durations.
     pub phase_times: PhaseTimes,

@@ -3,8 +3,8 @@
 use gtl_taco::TacoProgram;
 use gtl_template::{GrammarShape, TemplateGrammar};
 
-use crate::driver::{SearchBudget, SearchOutcome, TemplateChecker};
-use crate::frontier::{run_sequential, Child, Expand};
+use crate::driver::{SearchBudget, SearchHooks, SearchOutcome, TemplateChecker};
+use crate::frontier::{run_search, Child, Expand};
 use crate::node::{bu_tree_to_program, tree_facts, CostModel, Tree};
 use crate::penalty::{bu_penalty, PenaltyContext};
 
@@ -55,13 +55,33 @@ pub fn bottom_up_search(
     budget: SearchBudget,
     checker: &mut dyn TemplateChecker,
 ) -> SearchOutcome {
+    bottom_up_search_hooked(grammar, ctx, budget, &SearchHooks::default(), checker)
+}
+
+/// [`bottom_up_search`] with external hooks attached: the caller's
+/// [`CancelFlag`](crate::CancelFlag) stops the run between pops (outcome
+/// [`StopReason::Cancelled`](crate::StopReason::Cancelled)) and the
+/// caller's [`SearchProgress`](crate::SearchProgress) mirrors the pop and
+/// attempt counters while it runs. Default hooks give exactly
+/// [`bottom_up_search`].
+///
+/// # Panics
+///
+/// Panics if `grammar` is not bottom-up shaped.
+pub fn bottom_up_search_hooked(
+    grammar: &TemplateGrammar,
+    ctx: &PenaltyContext,
+    budget: SearchBudget,
+    hooks: &SearchHooks,
+    checker: &mut dyn TemplateChecker,
+) -> SearchOutcome {
     let exp = BuExpand::new(grammar, ctx);
-    run_sequential(&exp, budget, checker)
+    run_search(&exp, budget, checker, hooks)
 }
 
 /// The bottom-up judgement of a dequeued chain tree (Algorithm 2
-/// lines 5–12), shared by the sequential and parallel engines.
-pub(crate) struct BuExpand<'a> {
+/// lines 5–12).
+struct BuExpand<'a> {
     grammar: &'a TemplateGrammar,
     ctx: &'a PenaltyContext,
     costs: CostModel,
@@ -73,7 +93,7 @@ pub(crate) struct BuExpand<'a> {
 
 impl<'a> BuExpand<'a> {
     /// Builds the expander; panics if `grammar` is not bottom-up shaped.
-    pub(crate) fn new(grammar: &'a TemplateGrammar, ctx: &'a PenaltyContext) -> BuExpand<'a> {
+    fn new(grammar: &'a TemplateGrammar, ctx: &'a PenaltyContext) -> BuExpand<'a> {
         assert_eq!(
             grammar.shape,
             GrammarShape::BottomUp,

@@ -2,13 +2,11 @@
 //! and the externally-visible hooks (cancellation, live progress) a
 //! serving layer attaches to a running search.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gtl_taco::TacoProgram;
-
-use crate::parallel::CancelFlag;
 
 /// The downstream validation + verification stage (§6 and §7), invoked on
 /// every complete template the search produces. Implementations try all
@@ -19,33 +17,6 @@ pub trait TemplateChecker {
     /// Checks one complete template; on success returns the concrete
     /// program (template with the winning substitution applied).
     fn check(&mut self, template: &TacoProgram) -> CheckOutcome;
-
-    /// Checks a batch of templates in order, returning the index of the
-    /// first verified template together with its concrete program.
-    ///
-    /// `should_stop` is polled between templates — the batched engine
-    /// passes its cancellation/budget poll, so a worker draining a batch
-    /// stops mid-flush as promptly as the scalar loop stops between
-    /// nodes (at most the one in-flight `check` completes after a stop).
-    ///
-    /// The default implementation simply calls [`TemplateChecker::check`]
-    /// per template; checkers with batch-aware internals (substitution
-    /// lanes, shared example evaluation) can override it.
-    fn check_many(
-        &mut self,
-        templates: &[TacoProgram],
-        should_stop: &mut dyn FnMut() -> bool,
-    ) -> Option<(usize, TacoProgram)> {
-        for (i, t) in templates.iter().enumerate() {
-            if should_stop() {
-                return None;
-            }
-            if let CheckOutcome::Verified(concrete) = self.check(t) {
-                return Some((i, concrete));
-            }
-        }
-        None
-    }
 }
 
 /// Result of checking one template.
@@ -105,12 +76,37 @@ pub enum StopReason {
     Cancelled,
 }
 
+/// A cooperative cancellation flag a caller raises to stop a running
+/// search (client disconnect, request timeout, server shutdown); the
+/// search polls it between frontier pops.
+#[derive(Debug, Default)]
+pub struct CancelFlag {
+    raised: AtomicBool,
+}
+
+impl CancelFlag {
+    /// A fresh, unraised flag.
+    pub fn new() -> CancelFlag {
+        CancelFlag::default()
+    }
+
+    /// Raises the flag (idempotent).
+    pub fn cancel(&self) {
+        self.raised.store(true, Ordering::Release);
+    }
+
+    /// Whether the flag has been raised.
+    pub fn is_cancelled(&self) -> bool {
+        self.raised.load(Ordering::Acquire)
+    }
+}
+
 /// Live, externally observable counters of a running search.
 ///
-/// A serving layer hands one of these to the engine through
+/// A serving layer hands one of these to the search through
 /// [`SearchHooks`] and polls it from another thread to stream
-/// `search_progress` events; the engine publishes with relaxed atomics,
-/// so reads are cheap and never block a worker.
+/// `search_progress` events; the search publishes with relaxed atomics,
+/// so reads are cheap and never block it.
 #[derive(Debug, Default)]
 pub struct SearchProgress {
     nodes: AtomicU64,
@@ -128,23 +124,13 @@ impl SearchProgress {
         self.nodes.load(Ordering::Relaxed)
     }
 
-    /// Complete templates sent to checkers so far.
+    /// Complete templates sent to the checker so far.
     pub fn attempts(&self) -> u64 {
         self.attempts.load(Ordering::Relaxed)
     }
 
-    /// Adds one queue pop, returning the new total.
-    pub(crate) fn add_node(&self) -> u64 {
-        self.nodes.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Adds one checker attempt, returning the new total.
-    pub(crate) fn add_attempt(&self) -> u64 {
-        self.attempts.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Overwrites both counters (sequential engine: mirrors its private
-    /// loop counters outward once per iteration).
+    /// Overwrites both counters (the search mirrors its private loop
+    /// counters outward once per iteration and once more on return).
     pub(crate) fn record(&self, nodes: u64, attempts: u64) {
         self.nodes.store(nodes, Ordering::Relaxed);
         self.attempts.store(attempts, Ordering::Relaxed);
@@ -158,9 +144,10 @@ impl SearchProgress {
 #[derive(Debug, Clone, Default)]
 pub struct SearchHooks {
     /// Raised by the caller to stop the search; the outcome then reports
-    /// [`StopReason::Cancelled`]. Workers poll it between frontier pops.
+    /// [`StopReason::Cancelled`]. The search polls it between frontier
+    /// pops.
     pub cancel: Option<Arc<CancelFlag>>,
-    /// Live node/attempt counters updated by the engine while running.
+    /// Live node/attempt counters updated by the search while running.
     pub progress: Option<Arc<SearchProgress>>,
 }
 
@@ -188,11 +175,10 @@ pub struct SearchOutcome {
     pub template: Option<TacoProgram>,
     /// Complete templates sent to validation — Table 1/3's "attempts".
     pub attempts: u64,
-    /// Syntactically new candidates the engine skipped because an
-    /// algebraically equivalent template (equal canonical fingerprint)
-    /// had already been sent to a checker. Only the parallel engine's
-    /// seen-set prunes at this layer; sequential runs report `0` here
-    /// and prune equivalents at the validation layer instead.
+    /// Always `0`: the search sends every candidate to the checker, and
+    /// algebraically equivalent templates are pruned at the validation
+    /// layer (`ValidationStats::pruned_equivalent`). Kept for readers of
+    /// the field that predate that single dedup layer.
     pub pruned_equivalent: u64,
     /// Queue pops.
     pub nodes_expanded: u64,
@@ -327,40 +313,14 @@ mod tests {
     }
 
     #[test]
-    fn check_many_returns_first_verified_and_short_circuits() {
-        let p1 = gtl_taco::parse_program("a(i) = b(i)").unwrap();
-        let p2 = gtl_taco::parse_program("a(i) = c(i)").unwrap();
-        let calls = std::cell::Cell::new(0usize);
-        let mut checker = |t: &TacoProgram| {
-            calls.set(calls.get() + 1);
-            if *t == p2 {
-                CheckOutcome::Verified(t.clone())
-            } else {
-                CheckOutcome::Failed
-            }
-        };
-        let batch = [p1.clone(), p2.clone(), p1.clone()];
-        let got = checker.check_many(&batch, &mut || false);
-        assert_eq!(got, Some((1, p2.clone())));
-        assert_eq!(calls.get(), 2, "templates after the hit are not checked");
-    }
-
-    #[test]
-    fn check_many_polls_stop_between_templates() {
-        let p = gtl_taco::parse_program("a(i) = b(i)").unwrap();
-        let mut checker = |t: &TacoProgram| CheckOutcome::Verified(t.clone());
-        let batch = [p.clone(), p.clone()];
-        // A pre-raised stop condition means no template is checked.
-        assert_eq!(checker.check_many(&batch, &mut || true), None);
-        // Stop raised after the first check: the second never runs.
-        let first = std::cell::Cell::new(true);
-        let calls = std::cell::Cell::new(0usize);
-        let mut failing = |_t: &TacoProgram| {
-            calls.set(calls.get() + 1);
-            CheckOutcome::Failed
-        };
-        let got = failing.check_many(&batch, &mut || !first.replace(false));
-        assert_eq!(got, None);
-        assert_eq!(calls.get(), 1);
+    fn cancel_flag_is_sticky_and_shared() {
+        let flag = CancelFlag::new();
+        assert!(!flag.is_cancelled());
+        std::thread::scope(|s| {
+            s.spawn(|| flag.cancel());
+        });
+        assert!(flag.is_cancelled());
+        flag.cancel();
+        assert!(flag.is_cancelled());
     }
 }

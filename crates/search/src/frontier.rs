@@ -1,12 +1,11 @@
-//! The shared frontier engine behind both search algorithms.
+//! The best-first frontier loop behind both search algorithms.
 //!
 //! Top-down and bottom-up search are the same best-first loop over
 //! partial derivation trees; they differ only in how a dequeued tree is
 //! judged (skip / check / expand). That per-algorithm logic is the
 //! [`Expand`] trait, implemented by the two algorithm modules; the loop
-//! itself exists twice — [`run_sequential`] here (byte-identical to the
-//! pre-refactor single-thread searches) and the worker-pool version in
-//! [`crate::parallel`].
+//! itself is [`run_search`], byte-identical in pop order to the paper
+//! artifact's single-thread searches.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -32,8 +31,7 @@ pub(crate) struct Child {
 /// Algorithm-specific judgement of a dequeued tree.
 ///
 /// Implementations are read-only views of the grammar and penalty
-/// context, so they are naturally `Sync` and one expander can serve
-/// every worker of a parallel run (the parallel engine adds the bound).
+/// context.
 pub(crate) trait Expand {
     /// The initial search state.
     fn root(&self) -> Tree;
@@ -52,11 +50,11 @@ pub(crate) trait Expand {
 /// A frontier entry. Ordering matches the pre-refactor arena encoding:
 /// best (lowest) `f` first, ties broken toward the most recently pushed
 /// entry.
-pub(crate) struct QEntry {
-    pub f: Priority,
-    pub seq: u64,
-    pub tree: Tree,
-    pub cost: f64,
+struct QEntry {
+    f: Priority,
+    seq: u64,
+    tree: Tree,
+    cost: f64,
 }
 
 impl PartialEq for QEntry {
@@ -82,23 +80,29 @@ impl Ord for QEntry {
     }
 }
 
-/// The single-threaded best-first loop. Preserves the exact pop order,
-/// counter updates and stop conditions of the pre-refactor searches, so
-/// `jobs = 1` results are bit-identical to the original implementation.
-pub(crate) fn run_sequential(
+/// The best-first loop. Preserves the exact pop order, counter updates
+/// and stop conditions of the paper artifact's searches.
+///
+/// External hooks ride along: the cancel flag is polled once per pop
+/// (the outcome then reports `Cancelled`) and the loop counters are
+/// mirrored into the progress tracker after every iteration and once
+/// more on return, so a finished run's tracker equals its outcome. With
+/// default hooks both additions are untaken branches, leaving pop order
+/// and counters unchanged.
+pub(crate) fn run_search(
     exp: &dyn Expand,
     budget: SearchBudget,
     checker: &mut dyn TemplateChecker,
+    hooks: &SearchHooks,
 ) -> SearchOutcome {
-    run_sequential_hooked(exp, budget, checker, &SearchHooks::default())
+    let outcome = best_first(exp, budget, checker, hooks);
+    if let Some(progress) = &hooks.progress {
+        progress.record(outcome.nodes_expanded, outcome.attempts);
+    }
+    outcome
 }
 
-/// [`run_sequential`] with external hooks attached: the cancel flag is
-/// polled once per pop (the outcome then reports `Cancelled`) and the
-/// loop counters are mirrored into the progress tracker after every
-/// iteration. With default hooks both additions are untaken branches,
-/// leaving pop order and counters bit-identical to the unhooked loop.
-pub(crate) fn run_sequential_hooked(
+fn best_first(
     exp: &dyn Expand,
     budget: SearchBudget,
     checker: &mut dyn TemplateChecker,

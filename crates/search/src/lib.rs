@@ -55,19 +55,13 @@ mod bottomup;
 mod driver;
 mod frontier;
 pub mod node;
-mod parallel;
 mod penalty;
 mod topdown;
 
-pub use bottomup::bottom_up_search;
+pub use bottomup::{bottom_up_search, bottom_up_search_hooked};
 pub use driver::{
-    CheckOutcome, SearchBudget, SearchHooks, SearchOutcome, SearchProgress, StopReason,
-    TemplateChecker,
-};
-pub use parallel::{
-    fingerprint_program, parallel_bottom_up_search, parallel_bottom_up_search_hooked,
-    parallel_top_down_search, parallel_top_down_search_hooked, CancelFlag, ParallelOptions,
-    ShardedSeenSet,
+    CancelFlag, CheckOutcome, SearchBudget, SearchHooks, SearchOutcome, SearchProgress,
+    StopReason, TemplateChecker,
 };
 pub use penalty::{bu_penalty, td_penalty, PenaltyContext, PenaltySettings};
-pub use topdown::top_down_search;
+pub use topdown::{top_down_search, top_down_search_hooked};

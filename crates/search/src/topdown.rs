@@ -3,15 +3,14 @@
 use gtl_taco::TacoProgram;
 use gtl_template::{GrammarShape, TemplateGrammar};
 
-use crate::driver::{SearchBudget, SearchOutcome, TemplateChecker};
-use crate::frontier::{run_sequential, Child, Expand};
+use crate::driver::{SearchBudget, SearchHooks, SearchOutcome, TemplateChecker};
+use crate::frontier::{run_search, Child, Expand};
 use crate::node::{td_tree_to_program, tree_facts, CostModel, Tree};
 use crate::penalty::{td_penalty, PenaltyContext};
 
 /// The top-down judgement of a dequeued partial derivation tree
-/// (Algorithm 1 lines 5–12), shared by the sequential and parallel
-/// engines.
-pub(crate) struct TdExpand<'a> {
+/// (Algorithm 1 lines 5–12).
+struct TdExpand<'a> {
     grammar: &'a TemplateGrammar,
     ctx: &'a PenaltyContext,
     costs: CostModel,
@@ -20,7 +19,7 @@ pub(crate) struct TdExpand<'a> {
 
 impl<'a> TdExpand<'a> {
     /// Builds the expander; panics if `grammar` is not top-down shaped.
-    pub(crate) fn new(
+    fn new(
         grammar: &'a TemplateGrammar,
         ctx: &'a PenaltyContext,
         max_depth: usize,
@@ -120,8 +119,28 @@ pub fn top_down_search(
     budget: SearchBudget,
     checker: &mut dyn TemplateChecker,
 ) -> SearchOutcome {
+    top_down_search_hooked(grammar, ctx, budget, &SearchHooks::default(), checker)
+}
+
+/// [`top_down_search`] with external hooks attached: the caller's
+/// [`CancelFlag`](crate::CancelFlag) stops the run between pops (outcome
+/// [`StopReason::Cancelled`](crate::StopReason::Cancelled)) and the
+/// caller's [`SearchProgress`](crate::SearchProgress) mirrors the pop and
+/// attempt counters while it runs. Default hooks give exactly
+/// [`top_down_search`].
+///
+/// # Panics
+///
+/// Panics if `grammar` is not top-down shaped.
+pub fn top_down_search_hooked(
+    grammar: &TemplateGrammar,
+    ctx: &PenaltyContext,
+    budget: SearchBudget,
+    hooks: &SearchHooks,
+    checker: &mut dyn TemplateChecker,
+) -> SearchOutcome {
     let exp = TdExpand::new(grammar, ctx, budget.max_depth);
-    run_sequential(&exp, budget, checker)
+    run_search(&exp, budget, checker, hooks)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! Config flags: `--oracle SPEC` (`synthetic[:SEED]`, `replay:PATH`,
 //! `record:PATH[:INNER]` — subject to the server's allowlist),
 //! `--oracle-rounds N`, `--mode td|bu`, `--grammar NAME`,
-//! `--search-jobs N`, `--max-attempts N`, `--max-nodes N`,
+//! `--max-attempts N`, `--max-nodes N`,
 //! `--time-limit-ms N`, `--timeout-ms N`, `--trace-id ID` (attach an
 //! explicit trace ID to the lift; the default lets the server mint
 //! one). `--metrics` prints the Prometheus text exposition; `--trace`
@@ -37,7 +37,7 @@ const USAGE: &str = "usage: lift_client --connect ADDR \
 (--benchmark NAME | --source FILE --params JSON [--ground-truth PROG] [--label L] \
 | --cancel ID | --stats | --metrics | --trace TRACE_ID | --shutdown) [--id ID] \
 [--trace-id ID] [--oracle SPEC] [--oracle-rounds N] \
-[--mode td|bu] [--grammar NAME] [--search-jobs N] [--max-attempts N] [--max-nodes N] \
+[--mode td|bu] [--grammar NAME] [--max-attempts N] [--max-nodes N] \
 [--time-limit-ms N] [--timeout-ms N]";
 
 fn usage_error(message: &str) -> ! {
@@ -105,10 +105,6 @@ fn parse_args() -> Args {
                     GrammarMode::from_cli_name(&raw)
                         .unwrap_or_else(|| usage_error(&format!("unknown grammar `{raw}`"))),
                 );
-            }
-            "--search-jobs" => {
-                args.overrides.search_jobs =
-                    Some(uint("--search-jobs", value("--search-jobs")) as usize)
             }
             "--oracle-rounds" => {
                 args.overrides.oracle_rounds =

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! lift_router --replicas ADDR,ADDR [--stdio | --listen ADDR]
-//!             [--vnodes N] [--connect-timeout-ms N] [--search-jobs N]
+//!             [--vnodes N] [--connect-timeout-ms N]
 //! ```
 //!
 //! Each lift is consistent-hash routed to a replica by its normalized
@@ -15,10 +15,6 @@
 //! error. `stats` fans out to all replicas and sums the snapshots;
 //! `shutdown` is broadcast to every replica before the router itself
 //! stops.
-//!
-//! `--search-jobs` mirrors the replicas' setting: the routing key
-//! hashes the resolved configuration, so it must resolve identically
-//! here and on the servers for repeats to stay cache hits.
 
 use std::net::TcpListener;
 use std::time::Duration;
@@ -33,11 +29,10 @@ struct Args {
     replicas: Vec<String>,
     vnodes: usize,
     connect_timeout_ms: u64,
-    search_jobs: usize,
 }
 
 const USAGE: &str = "usage: lift_router --replicas ADDR,ADDR [--stdio | --listen ADDR] \
-[--vnodes N] [--connect-timeout-ms N] [--search-jobs N]";
+[--vnodes N] [--connect-timeout-ms N]";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("lift_router: {message}\n{USAGE}");
@@ -50,7 +45,6 @@ fn parse_args() -> Args {
         replicas: Vec::new(),
         vnodes: 64,
         connect_timeout_ms: 5000,
-        search_jobs: 1,
     };
     let mut stdio = false;
     let mut it = std::env::args().skip(1);
@@ -82,9 +76,6 @@ fn parse_args() -> Args {
                     value("--connect-timeout-ms"),
                 )
             }
-            "--search-jobs" => {
-                args.search_jobs = int_value("--search-jobs", value("--search-jobs")) as usize
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -107,7 +98,7 @@ fn main() {
         replicas: args.replicas.clone(),
         vnodes: args.vnodes.max(1),
         connect_timeout: Duration::from_millis(args.connect_timeout_ms.max(1)),
-        base: StaggConfig::top_down().with_jobs(args.search_jobs.max(1)),
+        base: StaggConfig::top_down(),
     });
     eprintln!(
         "lift_router: routing across {} replica(s): {}",

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! lift_server [--stdio | --listen ADDR] [--workers N] [--queue N]
-//!             [--search-jobs N] [--progress-ms N] [--timeout-ms N]
+//!             [--progress-ms N] [--timeout-ms N]
 //!             [--oracle SPEC] [--oracles KIND,KIND]
 //!             [--store PATH] [--rotate-store-bytes N]
 //!             [--max-inflight-per-client N]
@@ -58,7 +58,6 @@ struct Args {
     listen: Option<String>,
     workers: usize,
     queue: usize,
-    search_jobs: usize,
     progress_ms: u64,
     timeout_ms: Option<u64>,
     oracle: Option<String>,
@@ -78,7 +77,7 @@ struct Args {
 const SEGMENT_MERGE_THRESHOLD: u64 = 8;
 
 const USAGE: &str = "usage: lift_server [--stdio | --listen ADDR] [--workers N] [--queue N] \
-[--search-jobs N] [--progress-ms N] [--timeout-ms N] [--oracle SPEC] [--oracles KIND,KIND] \
+[--progress-ms N] [--timeout-ms N] [--oracle SPEC] [--oracles KIND,KIND] \
 [--store PATH] [--rotate-store-bytes N] [--max-inflight-per-client N] \
 [--peers ADDR,ADDR] [--accept-shares] [--slow-lift-ms N] [--journal-capacity N]";
 
@@ -92,7 +91,6 @@ fn parse_args() -> Args {
         listen: None,
         workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         queue: 64,
-        search_jobs: 1,
         progress_ms: 100,
         timeout_ms: None,
         oracle: None,
@@ -122,9 +120,6 @@ fn parse_args() -> Args {
             "--listen" => args.listen = Some(value("--listen")),
             "--workers" => args.workers = int_value("--workers", value("--workers")) as usize,
             "--queue" => args.queue = int_value("--queue", value("--queue")) as usize,
-            "--search-jobs" => {
-                args.search_jobs = int_value("--search-jobs", value("--search-jobs")) as usize
-            }
             "--progress-ms" => {
                 args.progress_ms = int_value("--progress-ms", value("--progress-ms"))
             }
@@ -182,7 +177,7 @@ fn main() {
     let args = parse_args();
     // The server's own base oracle spec (`--oracle`) and the provider
     // kinds requests may select per lift (`--oracles`, the allowlist).
-    let mut base = StaggConfig::top_down().with_jobs(args.search_jobs.max(1));
+    let mut base = StaggConfig::top_down();
     if let Some(raw) = &args.oracle {
         let spec = OracleSpec::from_cli_name(raw)
             .unwrap_or_else(|| usage_error(&format!("unparseable --oracle spec `{raw}`")));

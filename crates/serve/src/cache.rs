@@ -99,12 +99,13 @@ pub fn request_key(query: &LiftQuery, config: &StaggConfig) -> u64 {
     format!("{:?}", query.task.params).hash(&mut h);
     query.task.output.hash(&mut h);
     query.task.constants.hash(&mut h);
-    // Configuration: everything that can change the outcome. `jobs` is
-    // included — parallel runs may surface a different (equally valid)
-    // solution first, and a cache must never mix the two streams.
+    // Configuration: everything that can change the outcome.
     config.mode.cli_name().hash(&mut h);
     config.grammar.cli_name().hash(&mut h);
-    config.jobs.hash(&mut h);
+    // Once the search width, now always 1. Still hashed so every key a
+    // single-width server computed before stays bit-identical and
+    // existing stores keep hitting.
+    1usize.hash(&mut h);
     // The guidance source determines the candidate stream, hence the
     // grammar, hence the outcome — different oracles must never share
     // a cache entry. Rounds likewise.
@@ -288,5 +289,30 @@ mod tests {
             },
         );
         assert_eq!(cache.len(), before);
+    }
+
+    #[test]
+    fn keys_are_pinned_for_existing_stores() {
+        // Stores persist these keys; a change to the hash input orphans
+        // every stored outcome. The values are the ones the key had when
+        // `StaggConfig::jobs` was still hashed (64-bit `DefaultHasher`).
+        use crate::protocol::Request;
+        let key_of = |line: &str| {
+            let Request::Lift(request) = Request::parse_line(line).unwrap() else {
+                panic!("not a lift request: {line}");
+            };
+            let query = crate::server::resolve_query(&request).unwrap();
+            request_key(&query, &request.overrides.apply(&StaggConfig::top_down()))
+        };
+        assert_eq!(
+            key_of(r#"{"type":"lift","id":"a","benchmark":"blas_dot"}"#),
+            0x3d57_c942_87aa_d9ae
+        );
+        assert_eq!(
+            key_of(
+                r#"{"type":"lift","id":"b","benchmark":"blas_gemv","config":{"mode":"bu","max_attempts":500,"oracle_rounds":2}}"#
+            ),
+            0x38cf_f60c_7f1e_fedb
+        );
     }
 }

@@ -9,8 +9,7 @@
 //! binary, or in-process through [`ServerHandle`]. Each request is
 //! admitted to a **bounded job queue** drained by a **persistent worker
 //! pool**; workers run the full pipeline (`gtl::Stagg::lift_with`) with
-//! the parallel search engine and a long-lived per-worker
-//! `gtl_taco::EvalCache`, and stream incremental [`Event`]s back to the
+//! a long-lived per-worker `gtl_taco::EvalCache`, and stream incremental [`Event`]s back to the
 //! submitting client: `queued`, `search_progress`, `candidate_found`,
 //! `verified`, then a terminal `done` / `failed` / `error`.
 //!
@@ -18,8 +17,8 @@
 //! source + configuration answers repeated identical lifts instantly
 //! (hit/miss counters surface in the `stats` request), and
 //! cancellation — client `cancel` requests, per-request timeouts,
-//! graceful shutdown — rides the search engine's
-//! `gtl_search::CancelFlag` machinery end to end.
+//! graceful shutdown — rides the search's `gtl_search::CancelFlag`
+//! end to end.
 //!
 //! The wire protocol is specified in `docs/PROTOCOL.md`; the serving
 //! architecture is part of `docs/ARCHITECTURE.md`.

@@ -201,8 +201,6 @@ pub struct ConfigOverrides {
     /// Grammar variant (`refined`, `equal_probability`, `full_grammar`,
     /// `llm_grammar`).
     pub grammar: Option<GrammarMode>,
-    /// Worker threads inside this lift's search stage.
-    pub search_jobs: Option<usize>,
     /// Maximum oracle rounds (the failure loop re-queries the oracle
     /// with feedback between rounds; `1` = single-shot).
     pub oracle_rounds: Option<usize>,
@@ -232,9 +230,6 @@ impl ConfigOverrides {
         }
         if let Some(grammar) = self.grammar {
             config.grammar = grammar;
-        }
-        if let Some(jobs) = self.search_jobs {
-            config.jobs = jobs.max(1);
         }
         if let Some(rounds) = self.oracle_rounds {
             config.oracle_rounds = rounds.max(1);
@@ -685,9 +680,6 @@ fn overrides_to_json(o: &ConfigOverrides) -> Json {
     if let Some(grammar) = o.grammar {
         fields.push(("grammar", Json::str(grammar.cli_name())));
     }
-    if let Some(jobs) = o.search_jobs {
-        fields.push(("search_jobs", Json::u64(jobs as u64)));
-    }
     if let Some(rounds) = o.oracle_rounds {
         fields.push(("oracle_rounds", Json::u64(rounds as u64)));
     }
@@ -1001,7 +993,9 @@ fn parse_overrides(cfg: &Json) -> Result<ConfigOverrides, WireError> {
                 .ok_or_else(|| bad(format!("`{key}` must be a non-negative integer"))),
         }
     };
-    o.search_jobs = uint("search_jobs")?.map(|n| n as usize);
+    // `search_jobs` once chose a search width; the search is now one
+    // loop, so the field is still validated for old clients but ignored.
+    uint("search_jobs")?;
     o.oracle_rounds = uint("oracle_rounds")?.map(|n| n as usize);
     o.max_attempts = uint("max_attempts")?;
     o.max_nodes = uint("max_nodes")?;
@@ -1649,7 +1643,6 @@ mod tests {
                 overrides: ConfigOverrides {
                     mode: Some(SearchMode::BottomUp),
                     grammar: Some(GrammarMode::Refined),
-                    search_jobs: Some(2),
                     oracle_rounds: Some(3),
                     max_attempts: Some(500),
                     max_nodes: None,
@@ -2096,7 +2089,6 @@ mod tests {
     fn overrides_apply_to_base_config() {
         let o = ConfigOverrides {
             mode: Some(SearchMode::BottomUp),
-            search_jobs: Some(0),
             oracle_rounds: Some(2),
             max_attempts: Some(123),
             time_limit_ms: Some(1500),
@@ -2104,10 +2096,34 @@ mod tests {
         };
         let cfg = o.apply(&StaggConfig::top_down());
         assert_eq!(cfg.mode, SearchMode::BottomUp);
-        assert_eq!(cfg.jobs, 1, "search_jobs 0 is clamped to 1");
         assert_eq!(cfg.oracle_rounds, 2);
         assert_eq!(cfg.budget.max_attempts, 123);
         assert_eq!(cfg.budget.time_limit, std::time::Duration::from_millis(1500));
         assert!(ConfigOverrides::default().is_empty());
+    }
+
+    #[test]
+    fn legacy_search_jobs_is_accepted_and_ignored() {
+        // Old clients may still send `search_jobs`: the request decodes
+        // and keys exactly like one without it, so it shares cache and
+        // store entries with it.
+        let key_of = |line: &str| {
+            let Request::Lift(request) = Request::parse_line(line).unwrap() else {
+                panic!("not a lift request: {line}");
+            };
+            let query = crate::server::resolve_query(&request).unwrap();
+            let config = request.overrides.apply(&StaggConfig::top_down());
+            crate::cache::request_key(&query, &config)
+        };
+        assert_eq!(
+            key_of(r#"{"type":"lift","id":"a","benchmark":"blas_dot","config":{"search_jobs":4}}"#),
+            key_of(r#"{"type":"lift","id":"a","benchmark":"blas_dot"}"#)
+        );
+        // A non-integer value is still a malformed request.
+        let e = Request::parse_line(
+            r#"{"type":"lift","id":"a","benchmark":"blas_dot","config":{"search_jobs":"4"}}"#,
+        )
+        .unwrap_err();
+        assert_eq!(e.code, ErrorCode::BadRequest);
     }
 }

@@ -135,46 +135,6 @@ impl ValidationStats {
     }
 }
 
-/// Thread-safe accumulator of [`ValidationStats`] for checkers running
-/// on parallel search workers: each worker validates with a private
-/// `ValidationStats` and folds it in with [`SharedValidationStats::add`].
-#[derive(Debug, Default)]
-pub struct SharedValidationStats {
-    substitutions_tried: std::sync::atomic::AtomicU64,
-    io_passes: std::sync::atomic::AtomicU64,
-    pruned_infeasible: std::sync::atomic::AtomicU64,
-    pruned_equivalent: std::sync::atomic::AtomicU64,
-    unchecked_kernels: std::sync::atomic::AtomicU64,
-}
-
-impl SharedValidationStats {
-    /// Adds one run's counters.
-    pub fn add(&self, stats: &ValidationStats) {
-        use std::sync::atomic::Ordering;
-        self.substitutions_tried
-            .fetch_add(stats.substitutions_tried, Ordering::Relaxed);
-        self.io_passes.fetch_add(stats.io_passes, Ordering::Relaxed);
-        self.pruned_infeasible
-            .fetch_add(stats.pruned_infeasible, Ordering::Relaxed);
-        self.pruned_equivalent
-            .fetch_add(stats.pruned_equivalent, Ordering::Relaxed);
-        self.unchecked_kernels
-            .fetch_add(stats.unchecked_kernels, Ordering::Relaxed);
-    }
-
-    /// A consistent copy of the accumulated counters.
-    pub fn snapshot(&self) -> ValidationStats {
-        use std::sync::atomic::Ordering;
-        ValidationStats {
-            substitutions_tried: self.substitutions_tried.load(Ordering::Relaxed),
-            io_passes: self.io_passes.load(Ordering::Relaxed),
-            pruned_infeasible: self.pruned_infeasible.load(Ordering::Relaxed),
-            pruned_equivalent: self.pruned_equivalent.load(Ordering::Relaxed),
-            unchecked_kernels: self.unchecked_kernels.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// The §6 validation loop: enumerate substitutions, test each against the
 /// I/O examples, and hand survivors to `verify`; the first substitution
 /// the verifier accepts wins. Returns the verified concrete program.
@@ -349,37 +309,6 @@ mod tests {
         let got = validate_template(&template, &task, &examples, |_, _| false, &mut stats);
         assert!(got.is_none());
         assert!(stats.io_passes >= 2, "b*c and c*b both pass I/O");
-    }
-
-    #[test]
-    fn shared_stats_accumulate_across_threads() {
-        let shared = SharedValidationStats::default();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let shared = &shared;
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        shared.add(&ValidationStats {
-                            substitutions_tried: 2,
-                            io_passes: 1,
-                            pruned_infeasible: 1,
-                            pruned_equivalent: 1,
-                            unchecked_kernels: 1,
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            shared.snapshot(),
-            ValidationStats {
-                substitutions_tried: 800,
-                io_passes: 400,
-                pruned_infeasible: 400,
-                pruned_equivalent: 400,
-                unchecked_kernels: 400,
-            }
-        );
     }
 
     #[test]
