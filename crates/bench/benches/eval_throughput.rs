@@ -1,9 +1,10 @@
 //! Throughput of the candidate-evaluation hot path: the reference tree
-//! interpreter vs the compiled bytecode kernel (`gtl_taco::compile`) on
-//! the validation microkernels (GEMM, TTV, MTTKRP), the batched
-//! substitution tier (`BatchKernel`) vs the per-candidate scalar loop,
-//! the compiled C reference (`run_compiled`) vs the tree-walking
-//! interpreter, plus an end-to-end `batch_suite` lift timing.
+//! interpreter vs the production evaluator (`gtl_taco::evaluate`, one
+//! `BatchKernel` lane) on the validation microkernels (GEMM, TTV,
+//! MTTKRP), 64-lane `BatchKernel` filtering vs interpreting each
+//! candidate in turn, the compiled C reference (`run_compiled`) vs the
+//! tree-walking interpreter, plus an end-to-end `batch_suite` lift
+//! timing.
 //!
 //! Modes:
 //! - default: full measurement, criterion-style report lines;
@@ -13,8 +14,9 @@
 //!   JSON document committed to the perf trajectory (`BENCH_7.json`).
 //!
 //! In every mode the run fails (non-zero exit) when batched evaluation
-//! is slower per candidate than the scalar loop on the product-shaped
-//! microkernels — the CI regression guard for the batch tier.
+//! is slower per candidate than interpreting each candidate on the
+//! product-shaped microkernels — the CI regression guard for the batch
+//! tier.
 
 use std::time::{Duration, Instant};
 
@@ -23,8 +25,8 @@ use gtl_bench::{run_method_batch, Method};
 use gtl_benchsuite::{by_suite, Suite};
 use gtl_cfront::{run_compiled, run_kernel};
 use gtl_taco::{
-    compile, evaluate_interpreted, parse_program, Access, BatchKernel, EvalCache, Expr, Lane,
-    TacoProgram, TensorEnv,
+    evaluate, evaluate_interpreted, parse_program, Access, BatchKernel, Expr, Lane, TacoProgram,
+    TensorEnv,
 };
 use gtl_tensor::{Shape, TensorGen};
 
@@ -86,8 +88,7 @@ fn microkernels() -> Vec<Micro> {
 struct Row {
     name: &'static str,
     interp_ns: f64,
-    compiled_ns: f64,
-    cached_ns: f64,
+    evaluate_ns: f64,
 }
 
 /// Candidate substitutions evaluated per batch — the validator's lane
@@ -97,7 +98,7 @@ const LANES: usize = 64;
 /// The batch-filtering fixture for one microkernel: a pool of four
 /// same-shape candidate tensors per template slot, 64 substitution
 /// lanes over the pool, and the concretized program of every lane for
-/// the scalar side of the comparison.
+/// the interpreter side of the comparison.
 fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Lane>, Vec<TacoProgram>) {
     let kernel = BatchKernel::new(&m.program);
     let mut gen = TensorGen::from_label(m.name);
@@ -156,15 +157,9 @@ fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Lane>, Vec<TacoProgram>) {
 
 struct FilterRow {
     name: &'static str,
-    /// Per-candidate cost of the scalar loop on first-seen candidates
-    /// (fresh `EvalCache`: the frontier-draining regime, where every
-    /// substitution is a new concrete program and evaluates through the
-    /// tree interpreter before promotion).
-    scalar_cold_ns: f64,
-    /// Per-candidate cost of the scalar loop on a warm `EvalCache`
-    /// (every candidate already promoted to its compiled kernel — the
-    /// floor the scalar path can ever reach).
-    scalar_warm_ns: f64,
+    /// Per-candidate cost of interpreting every substituted program in
+    /// turn (`evaluate_interpreted`).
+    interp_ns: f64,
     /// Per-candidate cost of one 64-lane batch pass (template lowered
     /// inside the measurement, as the validator does per template).
     batch_ns: f64,
@@ -174,16 +169,6 @@ struct RefRow {
     name: &'static str,
     treewalk_ns: f64,
     compiled_ns: f64,
-}
-
-struct SafeRow {
-    name: &'static str,
-    /// Per-candidate cost of one 64-lane pass on the checked rational
-    /// sweep (`evaluate_lanes_checked` — the overflow-proof-less path).
-    checked_ns: f64,
-    /// Per-candidate cost of the same pass with the interval overflow
-    /// proof admitted, so integer groups run the wrapping fast path.
-    unchecked_ns: f64,
 }
 
 fn main() {
@@ -199,66 +184,43 @@ fn main() {
     let mut c = Criterion::default().measurement_time(budget);
     let mut rows: Vec<Row> = Vec::new();
     for m in microkernels() {
-        let kernel = compile(&m.program, &m.env).expect("microkernel compiles");
-        let cache = EvalCache::default();
-        cache.evaluate(&m.program, &m.env).expect("warms the cache");
-
         let (p, env) = (&m.program, &m.env);
         c.bench_function(&format!("interp_{}", m.name), |b| {
             b.iter(|| evaluate_interpreted(std::hint::black_box(p), env).unwrap())
         });
         let interp_ns = c.last_mean_ns();
-        c.bench_function(&format!("compiled_{}", m.name), |b| {
-            b.iter(|| kernel.evaluate(std::hint::black_box(env)).unwrap())
+        c.bench_function(&format!("evaluate_{}", m.name), |b| {
+            b.iter(|| evaluate(std::hint::black_box(p), env).unwrap())
         });
-        let compiled_ns = c.last_mean_ns();
-        c.bench_function(&format!("cached_{}", m.name), |b| {
-            b.iter(|| cache.evaluate(std::hint::black_box(p), env).unwrap())
-        });
-        let cached_ns = c.last_mean_ns();
+        let evaluate_ns = c.last_mean_ns();
 
         println!(
-            "{:<28} speedup interp/compiled {:>5.1}x",
+            "{:<28} speedup interp/evaluate {:>5.1}x",
             m.name,
-            interp_ns / compiled_ns
+            interp_ns / evaluate_ns
         );
         rows.push(Row {
             name: m.name,
             interp_ns,
-            compiled_ns,
-            cached_ns,
+            evaluate_ns,
         });
     }
 
-    // Candidate filtering: 64 substitutions of one template, evaluated
-    // one by one through a warm EvalCache (the pre-batch validator
-    // loop) vs in one BatchKernel pass (the batched tier).
+    // Candidate filtering: 64 substitutions of one template, each
+    // interpreted in turn vs all evaluated in one BatchKernel pass (the
+    // validator's loop).
     let mut filter_rows: Vec<FilterRow> = Vec::new();
     for m in microkernels() {
         let (env, lanes, programs) = filter_fixture(&m);
-        let cache = EvalCache::default();
-        for p in &programs {
-            // Evaluate twice: the cache promotes to compiled on second use.
-            cache.evaluate(p, &env).expect("filter lane evaluates");
-            cache.evaluate(p, &env).expect("filter lane evaluates");
-        }
-        c.bench_function(&format!("scalar_filter_cold_{}", m.name), |b| {
+        c.bench_function(&format!("interp_filter_{}", m.name), |b| {
             b.iter(|| {
-                let fresh = EvalCache::default();
                 for p in &programs {
-                    std::hint::black_box(fresh.evaluate(std::hint::black_box(p), &env).unwrap());
+                    let out = evaluate_interpreted(std::hint::black_box(p), &env);
+                    std::hint::black_box(out.unwrap());
                 }
             })
         });
-        let scalar_cold_ns = c.last_mean_ns() / LANES as f64;
-        c.bench_function(&format!("scalar_filter_warm_{}", m.name), |b| {
-            b.iter(|| {
-                for p in &programs {
-                    std::hint::black_box(cache.evaluate(std::hint::black_box(p), &env).unwrap());
-                }
-            })
-        });
-        let scalar_warm_ns = c.last_mean_ns() / LANES as f64;
+        let interp_ns = c.last_mean_ns() / LANES as f64;
         c.bench_function(&format!("batch_filter_{}", m.name), |b| {
             b.iter(|| {
                 let k = BatchKernel::new(std::hint::black_box(&m.program));
@@ -267,56 +229,15 @@ fn main() {
         });
         let batch_ns = c.last_mean_ns() / LANES as f64;
         println!(
-            "{:<28} speedup cold-scalar/batch {:>5.1}x, warm-scalar/batch {:>4.1}x  ({} lanes)",
+            "{:<28} speedup interp/batch {:>5.1}x  ({} lanes)",
             m.name,
-            scalar_cold_ns / batch_ns,
-            scalar_warm_ns / batch_ns,
+            interp_ns / batch_ns,
             LANES
         );
         filter_rows.push(FilterRow {
             name: m.name,
-            scalar_cold_ns,
-            scalar_warm_ns,
+            interp_ns,
             batch_ns,
-        });
-    }
-
-    // The static-analysis tier: the same 64-lane batch passes with and
-    // without the interval overflow proof. Small-integer fixtures are
-    // provably safe, so `evaluate_lanes` takes the wrapping i64 path
-    // while `evaluate_lanes_checked` forces the rational sweeps the
-    // proof replaces.
-    let mut safe_rows: Vec<SafeRow> = Vec::new();
-    for m in microkernels() {
-        if m.name == "gemm_8x8_verify_points" {
-            continue; // same shape as gemm_8x8; only the value range differs
-        }
-        let (env, lanes, _) = filter_fixture(&m);
-        let kernel = BatchKernel::new(&m.program);
-        let mut stats = gtl_taco::BatchStats::default();
-        kernel.evaluate_lanes_with_stats(&lanes, &env, &mut stats);
-        assert!(
-            stats.unchecked_groups > 0,
-            "{}: small-int fixture must admit the overflow proof",
-            m.name
-        );
-        c.bench_function(&format!("batch_checked_{}", m.name), |b| {
-            b.iter(|| kernel.evaluate_lanes_checked(std::hint::black_box(&lanes), &env))
-        });
-        let checked_ns = c.last_mean_ns() / LANES as f64;
-        c.bench_function(&format!("batch_unchecked_{}", m.name), |b| {
-            b.iter(|| kernel.evaluate_lanes(std::hint::black_box(&lanes), &env))
-        });
-        let unchecked_ns = c.last_mean_ns() / LANES as f64;
-        println!(
-            "{:<28} speedup checked/unchecked {:>5.1}x",
-            m.name,
-            checked_ns / unchecked_ns
-        );
-        safe_rows.push(SafeRow {
-            name: m.name,
-            checked_ns,
-            unchecked_ns,
         });
     }
 
@@ -360,7 +281,7 @@ fn main() {
     }
 
     // End-to-end: the batch suite runner over the `simple` suite (full
-    // validate→verify loops through the per-worker eval caches).
+    // validate→verify loops).
     let benchmarks = by_suite(Suite::SimpleArray);
     let subset = if quick { &benchmarks[..2.min(benchmarks.len())] } else { &benchmarks[..] };
     let started = Instant::now();
@@ -378,43 +299,26 @@ fn main() {
         let mut json = String::from("{\n  \"bench\": \"eval_throughput\",\n  \"microkernels\": [\n");
         for (i, r) in rows.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"interp_ns\": {:.1}, \"compiled_ns\": {:.1}, \
-                 \"cached_ns\": {:.1}, \"speedup\": {:.2}}}{}\n",
+                "    {{\"name\": \"{}\", \"interp_ns\": {:.1}, \"evaluate_ns\": {:.1}, \
+                 \"speedup\": {:.2}}}{}\n",
                 r.name,
                 r.interp_ns,
-                r.compiled_ns,
-                r.cached_ns,
-                r.interp_ns / r.compiled_ns,
+                r.evaluate_ns,
+                r.interp_ns / r.evaluate_ns,
                 if i + 1 < rows.len() { "," } else { "" }
             ));
         }
         json.push_str("  ],\n  \"batch_filter\": [\n");
         for (i, r) in filter_rows.iter().enumerate() {
             json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"lanes\": {}, \"scalar_cold_ns_per_candidate\": {:.1}, \
-                 \"scalar_warm_ns_per_candidate\": {:.1}, \"batch_ns_per_candidate\": {:.1}, \
-                 \"speedup_cold\": {:.2}, \"speedup_warm\": {:.2}}}{}\n",
+                "    {{\"name\": \"{}\", \"lanes\": {}, \"interp_ns_per_candidate\": {:.1}, \
+                 \"batch_ns_per_candidate\": {:.1}, \"speedup\": {:.2}}}{}\n",
                 r.name,
                 LANES,
-                r.scalar_cold_ns,
-                r.scalar_warm_ns,
+                r.interp_ns,
                 r.batch_ns,
-                r.scalar_cold_ns / r.batch_ns,
-                r.scalar_warm_ns / r.batch_ns,
+                r.interp_ns / r.batch_ns,
                 if i + 1 < filter_rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ],\n  \"unchecked_fastpath\": [\n");
-        for (i, r) in safe_rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"lanes\": {}, \"checked_ns_per_candidate\": {:.1}, \
-                 \"unchecked_ns_per_candidate\": {:.1}, \"speedup\": {:.2}}}{}\n",
-                r.name,
-                LANES,
-                r.checked_ns,
-                r.unchecked_ns,
-                r.checked_ns / r.unchecked_ns,
-                if i + 1 < safe_rows.len() { "," } else { "" }
             ));
         }
         json.push_str("  ],\n  \"reference\": [\n");
@@ -442,31 +346,23 @@ fn main() {
     }
 
     // Regression guard: on the product-shaped microkernels the batched
-    // tier must beat the frontier-draining scalar loop per candidate,
-    // and must never fall behind even the fully warm scalar floor. The
-    // committed BENCH_7.json run measures 2.0–3.0× cold; full runs
-    // enforce 1.8× so machine variance at the 2× mark cannot flake the
-    // guard, and the CI quick-mode smoke (20ms budgets, cold ratios
-    // swinging well over ±25% run-to-run) only checks batch ≥ scalar.
-    let cold_factor = if quick { 1.0 } else { 1.8 };
+    // tier must beat interpreting each candidate. The committed
+    // BENCH_7.json run measures 2.0–3.0× (its `scalar_cold` rows, a
+    // fresh cache that interpreted every candidate); full runs enforce
+    // 1.8× so machine variance at the 2× mark cannot flake the guard,
+    // and the CI quick-mode smoke (20ms budgets, ratios swinging well
+    // over ±25% run-to-run) only checks batch ≥ interpreter.
+    let factor = if quick { 1.0 } else { 1.8 };
     let mut regressed = false;
     for r in &filter_rows {
         if !matches!(r.name, "gemm_8x8" | "ttv_8" | "mttkrp_8") {
             continue;
         }
-        if r.batch_ns * cold_factor > r.scalar_cold_ns {
+        if r.batch_ns * factor > r.interp_ns {
             eprintln!(
-                "REGRESSION: batch filtering under {cold_factor}x over cold scalar on {} \
+                "REGRESSION: batch filtering under {factor}x over the interpreter on {} \
                  ({:.1}ns vs {:.1}ns per candidate)",
-                r.name, r.batch_ns, r.scalar_cold_ns
-            );
-            regressed = true;
-        }
-        if r.batch_ns > r.scalar_warm_ns {
-            eprintln!(
-                "REGRESSION: batch filtering slower than warm scalar on {} \
-                 ({:.1}ns vs {:.1}ns per candidate)",
-                r.name, r.batch_ns, r.scalar_warm_ns
+                r.name, r.batch_ns, r.interp_ns
             );
             regressed = true;
         }

@@ -221,7 +221,6 @@ impl Method {
                     nodes: report.nodes_expanded,
                     pruned_infeasible: report.pruned_infeasible,
                     pruned_equivalent: report.pruned_equivalent,
-                    unchecked_kernels: report.unchecked_kernels,
                     phase_times: report.phase_times.clone(),
                 }
             }
@@ -257,7 +256,6 @@ impl Method {
                     nodes: 0,
                     pruned_infeasible: 0,
                     pruned_equivalent: 0,
-                    unchecked_kernels: 0,
                     phase_times: PhaseTimes::new(),
                 }
             }
@@ -272,7 +270,6 @@ impl Method {
                     nodes: 0,
                     pruned_infeasible: 0,
                     pruned_equivalent: 0,
-                    unchecked_kernels: 0,
                     phase_times: PhaseTimes::new(),
                 }
             }
@@ -292,7 +289,6 @@ impl Method {
                     nodes: 0,
                     pruned_infeasible: 0,
                     pruned_equivalent: 0,
-                    unchecked_kernels: 0,
                     phase_times: PhaseTimes::new(),
                 }
             }

@@ -48,7 +48,7 @@ fn batch_with_one_job_equals_run_method_on() {
 #[test]
 fn server_routed_batch_matches_direct_runner() {
     // The client-driven batch mode goes through the full serving layer
-    // (queue, workers, per-worker eval caches, result cache); outcome
+    // (queue, workers, result cache); outcome
     // classification and attempt counts must match the direct pipeline.
     let set = small_set();
     let direct = run_method_on(&Method::stagg_td(), &set);

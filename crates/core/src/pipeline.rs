@@ -20,7 +20,7 @@ use gtl_search::{
     bottom_up_search_hooked, top_down_search_hooked, CheckOutcome, PenaltyContext, SearchHooks,
     SearchOutcome,
 };
-use gtl_taco::{parse_program, preprocess_candidate, EvalCache, TacoProgram};
+use gtl_taco::{parse_program, preprocess_candidate, TacoProgram};
 use gtl_trace::{Phase, PhaseCollector, PhaseSpan, PhaseTimes};
 use gtl_template::{
     any_const, any_repeated_index, generate_bu_full_grammar, generate_bu_grammar,
@@ -28,10 +28,8 @@ use gtl_template::{
     overlay_lhs_dimension, predict_dimension_list, templatize, TdSpec, Template,
     TemplateGrammar,
 };
-use gtl_validate::{
-    generate_examples, validate_template_cached, IoExample, LiftTask, ValidationStats,
-};
-use gtl_verify::verify_candidate_cached;
+use gtl_validate::{generate_examples, validate_template, IoExample, LiftTask, ValidationStats};
+use gtl_verify::verify_candidate;
 
 use crate::config::{GrammarMode, SearchMode, StaggConfig};
 use crate::report::{FailureReason, LiftReport, OracleRoundStats};
@@ -76,8 +74,7 @@ pub trait LiftObserver {
 }
 
 /// External attachments to one lift: an observer for incremental
-/// events, search-level hooks (cancellation, live progress), and an
-/// evaluation cache to reuse across lifts.
+/// events and search-level hooks (cancellation, live progress).
 ///
 /// `LiftHooks::default()` attaches nothing — [`Stagg::lift`] is exactly
 /// [`Stagg::lift_with`] under default hooks.
@@ -88,10 +85,6 @@ pub struct LiftHooks<'a> {
     /// Cancellation + live progress for the search stage. A raised
     /// cancel flag also short-circuits in-flight template checks.
     pub search: SearchHooks,
-    /// A caller-owned [`EvalCache`] reusable across lifts (a serving
-    /// worker keeps one per thread, so repeated kernels never
-    /// recompile). `None` gives each search round a private cache.
-    pub eval_cache: Option<&'a EvalCache>,
 }
 
 /// The STAGG lifter: an oracle *provider* plus a configuration.
@@ -140,9 +133,8 @@ impl Stagg {
     }
 
     /// Runs the full pipeline on one query with external hooks attached:
-    /// an observer for incremental events, a cancellation flag and live
-    /// progress counters for the search stage, and an optional shared
-    /// evaluation cache. See [`LiftHooks`].
+    /// an observer for incremental events, and a cancellation flag and
+    /// live progress counters for the search stage. See [`LiftHooks`].
     pub fn lift_with(&self, query: &LiftQuery, hooks: &LiftHooks<'_>) -> LiftReport {
         let started = Instant::now();
         let mut report = LiftReport {
@@ -155,7 +147,6 @@ impl Stagg {
             substitutions_tried: 0,
             pruned_infeasible: 0,
             pruned_equivalent: 0,
-            unchecked_kernels: 0,
             candidates_received: 0,
             candidates_parsed: 0,
             dim_list: Vec::new(),
@@ -275,7 +266,6 @@ impl Stagg {
             report.substitutions_tried += outcome.substitutions_tried;
             report.pruned_infeasible += outcome.pruned_infeasible;
             report.pruned_equivalent += outcome.pruned_equivalent;
-            report.unchecked_kernels += outcome.unchecked_kernels;
             report.dim_list = outcome.dim_list;
             report.template = outcome.template;
             report.failure = LiftReport::failure_from_stop(outcome.stop);
@@ -398,19 +388,6 @@ impl Stagg {
         let collect_rejected = self.config.oracle_rounds.max(1) > 1;
         let mut rejected: Vec<String> = Vec::new();
         let mut stats = ValidationStats::default();
-        // Every evaluation goes through an `EvalCache`, so a template
-        // checked against N examples/substitutions compiles once per
-        // shape signature, and the verifier reuses the same compiled
-        // kernels. The caller's cache outlives the lift; otherwise the
-        // round gets a private one.
-        let owned_cache;
-        let cache: &EvalCache = match hooks.eval_cache {
-            Some(shared) => shared,
-            None => {
-                owned_cache = EvalCache::default();
-                &owned_cache
-            }
-        };
 
         // The checker: validate the template's substitutions on the
         // examples, verify survivors. A raised external cancel flag
@@ -452,7 +429,7 @@ impl Stagg {
                     return CheckOutcome::Failed;
                 }
             }
-            match validate_template_cached(
+            match validate_template(
                 template,
                 task,
                 examples,
@@ -461,14 +438,12 @@ impl Stagg {
                         observer.validated(concrete);
                     }
                     let verify_started = Instant::now();
-                    let equivalent =
-                        verify_candidate_cached(task, concrete, &verify_cfg, cache).is_equivalent();
+                    let equivalent = verify_candidate(task, concrete, &verify_cfg).is_equivalent();
                     let us = verify_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
                     verify_us.set(verify_us.get().saturating_add(us));
                     equivalent
                 },
                 &mut stats,
-                cache,
             ) {
                 Some(concrete) => CheckOutcome::Verified(concrete),
                 None => {
@@ -523,7 +498,6 @@ impl Stagg {
                 substitutions_tried: stats.substitutions_tried,
                 pruned_infeasible: stats.pruned_infeasible,
                 pruned_equivalent: stats.pruned_equivalent,
-                unchecked_kernels: stats.unchecked_kernels,
                 dim_list,
                 template: outcome.template,
                 solution: outcome.solution,
@@ -543,7 +517,6 @@ struct RoundOutcome {
     substitutions_tried: u64,
     pruned_infeasible: u64,
     pruned_equivalent: u64,
-    unchecked_kernels: u64,
     dim_list: Vec<usize>,
     template: Option<TacoProgram>,
     solution: Option<TacoProgram>,
@@ -786,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn hooks_observer_and_shared_cache_flow_through() {
+    fn hooks_observer_flows_through() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         #[derive(Default)]
@@ -806,11 +779,9 @@ mod tests {
 
         let query = figure2_query();
         let observer = Counting::default();
-        let cache = gtl_taco::EvalCache::default();
         let hooks = LiftHooks {
             observer: Some(&observer),
             search: Default::default(),
-            eval_cache: Some(&cache),
         };
         let report =
             Stagg::new(paper_provider(), StaggConfig::top_down()).lift_with(&query, &hooks);
@@ -819,11 +790,6 @@ mod tests {
         assert!(
             observer.validated.load(Ordering::SeqCst) >= 1,
             "the winning candidate must have been observed entering verification"
-        );
-        let stats = cache.stats();
-        assert!(
-            stats.hits + stats.misses > 0,
-            "the caller's cache must have served the lift"
         );
     }
 
@@ -837,7 +803,6 @@ mod tests {
         let hooks = LiftHooks {
             observer: None,
             search: SearchHooks::with_cancel(cancel),
-            eval_cache: None,
         };
         let report =
             Stagg::new(paper_provider(), StaggConfig::top_down()).lift_with(&query, &hooks);
@@ -855,7 +820,6 @@ mod tests {
         let hooks = LiftHooks {
             observer: None,
             search: SearchHooks::with_cancel(cancel),
-            eval_cache: None,
         };
         let config = StaggConfig::top_down().with_oracle_rounds(4);
         let report = Stagg::new(paper_provider(), config).lift_with(&query, &hooks);

@@ -133,7 +133,7 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// Creates a cache bounded to `capacity` entries (minimum 1); a full
-    /// cache is cleared wholesale, like the eval cache's shards.
+    /// cache is cleared wholesale.
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache {
             map: Mutex::new(HashMap::new()),

@@ -8,9 +8,8 @@
 //! JSON-lines protocol — over stdin/stdout or TCP via the `lift_server`
 //! binary, or in-process through [`ServerHandle`]. Each request is
 //! admitted to a **bounded job queue** drained by a **persistent worker
-//! pool**; workers run the full pipeline (`gtl::Stagg::lift_with`) with
-//! a long-lived per-worker `gtl_taco::EvalCache`, and stream incremental [`Event`]s back to the
-//! submitting client: `queued`, `search_progress`, `candidate_found`,
+//! pool**; workers run the full pipeline (`gtl::Stagg::lift_with`) and
+//! stream incremental [`Event`]s back to the submitting client: `queued`, `search_progress`, `candidate_found`,
 //! `verified`, then a terminal `done` / `failed` / `error`.
 //!
 //! A request-level [`ResultCache`] keyed by a normalized hash of the C

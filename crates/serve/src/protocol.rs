@@ -427,9 +427,6 @@ pub struct ServerStats {
     /// Candidate templates skipped as algebraically equivalent to one
     /// already checked, summed over every lift served.
     pub pruned_equivalent: u64,
-    /// Shape groups evaluated on the unchecked integer fast path under
-    /// an interval overflow proof, summed over every lift served.
-    pub unchecked_kernels: u64,
     /// Service-time distribution in microseconds (admission → terminal
     /// event) of every finished lift. Routers merge replica histograms
     /// element-wise, so the merged view equals a single process seeing
@@ -1069,7 +1066,6 @@ static STAT_FIELDS: &[StatField] = stat_fields![
     (shared_events, false, Counter, "Accepted share_lift pushes."),
     (pruned_infeasible, false, Counter, "Candidate templates skipped by feasibility pre-checks."),
     (pruned_equivalent, false, Counter, "Candidate templates skipped as algebraically equivalent."),
-    (unchecked_kernels, false, Counter, "Shape groups evaluated on the unchecked fast path."),
 ];
 
 fn stats_to_json(s: &ServerStats) -> Json {
@@ -1816,7 +1812,6 @@ mod tests {
                     ],
                     pruned_infeasible: 120,
                     pruned_equivalent: 45,
-                    unchecked_kernels: 88,
                     service_time,
                     queue_wait,
                     phase_times,
@@ -1871,6 +1866,19 @@ mod tests {
         assert!(stats.service_time.is_empty());
         assert!(stats.queue_wait.is_empty());
         assert!(stats.phase_times.is_empty());
+    }
+
+    #[test]
+    fn stats_with_retired_counters_still_decode() {
+        // Older peers also send `unchecked_kernels`, which no longer
+        // exists: an unknown key is ignored, not an error.
+        let line = r#"{"event":"stats","stats":{"received":3,"completed":3,"failed":0,"cancelled":0,"rejected":0,"cache_hits":0,"cache_misses":3,"queued":0,"active":0,"workers":2,"pruned_equivalent":5,"unchecked_kernels":88}}"#;
+        let Event::Stats { stats } = Event::parse_line(line).unwrap() else {
+            panic!("not a stats event");
+        };
+        assert_eq!(stats.received, 3);
+        assert_eq!(stats.pruned_equivalent, 5);
+        assert!(!stats_to_json(&stats).to_line().contains("unchecked_kernels"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! persistent worker pool, streaming incremental events per request.
 //!
 //! ```text
-//!  clients ──submit──▶ bounded queue ──pop──▶ workers (one EvalCache each)
+//!  clients ──submit──▶ bounded queue ──pop──▶ workers
 //!     ▲                                          │ Stagg::lift_with
 //!     │                                          │   hooks: CancelFlag,
 //!     └───────────── events (sink) ◀─────────────┘   SearchProgress, observer
@@ -10,12 +10,11 @@
 //!            monitor ───┘  (progress ticks, timeout enforcement)
 //! ```
 //!
-//! Each worker owns one long-lived [`EvalCache`], so kernels recurring
-//! across requests never recompile; a request-level [`ResultCache`]
-//! sits in front of the pipeline and answers repeated identical
-//! requests without running a search at all. Cancellation (client
-//! `cancel`, request timeout, server shutdown) rides the search
-//! engine's [`CancelFlag`] machinery end to end.
+//! A request-level [`ResultCache`] sits in front of the pipeline and
+//! answers repeated identical requests without running a search at
+//! all. Cancellation (client `cancel`, request timeout, server
+//! shutdown) rides the search engine's [`CancelFlag`] machinery end to
+//! end.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::ToSocketAddrs;
@@ -30,7 +29,7 @@ use gtl_cfront::parse_c;
 use gtl_oracle::OracleProvider;
 use gtl_search::{CancelFlag, SearchHooks, SearchProgress};
 use gtl_store::{LiftRecord, LiftStore};
-use gtl_taco::{parse_program, EvalCache, TacoProgram};
+use gtl_taco::{parse_program, TacoProgram};
 use gtl_trace::{
     new_trace_id, LatencyHistogram, Phase, PhaseCollector, SpanJournal, SpanRecord,
 };
@@ -330,7 +329,6 @@ struct Counters {
     /// this process (cache hits excluded — no search ran).
     pruned_infeasible: AtomicU64,
     pruned_equivalent: AtomicU64,
-    unchecked_kernels: AtomicU64,
 }
 
 struct Inner {
@@ -422,7 +420,6 @@ impl Inner {
             replicas: Vec::new(),
             pruned_infeasible: self.counters.pruned_infeasible.load(Ordering::Relaxed),
             pruned_equivalent: self.counters.pruned_equivalent.load(Ordering::Relaxed),
-            unchecked_kernels: self.counters.unchecked_kernels.load(Ordering::Relaxed),
             service_time: self
                 .metrics
                 .service_time
@@ -678,12 +675,10 @@ fn wire_reason(failure: &FailureReason) -> (String, Option<String>) {
 }
 
 fn worker_loop(inner: &Inner, worker: usize) {
-    // One evaluation cache per worker, reused across every lift this
-    // worker runs: recurring kernels never recompile. Oracle providers
-    // are hoisted further still — one instance per spec per *server*
-    // (see `Inner::providers`) — so workers share recording stores and
-    // replay fixtures instead of rebuilding them per request.
-    let eval_cache = EvalCache::default();
+    // Oracle providers are hoisted out of the workers — one instance
+    // per spec per *server* (see `Inner::providers`) — so workers share
+    // recording stores and replay fixtures instead of rebuilding them
+    // per request.
     loop {
         let job = {
             let mut queue = inner.queue.lock().expect("queue poisoned");
@@ -701,7 +696,7 @@ fn worker_loop(inner: &Inner, worker: usize) {
             }
         };
         inner.worker_busy[worker].store(1, Ordering::Release);
-        process(inner, job, &eval_cache);
+        process(inner, job);
         inner.worker_busy[worker].store(0, Ordering::Release);
     }
 }
@@ -726,7 +721,7 @@ fn resolve_provider(
     Ok(provider)
 }
 
-fn process(inner: &Inner, job: Job, eval_cache: &EvalCache) {
+fn process(inner: &Inner, job: Job) {
     let state = &job.state;
     let id = state.id.clone();
     let client = state.client;
@@ -849,7 +844,6 @@ fn process(inner: &Inner, job: Job, eval_cache: &EvalCache) {
             cancel: Some(Arc::clone(&state.cancel)),
             progress: Some(Arc::clone(&state.progress)),
         },
-        eval_cache: Some(eval_cache),
     };
     let report = Stagg::new(provider, job.config.clone()).lift_with(&job.query, &hooks);
     let elapsed_ms = started.elapsed().as_millis() as u64;
@@ -905,10 +899,6 @@ fn process(inner: &Inner, job: Job, eval_cache: &EvalCache) {
         .counters
         .pruned_equivalent
         .fetch_add(report.pruned_equivalent, Ordering::Relaxed);
-    inner
-        .counters
-        .unchecked_kernels
-        .fetch_add(report.unchecked_kernels, Ordering::Relaxed);
 
     // An external cause (cancel / timeout / shutdown) overrides the
     // pipeline's own classification.

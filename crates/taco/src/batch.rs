@@ -1,17 +1,14 @@
-//! Batched evaluation: many substitutions of one template in a single
-//! pass.
+//! Batched evaluation: the production TACO evaluator.
 //!
 //! Candidate filtering evaluates the *same template* under many
 //! substitutions (tensor renamings plus `Const` instantiations) against
-//! the same environment. The scalar path pays per substitution: one
-//! [`crate::compile()`] lowering (or interpreter walk), one loop-nest
-//! setup, one stride computation — all for a program that differs from
-//! its siblings only in which tensors it reads and which constants it
-//! multiplies by.
+//! the same environment, and bounded verification evaluates one concrete
+//! candidate on many random instances. Both differ between evaluations
+//! only in which tensors are read and which constants multiply them.
 //!
 //! [`BatchKernel`] lowers the template **once** into the fixed-width
 //! micro-ISA of [`crate::isa`] and evaluates a whole slice of
-//! [`Lane`]s — one per substitution — in a single sweep:
+//! [`Lane`]s — one per substitution or instance — in a single sweep:
 //!
 //! - lanes binding the same shapes share one loop odometer and one set of
 //!   precomputed stride walks (lanes are grouped by their per-slot shape
@@ -22,26 +19,24 @@
 //! - the checked-`i64` fast path is per-lane: an overflow or a non-integer
 //!   input demotes *only that lane* (for only the affected output cell)
 //!   to the exact-rational engine, keeping every lane's result —
-//!   including its [`EvalError`] classification — bit-identical to
-//!   evaluating the substituted program with [`crate::evaluate`];
+//!   including its [`EvalError`] classification — bit-identical to the
+//!   reference interpreter ([`crate::evaluate_interpreted`]) on the
+//!   substituted program;
 //! - product-shaped templates (GEMM, TTV, MTTKRP, dot — a pure
 //!   multiplication tree) skip the register machine on the fast path and
-//!   run the same unrolled multiply-accumulate inner loops as the scalar
-//!   compiler, amortising the odometer across all lanes.
+//!   run unrolled multiply-accumulate inner loops, amortising the
+//!   odometer across all lanes.
+//!
+//! [`crate::evaluate`] is this engine with a single identity lane.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use gtl_tensor::{Rat, Shape, Tensor};
 
-use crate::absint::{analyze_kernel, Interval};
 use crate::ast::{Expr, IndexVar, TacoProgram};
-use crate::compile::{
-    access_strides, advance, inner_product1, inner_product2, inner_product3,
-    wrapping_inner_product1, wrapping_inner_product2, wrapping_inner_product3, LoopState,
-};
 use crate::eval::EvalError;
 use crate::isa::{Encoder, IsaProgram, Opcode};
-use crate::semantics::{record_extent, SemanticError, TensorEnv};
+use crate::semantics::{SemanticError, TensorEnv};
 
 /// One substitution of the template: a concrete tensor name per tensor
 /// slot and a concrete value per symbolic-constant slot.
@@ -54,24 +49,13 @@ pub struct Lane {
     pub constants: Vec<i64>,
 }
 
-/// Engine-choice counters for one or more batched evaluation passes
-/// (see [`BatchKernel::evaluate_lanes_with_stats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Shape groups whose [`crate::absint`] overflow proof licensed the
-    /// unchecked (wrapping) integer sweep.
-    pub unchecked_groups: u64,
-    /// Shape groups evaluated with the checked, per-lane-demoting
-    /// engines.
-    pub checked_groups: u64,
-}
-
-/// One template access: which tensor slot it reads and with which index
-/// variables (strides are resolved per shape group at evaluation time).
+/// One template access: which tensor slot it reads and, per index
+/// position, the loop slot of its index variable (strides are resolved
+/// per shape group at evaluation time).
 #[derive(Debug, Clone)]
 struct BatchAccess {
     slot: u32,
-    indices: Vec<IndexVar>,
+    loops: Vec<u32>,
 }
 
 /// Per-lane engine choice within one shape group.
@@ -111,10 +95,14 @@ enum Mode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BatchKernel {
-    /// Output indices, in LHS order.
-    lhs_indices: Vec<IndexVar>,
-    /// Summation indices, in RHS first-appearance order.
-    summation: Vec<IndexVar>,
+    /// The index variable of every loop: one output loop per LHS
+    /// position, then the summation indices in RHS first-appearance
+    /// order.
+    loop_names: Vec<IndexVar>,
+    /// Per LHS position, the loop slot its index variable binds: a
+    /// repeated LHS index binds its later occurrence, as in the
+    /// interpreter.
+    lhs_loops: Vec<u32>,
     /// Template tensor names, in RHS first-use order (the slot table).
     slot_names: Vec<String>,
     /// Symbolic-constant ids, in RHS first-use order.
@@ -130,12 +118,14 @@ pub struct BatchKernel {
 
 impl BatchKernel {
     /// Lowers `template` into the micro-ISA. Infallible: name binding and
-    /// shape checking happen per lane at evaluation time, exactly as the
-    /// scalar path defers them to [`crate::analyze`].
+    /// shape checking happen per lane at evaluation time, with the checks
+    /// of [`crate::analyze`].
     pub fn new(template: &TacoProgram) -> BatchKernel {
+        let mut loop_names = template.lhs.indices.clone();
+        loop_names.extend(template.summation_indices());
         let mut kernel = BatchKernel {
-            lhs_indices: template.lhs.indices.clone(),
-            summation: template.summation_indices(),
+            loop_names,
+            lhs_loops: Vec::new(),
             slot_names: Vec::new(),
             const_syms: Vec::new(),
             accesses: Vec::new(),
@@ -148,6 +138,12 @@ impl BatchKernel {
             },
             product_loads: None,
         };
+        kernel.lhs_loops = template
+            .lhs
+            .indices
+            .iter()
+            .map(|ix| kernel.loop_slot(ix))
+            .collect();
         let mut enc = Encoder::new();
         kernel.lower(&template.rhs, 0, &mut enc);
         kernel.isa = enc.finish();
@@ -155,9 +151,18 @@ impl BatchKernel {
         kernel
     }
 
-    /// Postorder lowering with depth registers, mirroring the scalar
-    /// compiler's scheme so the instruction and register assignment are
-    /// identical to what any substituted program would compile to.
+    /// The loop slot an index variable binds: its last occurrence among
+    /// the loops (LHS and summation indices are disjoint, so only a
+    /// repeated LHS index has more than one).
+    fn loop_slot(&self, ix: &IndexVar) -> u32 {
+        self.loop_names
+            .iter()
+            .rposition(|n| n == ix)
+            .expect("every RHS index is an output or a summation index") as u32
+    }
+
+    /// Postorder lowering with depth registers: an expression at depth `d`
+    /// leaves its value in register `d`.
     fn lower(&mut self, expr: &Expr, depth: u16, enc: &mut Encoder) {
         match expr {
             Expr::Access(acc) => {
@@ -170,10 +175,8 @@ impl BatchKernel {
                     }
                 };
                 let access = self.accesses.len() as u32;
-                self.accesses.push(BatchAccess {
-                    slot,
-                    indices: acc.indices.clone(),
-                });
+                let loops = acc.indices.iter().map(|ix| self.loop_slot(ix)).collect();
+                self.accesses.push(BatchAccess { slot, loops });
                 enc.load(depth, access);
             }
             Expr::Const(c) => enc.const_imm(depth, *c),
@@ -220,36 +223,68 @@ impl BatchKernel {
     /// construction as [`crate::analyze`] on the substituted program (the
     /// access table preserves RHS traversal order, so the *first* error
     /// matches too), with the lane's concrete names in every error.
-    fn analyze_lane(
+    ///
+    /// Returns the extent of every loop and the tensor bound to every
+    /// slot.
+    fn analyze_lane<'e>(
         &self,
         lane: &Lane,
-        env: &TensorEnv,
-    ) -> Result<BTreeMap<IndexVar, usize>, SemanticError> {
-        let mut extents = BTreeMap::new();
+        env: &'e TensorEnv,
+    ) -> Result<(Vec<usize>, Vec<&'e Tensor>), SemanticError> {
+        let mut extents: Vec<Option<usize>> = vec![None; self.loop_names.len()];
+        let mut bound: Vec<Option<&Tensor>> = vec![None; self.slot_names.len()];
         for acc in &self.accesses {
             let name = &lane.tensors[acc.slot as usize];
-            let t = env
-                .get(name)
-                .ok_or_else(|| SemanticError::UnboundTensor { name: name.clone() })?;
-            if t.rank() != acc.indices.len() {
+            let t = match bound[acc.slot as usize] {
+                Some(t) => t,
+                None => env
+                    .get(name)
+                    .ok_or_else(|| SemanticError::UnboundTensor { name: name.clone() })?,
+            };
+            bound[acc.slot as usize] = Some(t);
+            if t.rank() != acc.loops.len() {
                 return Err(SemanticError::RankMismatch {
                     name: name.clone(),
-                    access_rank: acc.indices.len(),
+                    access_rank: acc.loops.len(),
                     bound_rank: t.rank(),
                 });
             }
-            for (ix, &extent) in acc.indices.iter().zip(t.shape().extents()) {
-                record_extent(&mut extents, ix, extent)?;
+            for (&l, &extent) in acc.loops.iter().zip(t.shape().extents()) {
+                match extents[l as usize] {
+                    None => extents[l as usize] = Some(extent),
+                    Some(first) if first != extent => {
+                        return Err(SemanticError::ExtentMismatch {
+                            index: self.loop_names[l as usize].as_str().to_string(),
+                            first,
+                            second: extent,
+                        })
+                    }
+                    Some(_) => {}
+                }
             }
         }
-        for ix in &self.lhs_indices {
-            if !extents.contains_key(ix) {
-                return Err(SemanticError::UnconstrainedOutputIndex {
-                    index: ix.as_str().to_string(),
-                });
+        // Output loops take their extent from the slot their index binds.
+        let mut loop_extents = Vec::with_capacity(extents.len());
+        for (k, &l) in self.lhs_loops.iter().enumerate() {
+            match extents[l as usize] {
+                Some(extent) => loop_extents.push(extent),
+                None => {
+                    return Err(SemanticError::UnconstrainedOutputIndex {
+                        index: self.loop_names[k].as_str().to_string(),
+                    })
+                }
             }
         }
-        Ok(extents)
+        loop_extents.extend(
+            extents[self.lhs_loops.len()..]
+                .iter()
+                .map(|e| e.expect("a summation index occurs on the RHS")),
+        );
+        let bound = bound
+            .into_iter()
+            .map(|t| t.expect("every slot is accessed"))
+            .collect();
+        Ok((loop_extents, bound))
     }
 
     /// Folds every constant leaf into one `i64` coefficient for the
@@ -285,46 +320,14 @@ impl BatchKernel {
         lanes: &[Lane],
         env: &TensorEnv,
     ) -> Vec<Result<Tensor, EvalError>> {
-        self.evaluate_lanes_with_stats(lanes, env, &mut BatchStats::default())
-    }
-
-    /// [`BatchKernel::evaluate_lanes`], additionally accumulating
-    /// engine-choice counters (checked vs proven-overflow-free unchecked
-    /// shape groups) into `stats`.
-    pub fn evaluate_lanes_with_stats(
-        &self,
-        lanes: &[Lane],
-        env: &TensorEnv,
-        stats: &mut BatchStats,
-    ) -> Vec<Result<Tensor, EvalError>> {
-        self.evaluate_lanes_inner(lanes, env, false, stats)
-    }
-
-    /// [`BatchKernel::evaluate_lanes`] with the unchecked fast path
-    /// disabled even where the overflow proof would license it. The
-    /// differential tests pin the unchecked path against this.
-    pub fn evaluate_lanes_checked(
-        &self,
-        lanes: &[Lane],
-        env: &TensorEnv,
-    ) -> Vec<Result<Tensor, EvalError>> {
-        self.evaluate_lanes_inner(lanes, env, true, &mut BatchStats::default())
-    }
-
-    fn evaluate_lanes_inner(
-        &self,
-        lanes: &[Lane],
-        env: &TensorEnv,
-        force_checked: bool,
-        stats: &mut BatchStats,
-    ) -> Vec<Result<Tensor, EvalError>> {
+        /// Lanes binding the same shape to every slot.
         struct Group {
-            key: Vec<Shape>,
             ids: Vec<usize>,
-            extents: BTreeMap<IndexVar, usize>,
+            loop_extents: Vec<usize>,
         }
         let mut results: Vec<Option<Result<Tensor, EvalError>>> =
             (0..lanes.len()).map(|_| None).collect();
+        let mut bound: Vec<Vec<&Tensor>> = vec![Vec::new(); lanes.len()];
         let mut groups: Vec<Group> = Vec::new();
         for (i, lane) in lanes.iter().enumerate() {
             assert_eq!(
@@ -339,25 +342,27 @@ impl BatchKernel {
             );
             match self.analyze_lane(lane, env) {
                 Err(e) => results[i] = Some(Err(EvalError::Semantic(e))),
-                Ok(extents) => {
-                    let key: Vec<Shape> = lane
-                        .tensors
-                        .iter()
-                        .map(|n| env.get(n).expect("analysis bound every tensor").shape().clone())
-                        .collect();
-                    match groups.iter_mut().find(|g| g.key == key) {
+                Ok((loop_extents, tensors)) => {
+                    bound[i] = tensors;
+                    let same_shapes = |g: &&mut Group| {
+                        let first = &bound[g.ids[0]];
+                        first
+                            .iter()
+                            .zip(&bound[i])
+                            .all(|(a, b)| a.shape() == b.shape())
+                    };
+                    match groups.iter_mut().find(same_shapes) {
                         Some(g) => g.ids.push(i),
                         None => groups.push(Group {
-                            key,
                             ids: vec![i],
-                            extents,
+                            loop_extents,
                         }),
                     }
                 }
             }
         }
         for g in &groups {
-            self.run_group(lanes, &g.ids, &g.extents, env, &mut results, force_checked, stats);
+            self.run_group(lanes, &g.ids, &g.loop_extents, &bound, &mut results);
         }
         results
             .into_iter()
@@ -367,43 +372,30 @@ impl BatchKernel {
 
     /// Evaluates the lanes of one shape group: shared odometer, shared
     /// strides, lane-major registers.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// `loop_extents` holds the output loops' extents, then the summation
+    /// loops'; `bound[id]` is the tensor lane `id` binds to every slot.
     fn run_group(
         &self,
         lanes: &[Lane],
         ids: &[usize],
-        extents: &BTreeMap<IndexVar, usize>,
-        env: &TensorEnv,
+        loop_extents: &[usize],
+        bound: &[Vec<&Tensor>],
         results: &mut [Option<Result<Tensor, EvalError>>],
-        force_checked: bool,
-        stats: &mut BatchStats,
     ) {
-        // Loop structure: output loops first (later LHS occurrence wins,
-        // matching the scalar compiler), then summation loops.
-        let n_out = self.lhs_indices.len();
-        let mut slot_of: BTreeMap<&str, u32> = BTreeMap::new();
-        for (slot, ix) in self.lhs_indices.iter().enumerate() {
-            slot_of.insert(ix.as_str(), slot as u32);
-        }
-        for (i, ix) in self.summation.iter().enumerate() {
-            slot_of.insert(ix.as_str(), (n_out + i) as u32);
-        }
-        let out_extents: Vec<usize> = self.lhs_indices.iter().map(|ix| extents[ix]).collect();
-        let mut loop_extents = out_extents.clone();
-        loop_extents.extend(self.summation.iter().map(|ix| extents[ix]));
+        let n_out = self.lhs_loops.len();
+        let out_extents = &loop_extents[..n_out];
         let n_loops = loop_extents.len();
 
         // Shared stride walks: every lane in the group binds the same
         // shape per slot, so one stride table serves them all.
-        let first = &lanes[ids[0]];
+        let first = &bound[ids[0]];
         let strides: Vec<Vec<(u32, usize)>> = self
             .accesses
             .iter()
             .map(|acc| {
-                let t = env
-                    .get(&first.tensors[acc.slot as usize])
-                    .expect("analysis bound every tensor");
-                access_strides(&acc.indices, t.shape().extents(), |ix| slot_of[ix])
+                let extents = first[acc.slot as usize].shape().extents();
+                access_strides(&acc.loops, extents, |&l| l)
             })
             .collect();
         let mut out_updates = vec![Vec::new(); n_out];
@@ -427,32 +419,25 @@ impl BatchKernel {
             .map(|&id| {
                 self.accesses
                     .iter()
-                    .map(|acc| {
-                        env.get(&lanes[id].tensors[acc.slot as usize])
-                            .expect("analysis bound every tensor")
-                            .data()
-                    })
+                    .map(|acc| bound[id][acc.slot as usize].data())
                     .collect()
             })
             .collect();
 
-        // The i64 fast path mirrors the scalar gate: division-free, a real
-        // summation, and (per lane) every input element an i64 integer.
+        // The i64 fast path needs a division-free template, a real
+        // summation (with none, every element is read once and the
+        // conversion would cost more than it saves), and (per lane) every
+        // input element an i64 integer.
         // Conversion is memoised per concrete tensor name, so a tensor
         // shared by many lanes converts once.
         let int_eligible = !self.isa.has_div && sum_iters > 1;
         let mut ints_by_name: HashMap<&str, Option<Vec<i64>>> = HashMap::new();
         if int_eligible {
             for &id in ids {
-                for name in &lanes[id].tensors {
-                    ints_by_name.entry(name.as_str()).or_insert_with(|| {
-                        env.get(name)
-                            .expect("analysis bound every tensor")
-                            .data()
-                            .iter()
-                            .map(|r| r.to_i64())
-                            .collect()
-                    });
+                for (name, t) in lanes[id].tensors.iter().zip(&bound[id]) {
+                    ints_by_name
+                        .entry(name.as_str())
+                        .or_insert_with(|| t.data().iter().map(|r| r.to_i64()).collect());
                 }
             }
         }
@@ -496,59 +481,6 @@ impl BatchKernel {
                 })
             })
             .collect();
-
-        // Static overflow proof: when every lane of the group is on the
-        // integer path, seed per-access value ranges from the concrete
-        // tensors (union over lanes) and ask the abstract interpreter
-        // whether any intermediate can leave i64. A `Safe` verdict swaps
-        // the checked sweeps below for plain wrapping arithmetic — bit-
-        // identical by the proof, branch-free in the inner loops.
-        let all_int =
-            int_eligible && modes.iter().all(|m| matches!(m, Mode::Int { .. }));
-        let unchecked = all_int && !force_checked && {
-            let range_by_name: HashMap<&str, Interval> = ints_by_name
-                .iter()
-                .filter_map(|(name, ints)| {
-                    ints.as_ref().map(|v| (*name, Interval::of_values(v)))
-                })
-                .collect();
-            let access_ranges: Vec<Interval> = self
-                .accesses
-                .iter()
-                .map(|acc| {
-                    ids.iter()
-                        .map(|&id| {
-                            range_by_name[lanes[id].tensors[acc.slot as usize].as_str()]
-                        })
-                        .reduce(Interval::union)
-                        .unwrap_or(Interval::point(0))
-                })
-                .collect();
-            let sym_ranges: Vec<Interval> = (0..self.const_syms.len())
-                .map(|k| {
-                    ids.iter()
-                        .map(|&id| Interval::point(lanes[id].constants[k]))
-                        .reduce(Interval::union)
-                        .unwrap_or(Interval::point(0))
-                })
-                .collect();
-            analyze_kernel(&self.isa, &access_ranges, &sym_ranges, sum_iters).is_safe()
-        };
-        if unchecked {
-            stats.unchecked_groups += 1;
-        } else {
-            stats.checked_groups += 1;
-        }
-        // Unwrapped per-lane integer data for the unchecked sweeps (all
-        // lanes are int-mode when `unchecked` holds).
-        let int_data: Vec<&[&[i64]]> = if unchecked {
-            acc_ints
-                .iter()
-                .map(|o| o.as_ref().expect("unchecked implies all-int").as_slice())
-                .collect()
-        } else {
-            Vec::new()
-        };
 
         // Product fast-path plan: for every int-mode lane, the folded
         // coefficient and its per-load data slices, resolved once per
@@ -617,8 +549,7 @@ impl BatchKernel {
 
         for _ in 0..out_len {
             // Which lanes attempt the fast path this cell; a mid-cell
-            // overflow flips the lane into `rat_run` (per-cell demotion,
-            // exactly like the scalar engine's per-cell fallback).
+            // overflow flips the lane into `rat_run` (per-cell demotion).
             let mut any_int = false;
             for (pos, mode) in modes.iter().enumerate() {
                 int_alive[pos] = matches!(mode, Mode::Int { .. }) && lane_err[pos].is_none();
@@ -653,54 +584,6 @@ impl BatchKernel {
                                 for (i, &a) in loads.iter().enumerate() {
                                     let a = a as usize;
                                     offs[i] = state.base_off[a] + state.sum_off[a];
-                                }
-                                if unchecked {
-                                    // Proven overflow-free: wrapping
-                                    // multiply-accumulate, no demotion.
-                                    for &(pos, coeff, d) in &int_plan {
-                                        let part = match loads.len() {
-                                            1 => wrapping_inner_product1(
-                                                d[0],
-                                                offs[0],
-                                                inner_strides[0],
-                                                coeff,
-                                                inner,
-                                            ),
-                                            2 => wrapping_inner_product2(
-                                                d[0],
-                                                offs[0],
-                                                inner_strides[0],
-                                                d[1],
-                                                offs[1],
-                                                inner_strides[1],
-                                                coeff,
-                                                inner,
-                                            ),
-                                            _ => wrapping_inner_product3(
-                                                d[0],
-                                                offs[0],
-                                                inner_strides[0],
-                                                d[1],
-                                                offs[1],
-                                                inner_strides[1],
-                                                d[2],
-                                                offs[2],
-                                                inner_strides[2],
-                                                coeff,
-                                                inner,
-                                            ),
-                                        };
-                                        int_accs[pos] = int_accs[pos].wrapping_add(part);
-                                    }
-                                    if has_sum {
-                                        advance(
-                                            &mut state.counters[n_out..n_loops - 1],
-                                            &loop_extents[n_out..n_loops - 1],
-                                            &sum_updates[..sum_updates.len() - 1],
-                                            &mut state.sum_off,
-                                        );
-                                    }
-                                    continue;
                                 }
                                 for &(pos, coeff, d) in &int_plan {
                                     if !int_alive[pos] {
@@ -760,71 +643,6 @@ impl BatchKernel {
                                     cell_vals[pos] = Rat::from(int_accs[pos]);
                                 }
                             }
-                        }
-                    }
-                    _ if unchecked => {
-                        // Generic sweep, proven overflow-free: wrapping
-                        // ops for every lane, no aliveness bookkeeping,
-                        // no rational fallback possible.
-                        for acc in int_accs.iter_mut() {
-                            *acc = 0;
-                        }
-                        for _ in 0..sum_iters {
-                            for inst in &self.isa.insts {
-                                let d = inst.dst as usize * nl;
-                                match inst.op {
-                                    Opcode::LoadSlot => {
-                                        let a = inst.a as usize;
-                                        let off = state.base_off[a] + state.sum_off[a];
-                                        for pos in 0..nl {
-                                            regs_i[d + pos] = int_data[pos][a][off];
-                                        }
-                                    }
-                                    Opcode::ConstImm => {
-                                        let v = self.isa.imms[inst.a as usize];
-                                        for pos in 0..nl {
-                                            regs_i[d + pos] = v;
-                                        }
-                                    }
-                                    Opcode::ConstSym => {
-                                        let sym = inst.a as usize;
-                                        for pos in 0..nl {
-                                            regs_i[d + pos] = lanes[ids[pos]].constants[sym];
-                                        }
-                                    }
-                                    Opcode::Neg => {
-                                        let s = inst.a as usize * nl;
-                                        for pos in 0..nl {
-                                            regs_i[d + pos] = regs_i[s + pos].wrapping_neg();
-                                        }
-                                    }
-                                    Opcode::Add | Opcode::Sub | Opcode::Mul => {
-                                        let a = inst.a as usize * nl;
-                                        let b = inst.b as usize * nl;
-                                        for pos in 0..nl {
-                                            let (x, y) = (regs_i[a + pos], regs_i[b + pos]);
-                                            regs_i[d + pos] = match inst.op {
-                                                Opcode::Add => x.wrapping_add(y),
-                                                Opcode::Sub => x.wrapping_sub(y),
-                                                _ => x.wrapping_mul(y),
-                                            };
-                                        }
-                                    }
-                                    Opcode::Div => unreachable!("i64 mode is division-free"),
-                                }
-                            }
-                            for pos in 0..nl {
-                                int_accs[pos] = int_accs[pos].wrapping_add(regs_i[pos]);
-                            }
-                            advance(
-                                &mut state.counters[n_out..],
-                                &loop_extents[n_out..],
-                                &sum_updates,
-                                &mut state.sum_off,
-                            );
-                        }
-                        for pos in 0..nl {
-                            cell_vals[pos] = Rat::from(int_accs[pos]);
                         }
                     }
                     _ => {
@@ -934,7 +752,7 @@ impl BatchKernel {
             // Exact sweep: rational-mode lanes plus any lane the fast
             // path demoted this cell. Strict postorder per iteration, so
             // error classification (and the failing op) matches the
-            // scalar engine exactly.
+            // interpreter exactly.
             if rat_run.iter().any(|&b| b) {
                 if sum_iters == 0 {
                     for pos in 0..nl {
@@ -1052,7 +870,7 @@ impl BatchKernel {
             results[id] = Some(match lane_err[pos].take() {
                 Some(e) => Err(e),
                 None => Ok(Tensor::from_data(
-                    Shape::new(out_extents.clone()),
+                    Shape::new(out_extents.to_vec()),
                     std::mem::take(&mut outs[pos]),
                 )
                 .expect("output length matches shape")),
@@ -1061,11 +879,157 @@ impl BatchKernel {
     }
 }
 
+/// The loop nest's mutable state: raw counters plus per-access offsets
+/// maintained incrementally (output contribution and summation
+/// contribution kept separate, so a full summation sweep wraps the latter
+/// back to zero).
+struct LoopState {
+    counters: Vec<usize>,
+    base_off: Vec<usize>,
+    sum_off: Vec<usize>,
+}
+
+/// Row-major `(loop slot, stride)` pairs for one access: stride of dim
+/// `d` is the product of the extents of all later dims, and a repeated
+/// index (diagonal access) merges into one pair with the summed stride.
+/// The single source of the layout rule shared with the interpreter
+/// ([`crate::eval`]).
+pub(crate) fn access_strides<I, S: Copy + PartialEq>(
+    indices: &[I],
+    extents: &[usize],
+    mut slot_of: impl FnMut(&I) -> S,
+) -> Vec<(S, usize)> {
+    let mut strides: Vec<(S, usize)> = Vec::with_capacity(indices.len());
+    let mut stride = 1usize;
+    for (ix, &extent) in indices.iter().zip(extents).rev() {
+        let slot = slot_of(ix);
+        match strides.iter_mut().find(|(s, _)| *s == slot) {
+            Some((_, st)) => *st += stride,
+            None => strides.push((slot, stride)),
+        }
+        stride *= extent;
+    }
+    strides.reverse();
+    strides
+}
+
+/// Advances a row-major odometer one step (rightmost fastest), applying
+/// each moved counter's stride deltas to the affected access offsets.
+#[inline]
+fn advance(
+    counters: &mut [usize],
+    extents: &[usize],
+    updates: &[Vec<(u32, usize)>],
+    offs: &mut [usize],
+) {
+    for slot in (0..counters.len()).rev() {
+        counters[slot] += 1;
+        if counters[slot] < extents[slot] {
+            for &(a, stride) in &updates[slot] {
+                offs[a as usize] += stride;
+            }
+            return;
+        }
+        counters[slot] = 0;
+        for &(a, stride) in &updates[slot] {
+            offs[a as usize] -= (extents[slot] - 1) * stride;
+        }
+    }
+}
+
+/// `coeff · Σ_t d[o + t·s]` with checked arithmetic; `None` = fall back.
+#[inline]
+fn inner_product1(d: &[i64], mut o: usize, s: usize, coeff: i64, n: usize) -> Option<i64> {
+    let mut acc = 0i64;
+    if coeff == 1 {
+        for _ in 0..n {
+            acc = acc.checked_add(d[o])?;
+            o += s;
+        }
+    } else {
+        for _ in 0..n {
+            acc = acc.checked_add(coeff.checked_mul(d[o])?)?;
+            o += s;
+        }
+    }
+    Some(acc)
+}
+
+/// `coeff · Σ_t d0[o0 + t·s0] · d1[o1 + t·s1]` with checked arithmetic.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn inner_product2(
+    d0: &[i64],
+    mut o0: usize,
+    s0: usize,
+    d1: &[i64],
+    mut o1: usize,
+    s1: usize,
+    coeff: i64,
+    n: usize,
+) -> Option<i64> {
+    let mut acc = 0i64;
+    if coeff == 1 {
+        for _ in 0..n {
+            acc = acc.checked_add(d0[o0].checked_mul(d1[o1])?)?;
+            o0 += s0;
+            o1 += s1;
+        }
+    } else {
+        for _ in 0..n {
+            acc = acc.checked_add(coeff.checked_mul(d0[o0])?.checked_mul(d1[o1])?)?;
+            o0 += s0;
+            o1 += s1;
+        }
+    }
+    Some(acc)
+}
+
+/// Three-load variant of [`inner_product2`] (MTTKRP shape).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn inner_product3(
+    d0: &[i64],
+    mut o0: usize,
+    s0: usize,
+    d1: &[i64],
+    mut o1: usize,
+    s1: usize,
+    d2: &[i64],
+    mut o2: usize,
+    s2: usize,
+    coeff: i64,
+    n: usize,
+) -> Option<i64> {
+    let mut acc = 0i64;
+    if coeff == 1 {
+        for _ in 0..n {
+            acc = acc.checked_add(d0[o0].checked_mul(d1[o1])?.checked_mul(d2[o2])?)?;
+            o0 += s0;
+            o1 += s1;
+            o2 += s2;
+        }
+    } else {
+        for _ in 0..n {
+            acc = acc.checked_add(
+                coeff
+                    .checked_mul(d0[o0])?
+                    .checked_mul(d1[o1])?
+                    .checked_mul(d2[o2])?,
+            )?;
+            o0 += s0;
+            o1 += s1;
+            o2 += s2;
+        }
+    }
+    Some(acc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::{Access, Ident};
-    use crate::eval::evaluate;
+    use crate::eval::evaluate_interpreted;
     use crate::parser::parse_program;
     use gtl_tensor::RatError;
     use std::collections::HashMap as Map;
@@ -1078,8 +1042,8 @@ mod tests {
         e
     }
 
-    /// Applies a lane to the template the way the scalar path would:
-    /// rename every tensor by slot, replace every `Const` by its value.
+    /// Applies a lane to the template: rename every tensor by slot,
+    /// replace every `Const` by its value.
     fn concretize(k: &BatchKernel, t: &TacoProgram, lane: &Lane) -> TacoProgram {
         let names: Map<&str, &str> = k
             .tensor_slots()
@@ -1115,17 +1079,18 @@ mod tests {
         }
     }
 
-    /// The batch result of every lane must equal scalar evaluation of the
-    /// substituted program — values and error classification.
-    fn assert_lanes_match_scalar(src: &str, lanes: &[Lane], env: &TensorEnv) {
+    /// The batch result of every lane must equal the reference
+    /// interpreter on the substituted program — values and error
+    /// classification.
+    fn assert_lanes_match_interpreter(src: &str, lanes: &[Lane], env: &TensorEnv) {
         let t = parse_program(src).unwrap();
         let k = BatchKernel::new(&t);
         let got = k.evaluate_lanes(lanes, env);
         assert_eq!(got.len(), lanes.len());
         for (lane, got) in lanes.iter().zip(&got) {
             let concrete = concretize(&k, &t, lane);
-            let want = evaluate(&concrete, env);
-            assert_eq!(got, &want, "lane {lane:?} diverged from scalar");
+            let want = evaluate_interpreted(&concrete, env);
+            assert_eq!(got, &want, "lane {lane:?} diverged from the interpreter");
         }
     }
 
@@ -1144,7 +1109,7 @@ mod tests {
     }
 
     #[test]
-    fn gemv_lanes_across_shape_groups_match_scalar() {
+    fn gemv_lanes_across_shape_groups_match_interpreter() {
         let e = env(&[
             ("m1", Shape::new(vec![2, 3]), &[1, 2, 3, 4, 5, 6]),
             ("x1", Shape::new(vec![3]), &[1, 0, 2]),
@@ -1157,11 +1122,11 @@ mod tests {
             lane(&["m2", "x2"]),
             lane(&["m1", "x1"]),
         ];
-        assert_lanes_match_scalar("y(i) = m(i,j) * x(j)", &lanes, &e);
+        assert_lanes_match_interpreter("y(i) = m(i,j) * x(j)", &lanes, &e);
     }
 
     #[test]
-    fn const_sym_lanes_match_scalar() {
+    fn const_sym_lanes_match_interpreter() {
         let big = 600_000_000_000_000_000i64;
         let e = env(&[
             ("b1", Shape::new(vec![4]), &[1, -2, 3, 4]),
@@ -1175,22 +1140,22 @@ mod tests {
             lane_c(&["b2"], &[1_000_000]),
             lane_c(&["b2"], &[0]),
         ];
-        assert_lanes_match_scalar(t, &lanes, &e);
+        assert_lanes_match_interpreter(t, &lanes, &e);
     }
 
     #[test]
-    fn mttkrp_three_load_product_matches_scalar() {
+    fn mttkrp_three_load_product_matches_interpreter() {
         let e = env(&[
             ("b", Shape::new(vec![2, 2, 2]), &[1, 2, 3, 4, 5, 6, 7, 8]),
             ("c", Shape::new(vec![2, 3]), &[1, -1, 2, 0, 3, 1]),
             ("d", Shape::new(vec![2, 3]), &[2, 1, 0, -2, 1, 1]),
         ]);
         let lanes = [lane(&["b", "c", "d"]), lane(&["b", "d", "c"])];
-        assert_lanes_match_scalar("a(i,j) = b(i,k,l) * c(k,j) * d(l,j)", &lanes, &e);
+        assert_lanes_match_interpreter("a(i,j) = b(i,k,l) * c(k,j) * d(l,j)", &lanes, &e);
     }
 
     #[test]
-    fn generic_engine_with_add_and_neg_matches_scalar() {
+    fn generic_engine_with_add_and_neg_matches_interpreter() {
         let big = 9_000_000_000_000_000_000i64;
         let e = env(&[
             ("b1", Shape::new(vec![2, 3]), &[1, 2, 3, 4, 5, 6]),
@@ -1204,7 +1169,7 @@ mod tests {
             lane(&["bh", "c1"]),
             lane(&["b1", "c1"]),
         ];
-        assert_lanes_match_scalar("a(i) = b(i,j) + -c(j)", &lanes, &e);
+        assert_lanes_match_interpreter("a(i) = b(i,j) + -c(j)", &lanes, &e);
     }
 
     #[test]
@@ -1223,7 +1188,7 @@ mod tests {
             Err(EvalError::Arithmetic(RatError::DivisionByZero)),
             "zero divisor classified"
         );
-        assert_lanes_match_scalar("a(i) = b(i) / c(i)", &lanes, &e);
+        assert_lanes_match_interpreter("a(i) = b(i) / c(i)", &lanes, &e);
     }
 
     #[test]
@@ -1255,25 +1220,25 @@ mod tests {
             got[3],
             Err(EvalError::Semantic(SemanticError::ExtentMismatch { .. }))
         ));
-        assert_lanes_match_scalar("y(i) = m(i,j) * x(j)", &lanes, &e);
+        assert_lanes_match_interpreter("y(i) = m(i,j) * x(j)", &lanes, &e);
     }
 
     #[test]
-    fn i128_overflow_classified_like_scalar() {
+    fn i128_overflow_classified_like_interpreter() {
         let big = 3_000_000_000_000_000_000i64;
         let e = env(&[
             ("bb", Shape::new(vec![2]), &[big, big]),
             ("bs", Shape::new(vec![2]), &[1, 2]),
         ]);
         // Four leaves: no product specialisation; (3e18)^4 overflows i128
-        // in the exact engine too, so the lane errors like the scalar.
+        // in the exact engine too, so the lane errors like the interpreter.
         let lanes = [lane(&["bb"]), lane(&["bs"])];
         let t = parse_program("a = b(i) * b(i) * b(i) * b(i)").unwrap();
         let k = BatchKernel::new(&t);
         let got = k.evaluate_lanes(&lanes, &e);
         assert_eq!(got[0], Err(EvalError::Arithmetic(RatError::Overflow)));
         assert!(got[1].is_ok());
-        assert_lanes_match_scalar("a = b(i) * b(i) * b(i) * b(i)", &lanes, &e);
+        assert_lanes_match_interpreter("a = b(i) * b(i) * b(i) * b(i)", &lanes, &e);
     }
 
     #[test]
@@ -1282,8 +1247,11 @@ mod tests {
             ("z", Shape::new(vec![0]), &[]),
             ("sq", Shape::new(vec![2, 2]), &[1, 2, 3, 4]),
         ]);
-        assert_lanes_match_scalar("a = b(i)", &[lane(&["z"])], &e);
-        assert_lanes_match_scalar("a = b(i,i)", &[lane(&["sq"])], &e);
+        assert_lanes_match_interpreter("a = b(i)", &[lane(&["z"])], &e);
+        assert_lanes_match_interpreter("a = b(i,i)", &[lane(&["sq"])], &e);
+        // A repeated LHS index: both output loops range over `i`.
+        let v = env(&[("v", Shape::new(vec![3]), &[1, 2, 3])]);
+        assert_lanes_match_interpreter("a(i,i) = b(i)", &[lane(&["v"])], &v);
     }
 
     #[test]
@@ -1300,7 +1268,7 @@ mod tests {
         e.insert("bi".into(), Tensor::from_ints(Shape::new(vec![2]), &[6, 6]));
         e.insert("ci".into(), Tensor::from_ints(Shape::new(vec![2]), &[2, 3]));
         let lanes = [lane(&["bf", "ci"]), lane(&["bi", "ci"])];
-        assert_lanes_match_scalar("a = b(i) * c(i)", &lanes, &e);
+        assert_lanes_match_interpreter("a = b(i) * c(i)", &lanes, &e);
     }
 
     #[test]
@@ -1311,65 +1279,15 @@ mod tests {
     }
 
     #[test]
-    fn safe_product_group_runs_unchecked() {
-        let e = env(&[
-            ("m", Shape::new(vec![2, 3]), &[1, 2, 3, 4, 5, 6]),
-            ("x", Shape::new(vec![3]), &[1, 0, -2]),
-        ]);
-        let t = parse_program("y(i) = m(i,j) * x(j)").unwrap();
-        let k = BatchKernel::new(&t);
-        let lanes = [lane(&["m", "x"]), lane(&["m", "x"])];
-        let mut stats = BatchStats::default();
-        let got = k.evaluate_lanes_with_stats(&lanes, &e, &mut stats);
-        assert_eq!(stats.unchecked_groups, 1, "small values must prove safe");
-        assert_eq!(stats.checked_groups, 0);
-        assert_eq!(got, k.evaluate_lanes_checked(&lanes, &e));
-    }
-
-    #[test]
-    fn safe_generic_group_runs_unchecked() {
-        let e = env(&[
-            ("b", Shape::new(vec![2, 3]), &[1, 2, 3, 4, 5, 6]),
-            ("c", Shape::new(vec![2, 3]), &[-1, 0, 2, 5, -4, 3]),
-        ]);
-        // Addition under summation: the generic register-machine sweep.
-        let t = parse_program("a(i) = b(i,j) + c(i,j)").unwrap();
-        let k = BatchKernel::new(&t);
-        let lanes = [lane(&["b", "c"])];
-        let mut stats = BatchStats::default();
-        let got = k.evaluate_lanes_with_stats(&lanes, &e, &mut stats);
-        assert_eq!(stats.unchecked_groups, 1);
-        assert_eq!(got, k.evaluate_lanes_checked(&lanes, &e));
-    }
-
-    #[test]
-    fn overflow_risk_keeps_the_checked_path() {
+    fn product_overflow_demotes_to_exact() {
         let big = 4_000_000_000_000_000_000i64;
         let e = env(&[
             ("m", Shape::new(vec![2, 3]), &[big, big, big, big, big, big]),
             ("x", Shape::new(vec![3]), &[1, 1, 1]),
         ]);
-        let t = parse_program("y(i) = m(i,j) * x(j)").unwrap();
-        let k = BatchKernel::new(&t);
+        // 3 · 4e18 overflows the i64 accumulator; the cell must be redone
+        // in exact arithmetic.
         let lanes = [lane(&["m", "x"])];
-        let mut stats = BatchStats::default();
-        let got = k.evaluate_lanes_with_stats(&lanes, &e, &mut stats);
-        assert_eq!(stats.unchecked_groups, 0, "big values must stay checked");
-        assert_eq!(stats.checked_groups, 1);
-        assert_eq!(got, k.evaluate_lanes_checked(&lanes, &e));
-        // And the checked path still matches scalar semantics.
-        assert_lanes_match_scalar("y(i) = m(i,j) * x(j)", &lanes, &e);
-    }
-
-    #[test]
-    fn forced_checked_never_reports_unchecked_groups() {
-        let e = env(&[("b", Shape::new(vec![3]), &[1, 2, 3])]);
-        let t = parse_program("a = b(i) * b(i)").unwrap();
-        let k = BatchKernel::new(&t);
-        let lanes = [lane(&["b"])];
-        let mut stats = BatchStats::default();
-        let auto = k.evaluate_lanes_with_stats(&lanes, &e, &mut stats);
-        assert_eq!(stats.unchecked_groups, 1);
-        assert_eq!(auto, k.evaluate_lanes_checked(&lanes, &e));
+        assert_lanes_match_interpreter("y(i) = m(i,j) * x(j)", &lanes, &e);
     }
 }

@@ -8,13 +8,15 @@
 //! Two engines implement these semantics and are kept bit-for-bit
 //! identical (the differential proptests enforce it):
 //!
-//! - the *interpreter* here — a tree walker over a pre-resolved RHS with
-//!   positional index bindings (no per-iteration allocation);
-//! - the *compiled* path in [`mod@crate::compile`] — interned slots, stride
-//!   bytecode and an `i64` fast path, used by the validation hot loop.
+//! - the *interpreter* here ([`evaluate_interpreted`]) — a tree walker
+//!   over a pre-resolved RHS with positional index bindings, the
+//!   executable specification every differential test compares against;
+//! - the production engine, [`crate::BatchKernel`] — the micro-ISA with a
+//!   per-lane checked `i64` fast path, used by validation and
+//!   verification.
 //!
-//! [`evaluate`] routes through the compiled path; [`evaluate_interpreted`]
-//! is the reference interpreter.
+//! [`evaluate`] runs one program through the production engine as a
+//! single lane.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,6 +24,7 @@ use std::fmt;
 use gtl_tensor::{Rat, RatError, Tensor};
 
 use crate::ast::{BinOp, Expr, TacoProgram};
+use crate::batch::{access_strides, BatchKernel, Lane};
 use crate::semantics::{analyze, IndexAnalysis, SemanticError, TensorEnv};
 
 /// An evaluation error.
@@ -88,9 +91,7 @@ fn resolve<'a>(
                     name: acc.tensor.as_str().to_string(),
                 })?;
             let strides =
-                crate::compile::access_strides(&acc.indices, t.shape().extents(), |ix| {
-                    slot_of[ix]
-                });
+                access_strides(&acc.indices, t.shape().extents(), |ix| slot_of[ix.as_str()]);
             Ok(Resolved::Load {
                 data: t.data(),
                 strides,
@@ -156,19 +157,29 @@ fn eval_resolved(expr: &Resolved<'_>, counters: &[usize]) -> Result<Rat, EvalErr
 /// assert_eq!(out.data(), &[Rat::from(210), Rat::from(430)]);
 /// ```
 pub fn evaluate(program: &TacoProgram, env: &TensorEnv) -> Result<Tensor, EvalError> {
-    // Thin compatibility wrapper over the compiled path: one-shot callers
-    // get the bytecode engine too; hot loops should hold an
-    // [`crate::compile::EvalCache`] so compilation amortises.
-    match crate::compile::compile(program, env) {
-        Ok(kernel) => kernel.evaluate(env),
-        Err(e) => Err(EvalError::Semantic(e)),
+    let kernel = BatchKernel::new(program);
+    if !kernel.const_slots().is_empty() {
+        // A symbolic `Const` has no value to bind: fail with the first
+        // error analysis finds, which is at the latest the placeholder.
+        return Err(analyze(program, env)
+            .err()
+            .unwrap_or(SemanticError::Uninstantiated)
+            .into());
     }
+    let lane = Lane {
+        tensors: kernel.tensor_slots().to_vec(),
+        constants: Vec::new(),
+    };
+    kernel
+        .evaluate_lanes(std::slice::from_ref(&lane), env)
+        .pop()
+        .expect("one result per lane")
 }
 
 /// Evaluates `program` with the reference tree-walking interpreter.
 ///
-/// This is the executable specification the compiled path is tested
-/// against; production paths use [`evaluate`] or the eval cache.
+/// This is the executable specification the production engine
+/// ([`evaluate`], [`crate::BatchKernel`]) is tested against.
 ///
 /// # Errors
 ///
@@ -230,6 +241,29 @@ pub fn evaluate_analyzed(
         }
     }
     Ok(Tensor::from_data(out_shape, out).expect("output length matches shape"))
+}
+
+/// An empty type: evaluation caches nothing, and every `_cached` entry
+/// point in `gtl_validate` and `gtl_verify` ignores its `&EvalCache`
+/// argument. The name is kept only because the benchmark in
+/// `perfbench/` builds one and reads its [`EvalCache::stats`].
+#[derive(Debug, Default)]
+pub struct EvalCache;
+
+impl EvalCache {
+    /// Always zero hits and zero misses.
+    pub fn stats(&self) -> EvalCacheStats {
+        EvalCacheStats::default()
+    }
+}
+
+/// The counters of an [`EvalCache`]; both always read 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvalCacheStats {
+    /// Lookups answered from the cache (always 0).
+    pub hits: u64,
+    /// Lookups that missed (always 0).
+    pub misses: u64,
 }
 
 #[cfg(test)]

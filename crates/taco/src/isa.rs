@@ -3,10 +3,10 @@
 //! The batched evaluator ([`crate::batch`]) lowers a *template* — a TACO
 //! program whose tensor names and `Const` placeholders are still symbolic
 //! — once into this tiny register ISA, then executes the same instruction
-//! stream for every substitution lane. Keeping the ISA fixed-width (one
-//! opcode byte plus three `u16` operand fields per instruction) makes the
-//! dispatch loop branch-predictable and the per-opcode inner loops over
-//! lanes trivially vectorisable.
+//! stream for every lane. Keeping the ISA fixed-width (one opcode byte
+//! plus three `u16` operand fields per instruction) makes the dispatch
+//! loop branch-predictable and the per-opcode inner loops over lanes
+//! trivially vectorisable.
 //!
 //! The module follows the classic `isa`/`encoder` split: [`Opcode`] and
 //! [`Inst`] define the instruction set, [`Encoder`] is the only way to
@@ -18,9 +18,9 @@ use crate::ast::BinOp;
 
 /// Operation selector of one instruction.
 ///
-/// Register operands follow the postorder depth-register convention of
-/// the scalar compiler: an expression at depth `d` leaves its value in
-/// register `d`, so `dst`/`a`/`b` are final at encode time.
+/// Register operands follow the postorder depth-register convention: an
+/// expression at depth `d` leaves its value in register `d`, so
+/// `dst`/`a`/`b` are final at encode time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// `regs[dst] = data[access a]` — read the current element of a

@@ -114,7 +114,7 @@ impl IndexAnalysis {
     }
 }
 
-pub(crate) fn record_extent(
+fn record_extent(
     extents: &mut BTreeMap<IndexVar, usize>,
     ix: &IndexVar,
     extent: usize,

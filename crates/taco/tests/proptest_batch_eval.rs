@@ -1,33 +1,27 @@
-//! Differential property test for the batched native tier: evaluating
+//! Differential property test for the production evaluator: evaluating
 //! many substitutions of one template through [`BatchKernel`] must be
 //! bit-identical — values *and* per-lane [`EvalError`] classification —
-//! to substituting each lane into the template and running the scalar
-//! [`evaluate`] path.
+//! to substituting each lane into the template and running the reference
+//! interpreter, [`evaluate_interpreted`].
 //!
-//! Lanes are drawn in the batch widths the validator actually uses
-//! (1, 2, 8 and 64), over adversarial value profiles: huge integers
-//! that overflow the `i64` fast path mid-sweep, zero-rich inputs that
-//! hit division by zero, and non-integer rationals that defeat the
-//! fast path at conversion. Lanes also bind wrong-rank and missing
-//! tensors, so semantic-error classification is compared too.
-//!
-//! Each round additionally pins the default path (which may take the
-//! overflow-proof gated *wrapping* sweeps) against
-//! [`BatchKernel::evaluate_lanes_checked`]: the huge-integer profile
-//! forces `Unsafe` verdicts, the small-integer profile `Safe` ones, and
-//! both must agree bit-for-bit with the checked sweeps.
+//! Lanes are drawn in the batch widths the validator and verifier
+//! actually use (1, 2, 8 and 64), over adversarial value profiles: huge
+//! integers that overflow the `i64` fast path mid-sweep, zero-rich
+//! inputs that hit division by zero, and non-integer rationals that
+//! defeat the fast path at conversion. Lanes also bind wrong-rank and
+//! missing tensors, so semantic-error classification is compared too.
 
 use std::collections::HashMap;
 
 use gtl_taco::{
-    evaluate, Access, BatchKernel, BatchStats, BinOp, EvalError, Expr, Lane, TacoProgram,
+    evaluate_interpreted, Access, BatchKernel, BinOp, EvalError, Expr, Lane, TacoProgram,
     TensorEnv,
 };
 use gtl_tensor::{Rat, Shape, TensorGen};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-/// Fixed, pairwise-distinct extents (as in the scalar differential).
+/// Fixed, pairwise-distinct extents (as in the codegen differential).
 fn extent_of(ix: &str) -> usize {
     match ix {
         "i" => 2,
@@ -81,7 +75,7 @@ fn arb_template() -> impl Strategy<Value = TacoProgram> {
     (arb_lhs_access(), rhs).prop_map(|(lhs, rhs)| TacoProgram::new(lhs, rhs))
 }
 
-/// Adversarial value profiles, mirroring the scalar differential: each
+/// Adversarial value profiles, mirroring the codegen differential: each
 /// stresses a different arithmetic regime of the batch sweeps.
 #[derive(Debug, Clone, Copy)]
 enum ValueProfile {
@@ -186,8 +180,8 @@ fn derive_lanes(kernel: &BatchKernel, picks: &mut Picks, n: usize) -> Vec<Lane> 
         .collect()
 }
 
-/// Applies a lane to the template the way the scalar path would: rename
-/// every access by slot, replace every `ConstSym` by its bound value.
+/// Applies a lane to the template: rename every access by slot, replace
+/// every `ConstSym` by its bound value.
 fn concretize(kernel: &BatchKernel, template: &TacoProgram, lane: &Lane) -> TacoProgram {
     let names: HashMap<&str, &str> = kernel
         .tensor_slots()
@@ -224,34 +218,22 @@ fn concretize(kernel: &BatchKernel, template: &TacoProgram, lane: &Lane) -> Taco
 }
 
 /// One full differential round: batch-evaluate the lanes, then check
-/// every lane against the scalar path on the substituted program.
-fn assert_batch_matches_scalar(
+/// every lane against the interpreter on the substituted program.
+fn assert_batch_matches_interpreter(
     template: &TacoProgram,
     env: &TensorEnv,
     lanes: &[Lane],
 ) -> Result<(), TestCaseError> {
     let kernel = BatchKernel::new(template);
-    let mut stats = BatchStats::default();
-    let got = kernel.evaluate_lanes_with_stats(lanes, env, &mut stats);
-    // The overflow-proof gated wrapping path must be bit-identical to
-    // the always-checked sweeps — values and error classification —
-    // whatever the verdict decided per shape group.
-    let checked = kernel.evaluate_lanes_checked(lanes, env);
-    prop_assert_eq!(
-        &got,
-        &checked,
-        "unchecked fast path diverged from checked sweeps for {} ({:?})",
-        template,
-        stats
-    );
+    let got = kernel.evaluate_lanes(lanes, env);
     prop_assert_eq!(got.len(), lanes.len());
     for (lane, got) in lanes.iter().zip(&got) {
         let concrete = concretize(&kernel, template, lane);
-        let want = evaluate(&concrete, env);
+        let want = evaluate_interpreted(&concrete, env);
         prop_assert_eq!(
             got,
             &want,
-            "lane {:?} of {} diverged from scalar ({})",
+            "lane {:?} of {} diverged from the interpreter ({})",
             lane,
             template,
             concrete
@@ -261,10 +243,10 @@ fn assert_batch_matches_scalar(
 }
 
 proptest! {
-    /// Batch evaluation is bit-identical to per-substitution scalar
+    /// Batch evaluation is bit-identical to per-substitution interpreted
     /// evaluation across lane widths, shape groups and value profiles.
     #[test]
-    fn batch_agrees_with_scalar_per_lane(
+    fn batch_agrees_with_interpreter_per_lane(
         template in arb_template(),
         seed in 0u64..100_000,
         profile in arb_profile(),
@@ -274,7 +256,7 @@ proptest! {
         let env = build_env(&kernel, &template, seed, profile);
         let mut picks = Picks(seed | 1);
         let lanes = derive_lanes(&kernel, &mut picks, width);
-        assert_batch_matches_scalar(&template, &env, &lanes)?;
+        assert_batch_matches_interpreter(&template, &env, &lanes)?;
     }
 }
 
@@ -282,7 +264,7 @@ proptest! {
 /// GEMV lanes mixing shape groups, huge-value demotions, a division
 /// template's zero divisors, and semantic errors in single lanes.
 #[test]
-fn wide_mixed_batch_matches_scalar() {
+fn wide_mixed_batch_matches_interpreter() {
     let template = gtl_taco::parse_program("a(i) = s0(i,j) * s1(j)").unwrap();
     let kernel = BatchKernel::new(&template);
     let mut env = TensorEnv::new();
@@ -314,7 +296,7 @@ fn wide_mixed_batch_matches_scalar() {
     let got = kernel.evaluate_lanes(&lanes, &env);
     let mut errors = 0;
     for (lane, got) in lanes.iter().zip(&got) {
-        let want = evaluate(&concretize(&kernel, &template, lane), &env);
+        let want = evaluate_interpreted(&concretize(&kernel, &template, lane), &env);
         assert_eq!(got, &want, "lane {lane:?}");
         if matches!(got, Err(EvalError::Semantic(_))) {
             errors += 1;

@@ -1,8 +1,14 @@
-//! Differential property test: for randomly generated concrete TACO
-//! programs, the dense einsum evaluator (`eval.rs`) must agree with the
-//! C code generator (`codegen.rs`) — the generated kernel is parsed back
-//! by the workspace's C front end and executed by the rational
-//! interpreter on the same random inputs.
+//! Differential property tests against the reference interpreter
+//! ([`evaluate_interpreted`]) over randomly generated concrete TACO
+//! programs:
+//!
+//! - the C code generator (`codegen.rs`) must agree with it — the
+//!   generated kernel is parsed back by the workspace's C front end and
+//!   executed by the rational interpreter on the same random inputs;
+//! - the production evaluator ([`evaluate`], a single-lane
+//!   `BatchKernel`) must agree with it bit for bit, including the
+//!   `EvalError` classification, over adversarial value profiles and a
+//!   fixed table of boundary cases.
 //!
 //! This closes the evaluator/codegen loop the suite-wide
 //! `codegen_roundtrip` integration test exercises for the 77 ground
@@ -12,10 +18,10 @@ use std::collections::BTreeMap;
 
 use gtl_cfront::{parse_c, run_kernel, ArgValue};
 use gtl_taco::{
-    analyze, compile, evaluate, evaluate_interpreted, generate_c, parse_program, Access, BinOp,
-    EvalCache, EvalError, Expr, TacoProgram, TensorEnv,
+    analyze, evaluate, evaluate_interpreted, generate_c, parse_program, Access, BinOp, EvalError,
+    Expr, SemanticError, TacoProgram, TensorEnv,
 };
-use gtl_tensor::{Rat, RatError, Shape, TensorGen};
+use gtl_tensor::{Rat, RatError, Shape, Tensor, TensorGen};
 use proptest::prelude::*;
 
 /// Fixed, pairwise-distinct extents: aliasing shapes (e.g. a tensor used
@@ -32,7 +38,7 @@ fn extent_of(ix: &str) -> usize {
 
 fn arb_rhs_access() -> impl Strategy<Value = Access> {
     let idx = prop::sample::select(vec!["i", "j", "k", "l"]);
-    // Rank 0–3: rank-3 accesses reach the compiled engine's 3-deep
+    // Rank 0–3: rank-3 accesses reach the batch engine's 3-deep
     // summation nests and the unrolled 3-load product path (MTTKRP).
     (
         prop::sample::select(vec!["b", "c", "d", "e"]),
@@ -104,9 +110,9 @@ fn build_env(p: &TacoProgram, seed: u64) -> Option<TensorEnv> {
     Some(env)
 }
 
-/// Adversarial value profiles for the compiled-vs-interpreted
+/// Adversarial value profiles for the evaluate-vs-interpreter
 /// differential: each stresses a different arithmetic regime of the
-/// compiled kernel.
+/// production engine.
 #[derive(Debug, Clone, Copy)]
 enum ValueProfile {
     /// Small integers: the pure `i64` fast path.
@@ -152,14 +158,14 @@ fn build_env_with(p: &TacoProgram, seed: u64, profile: ValueProfile) -> Option<T
 }
 
 proptest! {
-    /// The generated C kernel computes exactly what the evaluator does.
+    /// The generated C kernel computes exactly what the interpreter does.
     #[test]
     fn generated_c_agrees_with_evaluator(p in arb_program(), seed in 0u64..100_000) {
         let Some(env) = build_env(&p, seed) else { return Ok(()); };
-        // The evaluator is the reference; programs it rejects (index
+        // The interpreter is the reference; programs it rejects (index
         // aliasing, extent conflicts, division by zero on this draw) are
         // outside the comparison.
-        let Ok(expected) = evaluate(&p, &env) else { return Ok(()); };
+        let Ok(expected) = evaluate_interpreted(&p, &env) else { return Ok(()); };
         let Ok(analysis) = analyze(&p, &env) else { return Ok(()); };
 
         let kernel = generate_c(&p, "fuzzed");
@@ -200,73 +206,147 @@ proptest! {
         prop_assert_eq!(a.tensor_params, b.tensor_params);
     }
 
-    /// The compiled kernel agrees with the reference interpreter on every
-    /// random program × shape × adversarial environment — including the
-    /// exact `EvalError` classification (semantic errors, division by
+    /// The production evaluator agrees with the reference interpreter on
+    /// every random program × shape × adversarial environment — including
+    /// the exact `EvalError` classification (semantic errors, division by
     /// zero, `i128` overflow) and across the `i64`-fast-path/rational
     /// fallback boundary.
     #[test]
-    fn compiled_agrees_with_interpreter(
+    fn evaluate_agrees_with_interpreter(
         p in arb_program(),
         seed in 0u64..100_000,
         profile in arb_profile(),
     ) {
         let Some(env) = build_env_with(&p, seed, profile) else { return Ok(()); };
-        let interpreted = evaluate_interpreted(&p, &env);
-        let compiled = match compile(&p, &env) {
-            Ok(kernel) => kernel.evaluate(&env),
-            Err(e) => Err(EvalError::Semantic(e)),
-        };
         prop_assert_eq!(
-            &compiled, &interpreted,
-            "compiled kernel diverges from interpreter for {} under {:?}",
+            &evaluate(&p, &env),
+            &evaluate_interpreted(&p, &env),
+            "evaluate diverges from the interpreter for {} under {:?}",
             p, profile
         );
-        // The cached route (and the `evaluate` wrapper) must be the same
-        // function, hit or miss.
-        let cache = EvalCache::default();
-        prop_assert_eq!(&cache.evaluate(&p, &env), &interpreted);
-        prop_assert_eq!(&cache.evaluate(&p, &env), &interpreted); // cache hit
-        prop_assert_eq!(&evaluate(&p, &env), &interpreted);
     }
 }
 
-/// Fixed adversarial regressions, independent of the random stream: the
-/// three error-classification boundaries the compiled kernel must place
-/// exactly where the interpreter does.
+/// One fixed case: what it exercises, the program, its inputs, and the
+/// interpreter's result (output data or error).
+type FixedCase = (
+    &'static str,
+    &'static str,
+    Vec<(&'static str, Tensor)>,
+    Result<Vec<Rat>, EvalError>,
+);
+
+/// Fixed boundary cases, independent of the random stream: each names a
+/// regime of the production engine and the result the interpreter gives
+/// for it, and `evaluate` must return exactly that.
 #[test]
-fn compiled_error_classification_matches_interpreter() {
-    // Division by zero mid-sweep.
-    let p = parse_program("a(i) = b(i) / c(i)").unwrap();
-    let mut env = TensorEnv::new();
-    env.insert("b".into(), vec_tensor(&[1, 2]));
-    env.insert("c".into(), vec_tensor(&[1, 0]));
-    let compiled = compile(&p, &env).unwrap().evaluate(&env);
-    assert_eq!(compiled, evaluate_interpreted(&p, &env));
-    assert_eq!(
-        compiled,
-        Err(EvalError::Arithmetic(RatError::DivisionByZero))
-    );
-
-    // i64 overflow → exact fallback (same value), then i128 overflow →
-    // same error. Extent-2 summation keeps sum_iters > 1 so the i64
-    // fast path is actually entered before the fallback triggers.
+fn evaluate_matches_interpreter_on_fixed_cases() {
     let big = 3_000_000_000_000_000_000i64;
-    let p2 = parse_program("a = b(i) * b(i)").unwrap();
-    let mut env2 = TensorEnv::new();
-    env2.insert("b".into(), vec_tensor(&[big, big]));
-    let v = compile(&p2, &env2).unwrap().evaluate(&env2).unwrap();
-    assert_eq!(v, evaluate_interpreted(&p2, &env2).unwrap());
-    assert_eq!(*v.as_scalar(), Rat::new(2 * (big as i128 * big as i128), 1));
-
-    let p3 = parse_program("a = b(i) * b(i) * b(i) * b(i)").unwrap();
-    let compiled3 = compile(&p3, &env2).unwrap().evaluate(&env2);
-    assert_eq!(compiled3, evaluate_interpreted(&p3, &env2));
-    assert_eq!(compiled3, Err(EvalError::Arithmetic(RatError::Overflow)));
+    let fracs =
+        Tensor::from_data(Shape::new(vec![2]), vec![Rat::new(1, 2), Rat::new(1, 3)]).unwrap();
+    let square = || Tensor::from_ints(Shape::new(vec![2, 2]), &[1, 2, 3, 4]);
+    let unbound_z = || {
+        Err(EvalError::Semantic(SemanticError::UnboundTensor {
+            name: "z".into(),
+        }))
+    };
+    let cases: Vec<FixedCase> = vec![
+        (
+            // Extent-2 summation enters the i64 fast path; big² then
+            // overflows i64 but fits i128, so the cell is redone exactly.
+            "i64 overflow falls back to exact",
+            "a = b(i) * c(i)",
+            vec![("b", vec_tensor(&[big, 2])), ("c", vec_tensor(&[big, 3]))],
+            Ok(vec![Rat::new(big as i128 * big as i128 + 6, 1)]),
+        ),
+        (
+            "i128 overflow is an arithmetic error",
+            "a = b(i) * b(i) * b(i) * b(i)",
+            vec![("b", vec_tensor(&[big, big]))],
+            Err(EvalError::Arithmetic(RatError::Overflow)),
+        ),
+        (
+            "division by zero",
+            "a(i) = b(i) / c(i)",
+            vec![("b", vec_tensor(&[1, 2])), ("c", vec_tensor(&[1, 0]))],
+            Err(EvalError::Arithmetic(RatError::DivisionByZero)),
+        ),
+        (
+            "division runs exact",
+            "a(i) = b(i) / c(i)",
+            vec![("b", vec_tensor(&[1, 3])), ("c", vec_tensor(&[2, 4]))],
+            Ok(vec![Rat::new(1, 2), Rat::new(3, 4)]),
+        ),
+        (
+            "non-integer inputs run exact",
+            "a = b(i) * c(i)",
+            vec![("b", fracs), ("c", vec_tensor(&[6, 6]))],
+            Ok(vec![Rat::from(5)]),
+        ),
+        (
+            "empty summation yields zero",
+            "a = b(i)",
+            vec![("b", vec_tensor(&[]))],
+            Ok(vec![Rat::ZERO]),
+        ),
+        (
+            "repeated index reads the diagonal",
+            "a = b(i,i)",
+            vec![("b", square())],
+            Ok(vec![Rat::from(5)]),
+        ),
+        (
+            "unbound tensor",
+            "a(i) = z(i)",
+            vec![("b", vec_tensor(&[1, 2]))],
+            unbound_z(),
+        ),
+        (
+            "rank mismatch",
+            "a(i) = b(i)",
+            vec![("b", square())],
+            Err(EvalError::Semantic(SemanticError::RankMismatch {
+                name: "b".into(),
+                access_rank: 1,
+                bound_rank: 2,
+            })),
+        ),
+        (
+            "uninstantiated constant",
+            "a(i) = b(i) * Const",
+            vec![("b", vec_tensor(&[1, 2]))],
+            Err(EvalError::Semantic(SemanticError::Uninstantiated)),
+        ),
+        (
+            // Analysis reports the first failure in RHS order, so an
+            // unbound tensor before the placeholder wins.
+            "unbound tensor before an uninstantiated constant",
+            "a(i) = z(i) * Const",
+            vec![("b", vec_tensor(&[1, 2]))],
+            unbound_z(),
+        ),
+    ];
+    for (what, src, tensors, want) in cases {
+        let p = parse_program(src).unwrap();
+        let env: TensorEnv = tensors
+            .into_iter()
+            .map(|(n, t)| (n.to_string(), t))
+            .collect();
+        let interpreted = evaluate_interpreted(&p, &env);
+        assert_eq!(
+            interpreted
+                .as_ref()
+                .map(|t| t.data().to_vec())
+                .map_err(Clone::clone),
+            want,
+            "{what}: interpreter"
+        );
+        assert_eq!(evaluate(&p, &env), interpreted, "{what}: evaluate");
+    }
 }
 
-fn vec_tensor(data: &[i64]) -> gtl_tensor::Tensor {
-    gtl_tensor::Tensor::from_ints(Shape::new(vec![data.len()]), data)
+fn vec_tensor(data: &[i64]) -> Tensor {
+    Tensor::from_ints(Shape::new(vec![data.len()]), data)
 }
 
 /// A fixed regression pair, so a failure here is independent of the
@@ -275,7 +355,7 @@ fn vec_tensor(data: &[i64]) -> gtl_tensor::Tensor {
 fn known_program_agrees() {
     let p = parse_program("a(i) = b(i,j) * c(j) + 2").unwrap();
     let env = build_env(&p, 7).unwrap();
-    let expected = evaluate(&p, &env).unwrap();
+    let expected = evaluate_interpreted(&p, &env).unwrap();
     let analysis = analyze(&p, &env).unwrap();
     let kernel = generate_c(&p, "known");
     let program = parse_c(&kernel.source).unwrap();

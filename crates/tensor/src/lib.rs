@@ -34,6 +34,6 @@ mod shape;
 mod tensor;
 
 pub use random::{seed_from_label, TensorGen};
-pub use rat::{checked_i64_sum, Rat, RatError};
+pub use rat::{Rat, RatError};
 pub use shape::{IndexIter, Shape};
 pub use tensor::Tensor;

@@ -197,7 +197,7 @@ impl Rat {
     }
 
     /// The exact `i64` value, or `None` if this rational is not an
-    /// integer or does not fit in `i64`. Used by the compiled evaluator
+    /// integer or does not fit in `i64`. Used by the batched evaluator
     /// to decide whether a tensor qualifies for the machine-integer fast
     /// path.
     pub fn to_i64(self) -> Option<i64> {
@@ -206,17 +206,6 @@ impl Rat {
         }
         i64::try_from(self.num).ok()
     }
-}
-
-/// Sums a stream of optional `i64` terms with overflow checking: the
-/// compiled kernel's accumulator fast path. Returns `None` as soon as a
-/// term is `None` (a sub-expression left the `i64` domain) or the running
-/// sum overflows, signalling the caller to redo the cell in exact [`Rat`]
-/// arithmetic.
-pub fn checked_i64_sum<I: IntoIterator<Item = Option<i64>>>(terms: I) -> Option<i64> {
-    terms
-        .into_iter()
-        .try_fold(0i64, |acc, term| acc.checked_add(term?))
 }
 
 impl Default for Rat {
@@ -432,14 +421,5 @@ mod tests {
         assert_eq!(Rat::new(i64::MAX as i128 + 1, 1).to_i64(), None);
         assert_eq!(Rat::new(i64::MIN as i128, 1).to_i64(), Some(i64::MIN));
         assert_eq!(Rat::new(i64::MIN as i128 - 1, 1).to_i64(), None);
-    }
-
-    #[test]
-    fn checked_i64_sum_detects_overflow_and_bad_terms() {
-        assert_eq!(checked_i64_sum([Some(1), Some(2), Some(3)]), Some(6));
-        assert_eq!(checked_i64_sum(std::iter::empty()), Some(0));
-        assert_eq!(checked_i64_sum([Some(i64::MAX), Some(1)]), None);
-        assert_eq!(checked_i64_sum([Some(1), None, Some(2)]), None);
-        assert_eq!(checked_i64_sum([Some(i64::MAX), Some(-1), Some(1)]), Some(i64::MAX));
     }
 }

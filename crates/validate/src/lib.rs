@@ -52,6 +52,6 @@ pub use subst::{
 };
 pub use task::{LiftTask, TaskError, TaskInstance, TaskParam, TaskParamKind, ValueMode};
 pub use validator::{
-    generate_examples, passes_examples, passes_examples_cached, validate_template,
-    validate_template_cached, ExampleConfig, IoExample, ValidationStats,
+    generate_examples, validate_template, validate_template_cached, ExampleConfig, IoExample,
+    ValidationStats,
 };

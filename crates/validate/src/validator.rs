@@ -75,34 +75,6 @@ pub fn generate_examples(
     Ok(out)
 }
 
-/// Whether a concrete candidate program reproduces every example.
-/// Evaluation errors (division by zero on an example, extent mismatches
-/// between bound arguments) count as failure, as the paper's validator
-/// simply discards such substitutions.
-///
-/// Convenience wrapper over [`passes_examples_cached`] with a throwaway
-/// cache; since all examples share the task's default sizes, the
-/// candidate still compiles only once.
-pub fn passes_examples(candidate: &TacoProgram, examples: &[IoExample]) -> bool {
-    passes_examples_cached(candidate, examples, &EvalCache::default())
-}
-
-/// [`passes_examples`] through a shared [`EvalCache`]: the candidate is
-/// compiled at most once per shape signature across every example and
-/// every caller holding the same cache (the validation hot loop).
-pub fn passes_examples_cached(
-    candidate: &TacoProgram,
-    examples: &[IoExample],
-    cache: &EvalCache,
-) -> bool {
-    examples.iter().all(|ex| {
-        matches!(
-            cache.evaluate(candidate, &ex.instance.env),
-            Ok(ref out) if *out == ex.output
-        )
-    })
-}
-
 /// Statistics from one validation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ValidationStats {
@@ -119,8 +91,8 @@ pub struct ValidationStats {
     /// Candidate templates skipped because an algebraically equivalent
     /// template was already validated (equal canonical fingerprint).
     pub pruned_equivalent: u64,
-    /// Shape groups of batched evaluation that ran the unchecked
-    /// integer fast path under an interval overflow proof.
+    /// Always 0: evaluation has no unchecked integer path any more. Kept
+    /// because the benchmark in `perfbench/` reads it.
     pub unchecked_kernels: u64,
 }
 
@@ -131,7 +103,6 @@ impl ValidationStats {
         self.io_passes += other.io_passes;
         self.pruned_infeasible += other.pruned_infeasible;
         self.pruned_equivalent += other.pruned_equivalent;
-        self.unchecked_kernels += other.unchecked_kernels;
     }
 }
 
@@ -141,34 +112,20 @@ impl ValidationStats {
 ///
 /// `verify` realises §7; passing `|_| true` gives the I/O-only behaviour
 /// of the C2TACO baseline.
-pub fn validate_template(
-    template: &TacoProgram,
-    task: &LiftTask,
-    examples: &[IoExample],
-    verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
-    stats: &mut ValidationStats,
-) -> Option<TacoProgram> {
-    validate_template_cached(template, task, examples, verify, stats, &EvalCache::default())
-}
-
-/// [`validate_template`] through a shared [`EvalCache`]. Per-worker
-/// checkers hold one cache across every template they check, so repeated
-/// substitutions and verifier re-evaluations never recompile.
 ///
 /// Substitutions are drained in 64-lane batches (`LANE_BATCH`): the template
 /// is lowered once into a [`BatchKernel`] and each I/O example filters a
 /// whole batch of [`Lane`]s in a single pass over a shared loop nest,
 /// instead of evaluating one substituted program at a time. Survivors are
 /// handed to `verify` in enumeration order, so the returned program (and
-/// which substitutions the verifier sees) is identical to the scalar
-/// loop's.
-pub fn validate_template_cached(
+/// which substitutions the verifier sees) is the first passing
+/// substitution the verifier accepts.
+pub fn validate_template(
     template: &TacoProgram,
     task: &LiftTask,
     examples: &[IoExample],
     mut verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
     stats: &mut ValidationStats,
-    cache: &EvalCache,
 ) -> Option<TacoProgram> {
     let output_name = task.output_name().to_string();
     let subs = enumerate_substitutions(template, task);
@@ -178,30 +135,19 @@ pub fn validate_template_cached(
     let kernel = BatchKernel::new(template);
     for chunk in subs.chunks(LANE_BATCH) {
         stats.substitutions_tried += chunk.len() as u64;
-        let lanes: Vec<Option<Lane>> = chunk
+        let lanes: Vec<Lane> = chunk
             .iter()
             .map(|sub| lane_for(&kernel, sub, &output_name))
             .collect();
-        let mut survives = vec![false; chunk.len()];
         // Example-major filtering: each example prunes the batch, so later
         // examples only evaluate lanes that still have a chance.
-        let mut alive: Vec<usize> = lanes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.is_some().then_some(i))
-            .collect();
+        let mut alive: Vec<usize> = (0..chunk.len()).collect();
         for ex in examples {
             if alive.is_empty() {
                 break;
             }
-            let batch: Vec<Lane> = alive
-                .iter()
-                .map(|&i| lanes[i].clone().expect("alive lanes exist"))
-                .collect();
-            let mut batch_stats = gtl_taco::BatchStats::default();
-            let results =
-                kernel.evaluate_lanes_with_stats(&batch, &ex.instance.env, &mut batch_stats);
-            stats.unchecked_kernels += batch_stats.unchecked_groups;
+            let batch: Vec<Lane> = alive.iter().map(|&i| lanes[i].clone()).collect();
+            let results = kernel.evaluate_lanes(&batch, &ex.instance.env);
             alive = alive
                 .into_iter()
                 .zip(results)
@@ -210,20 +156,6 @@ pub fn validate_template_cached(
                 .collect();
         }
         for i in alive {
-            survives[i] = true;
-        }
-        // Substitutions a lane can't represent (e.g. an unbound constant
-        // slot) fall back to the scalar compiled path.
-        for (i, l) in lanes.iter().enumerate() {
-            if l.is_none() {
-                let concrete = apply_substitution(template, &chunk[i], &output_name);
-                survives[i] = passes_examples_cached(&concrete, examples, cache);
-            }
-        }
-        for (i, &ok) in survives.iter().enumerate() {
-            if !ok {
-                continue;
-            }
             stats.io_passes += 1;
             let concrete = apply_substitution(template, &chunk[i], &output_name);
             if verify(&concrete, &chunk[i]) {
@@ -234,12 +166,27 @@ pub fn validate_template_cached(
     None
 }
 
+/// [`validate_template`]; `cache` is ignored. [`EvalCache`] is an empty
+/// stand-in, kept with this name because the benchmark in `perfbench/`
+/// calls it.
+pub fn validate_template_cached(
+    template: &TacoProgram,
+    task: &LiftTask,
+    examples: &[IoExample],
+    verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
+    stats: &mut ValidationStats,
+    _cache: &EvalCache,
+) -> Option<TacoProgram> {
+    validate_template(template, task, examples, verify, stats)
+}
+
 /// Builds the [`Lane`] realising one substitution: tensor slots resolve
 /// like [`apply_substitution`] (the LHS symbol `a` reused on the RHS binds
 /// the output; unbound symbols keep their name and fail analysis, exactly
-/// as the scalar path fails them). Returns `None` when a constant slot has
-/// no binding — such substitutions cannot be expressed as a lane.
-fn lane_for(kernel: &BatchKernel, sub: &Substitution, output: &str) -> Option<Lane> {
+/// as the substituted program would). Every constant slot is bound:
+/// [`enumerate_substitutions`] binds each id [`crate::template_slots`]
+/// collects, the same `ConstSym` set the kernel lowers.
+fn lane_for(kernel: &BatchKernel, sub: &Substitution, output: &str) -> Lane {
     let tensors = kernel
         .tensor_slots()
         .iter()
@@ -254,9 +201,9 @@ fn lane_for(kernel: &BatchKernel, sub: &Substitution, output: &str) -> Option<La
     let constants = kernel
         .const_slots()
         .iter()
-        .map(|id| sub.constants.get(id).copied())
-        .collect::<Option<Vec<i64>>>()?;
-    Some(Lane { tensors, constants })
+        .map(|id| sub.constants[id])
+        .collect();
+    Lane { tensors, constants }
 }
 
 #[cfg(test)]

@@ -9,11 +9,11 @@
 //! [`ExhaustiveOutcome::TooLarge`] rather than sampling silently.
 
 use gtl_cfront::ArgValue;
-use gtl_taco::{EvalCache, TacoProgram};
+use gtl_taco::{BatchKernel, TacoProgram};
 use gtl_tensor::{Rat, Tensor, TensorGen};
 use gtl_validate::{LiftTask, TaskError, TaskParamKind, ValueMode};
 
-use crate::Counterexample;
+use crate::{Counterexample, Trials};
 
 /// Configuration of the exhaustive check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,24 +64,15 @@ impl ExhaustiveOutcome {
 
 /// Exhaustively verifies `candidate` against the kernel for all inputs
 /// over the configured value set at tiny extents.
+///
+/// The candidate is lowered once into a [`BatchKernel`] for the whole
+/// sweep and evaluated as one lane per point.
 pub fn verify_exhaustive(
     task: &LiftTask,
     candidate: &TacoProgram,
     cfg: &ExhaustiveConfig,
 ) -> ExhaustiveOutcome {
-    verify_exhaustive_cached(task, candidate, cfg, &EvalCache::default())
-}
-
-/// [`verify_exhaustive`] through a shared [`EvalCache`]. Every enumerated
-/// point binds the same shapes, so the candidate compiles exactly once
-/// for the whole sweep — this is the single biggest win of the compiled
-/// evaluator (the point count is `|values|^elements`).
-pub fn verify_exhaustive_cached(
-    task: &LiftTask,
-    candidate: &TacoProgram,
-    cfg: &ExhaustiveConfig,
-    cache: &EvalCache,
-) -> ExhaustiveOutcome {
+    let kernel = BatchKernel::new(candidate);
     // Fixed tiny sizes.
     let sizes: std::collections::BTreeMap<String, usize> = task
         .size_symbols()
@@ -158,22 +149,10 @@ pub fn verify_exhaustive_cached(
                 Ok(t) => t,
                 Err(e) => return ExhaustiveOutcome::Inconclusive(e),
             };
-            match cache.evaluate(candidate, &instance.env) {
-                Ok(actual) if actual == expected => {}
-                Ok(actual) => {
-                    return ExhaustiveOutcome::Counterexample(Box::new(Counterexample {
-                        shape_round: 0,
-                        expected,
-                        actual: Some(actual),
-                    }))
-                }
-                Err(_) => {
-                    return ExhaustiveOutcome::Counterexample(Box::new(Counterexample {
-                        shape_round: 0,
-                        expected,
-                        actual: None,
-                    }))
-                }
+            let mut point = Trials::default();
+            point.push(&kernel, expected, instance.env);
+            if let Some(cex) = point.first_disagreement(&kernel, 0) {
+                return ExhaustiveOutcome::Counterexample(cex);
             }
         }
         // Advance the odometer.

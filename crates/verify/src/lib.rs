@@ -68,11 +68,9 @@
 
 mod exhaustive;
 
-pub use exhaustive::{
-    verify_exhaustive, verify_exhaustive_cached, ExhaustiveConfig, ExhaustiveOutcome,
-};
+pub use exhaustive::{verify_exhaustive, ExhaustiveConfig, ExhaustiveOutcome};
 
-use gtl_taco::{EvalCache, TacoProgram};
+use gtl_taco::{BatchKernel, EvalCache, Lane, TacoProgram, TensorEnv};
 use gtl_tensor::{seed_from_label, Tensor, TensorGen};
 use gtl_validate::{LiftTask, TaskError, ValueMode};
 
@@ -135,65 +133,128 @@ impl VerifyOutcome {
 /// Verifies a concrete candidate program (over argument names) against
 /// the legacy kernel by multi-shape rational differential testing.
 ///
-/// Convenience wrapper over [`verify_candidate_cached`] with a throwaway
-/// cache; the candidate still compiles once per shape round instead of
-/// once per trial.
+/// The candidate is lowered once into a [`BatchKernel`]. Each shape
+/// round draws its `trials_per_shape` instances and kernel outputs in
+/// order, then evaluates the candidate on all of them in one pass, one
+/// [`Lane`] per trial, and compares the results in trial order. The
+/// verdict is the one a trial-by-trial loop gives: the first
+/// disagreement is the counterexample, and a task error ends the check
+/// as [`VerifyOutcome::Inconclusive`] unless an earlier trial already
+/// disagreed.
 pub fn verify_candidate(
     task: &LiftTask,
     candidate: &TacoProgram,
     cfg: &VerifyConfig,
 ) -> VerifyOutcome {
-    verify_candidate_cached(task, candidate, cfg, &EvalCache::default())
+    let kernel = BatchKernel::new(candidate);
+    let mut gen = TensorGen::new(cfg.seed ^ seed_from_label(&task.func.name));
+    for round in 0..cfg.shape_rounds {
+        let sizes = task.sizes_for_round(round);
+        let mut trials = Trials::default();
+        let mut task_error = None;
+        for _ in 0..cfg.trials_per_shape {
+            let drawn = task
+                .instantiate(
+                    &sizes,
+                    &mut gen,
+                    ValueMode::VerifyPoints {
+                        magnitude: cfg.magnitude,
+                    },
+                )
+                .and_then(|instance| Ok((task.run_reference(&instance)?, instance.env)));
+            match drawn {
+                Ok((expected, env)) => trials.push(&kernel, expected, env),
+                Err(e) => {
+                    task_error = Some(e);
+                    break;
+                }
+            }
+        }
+        if let Some(cex) = trials.first_disagreement(&kernel, round) {
+            return VerifyOutcome::Counterexample(cex);
+        }
+        if let Some(e) = task_error {
+            return VerifyOutcome::Inconclusive(e);
+        }
+    }
+    VerifyOutcome::Equivalent
 }
 
-/// [`verify_candidate`] through a shared [`EvalCache`]: all
-/// `trials_per_shape` evaluations of one shape round run a single
-/// compiled kernel, and callers sharing the cache with the validator
-/// reuse compilations across the validate→verify loop.
+/// [`verify_candidate`]; `cache` is ignored. [`EvalCache`] is an empty
+/// stand-in, kept with this name because the benchmark in `perfbench/`
+/// calls it.
 pub fn verify_candidate_cached(
     task: &LiftTask,
     candidate: &TacoProgram,
     cfg: &VerifyConfig,
-    cache: &EvalCache,
+    _cache: &EvalCache,
 ) -> VerifyOutcome {
-    let mut gen = TensorGen::new(cfg.seed ^ seed_from_label(&task.func.name));
-    for round in 0..cfg.shape_rounds {
-        let sizes = task.sizes_for_round(round);
-        for _ in 0..cfg.trials_per_shape {
-            let instance = match task.instantiate(
-                &sizes,
-                &mut gen,
-                ValueMode::VerifyPoints {
-                    magnitude: cfg.magnitude,
-                },
-            ) {
-                Ok(i) => i,
-                Err(e) => return VerifyOutcome::Inconclusive(e),
-            };
-            let expected = match task.run_reference(&instance) {
-                Ok(t) => t,
-                Err(e) => return VerifyOutcome::Inconclusive(e),
-            };
-            match cache.evaluate(candidate, &instance.env) {
-                Ok(actual) if actual == expected => {}
-                Ok(actual) => {
-                    return VerifyOutcome::Counterexample(Box::new(Counterexample {
-                        shape_round: round,
-                        expected,
-                        actual: Some(actual),
-                    }))
+    verify_candidate(task, candidate, cfg)
+}
+
+/// The drawn trials of one check: the kernel's output per trial, one
+/// [`Lane`] per trial, and one environment binding every trial's inputs
+/// under per-trial names, so a single batched pass evaluates the
+/// candidate on all of them.
+#[derive(Default)]
+struct Trials {
+    expected: Vec<Tensor>,
+    lanes: Vec<Lane>,
+    env: TensorEnv,
+}
+
+impl Trials {
+    /// Adds a trial: its kernel output and its input bindings. Only the
+    /// tensors the candidate reads are bound; a name the candidate reads
+    /// but the task lacks stays unbound and fails to evaluate.
+    fn push(&mut self, kernel: &BatchKernel, expected: Tensor, mut env: TensorEnv) {
+        let trial = self.expected.len();
+        let tensors = kernel
+            .tensor_slots()
+            .iter()
+            .map(|name| {
+                // `#` never occurs in a C identifier, so per-trial names
+                // cannot collide.
+                let key = format!("{name}#{trial}");
+                if let Some(tensor) = env.remove(name) {
+                    self.env.insert(key.clone(), tensor);
                 }
-                Err(_) => {
-                    return VerifyOutcome::Counterexample(Box::new(Counterexample {
-                        shape_round: round,
-                        expected,
-                        actual: None,
-                    }))
-                }
-            }
-        }
+                key
+            })
+            .collect();
+        self.lanes.push(Lane {
+            tensors,
+            constants: Vec::new(),
+        });
+        self.expected.push(expected);
     }
-    VerifyOutcome::Equivalent
+
+    /// Evaluates `kernel` on every trial and returns the first trial, in
+    /// draw order, whose result differs from the kernel's output.
+    fn first_disagreement(self, kernel: &BatchKernel, round: usize) -> Option<Box<Counterexample>> {
+        // Verification candidates are concrete; a leftover symbolic
+        // constant cannot be bound, so it fails to evaluate everywhere.
+        let actual: Vec<Option<Tensor>> = if kernel.const_slots().is_empty() {
+            kernel
+                .evaluate_lanes(&self.lanes, &self.env)
+                .into_iter()
+                .map(Result::ok)
+                .collect()
+        } else {
+            vec![None; self.expected.len()]
+        };
+        self.expected
+            .into_iter()
+            .zip(actual)
+            .find(|(expected, actual)| actual.as_ref() != Some(expected))
+            .map(|(expected, actual)| {
+                Box::new(Counterexample {
+                    shape_round: round,
+                    expected,
+                    actual,
+                })
+            })
+    }
 }
 
 #[cfg(test)]
@@ -319,6 +380,123 @@ mod tests {
         let task = gemv_task();
         let cand = parse_program("y(i) = A(i,j) / x(j)").unwrap();
         assert!(!verify_candidate(&task, &cand, &VerifyConfig::default()).is_equivalent());
+    }
+
+    /// A one-array task whose kernel computes `out[i] = 2 * x[i]`, except
+    /// `3 * x[i]` when `x[0] > 800000` and a division by zero (a task
+    /// error) when `x[0] < -800000`; each happens on about one draw in
+    /// ten.
+    fn rare_branch_task() -> LiftTask {
+        let prog = parse_c(
+            "void rare(int n, int *x, int *out) {
+                for (int i = 0; i < n; i++) {
+                    if (x[0] > 800000) out[i] = 3 * x[i];
+                    else if (x[0] < -800000) out[i] = x[i] / 0;
+                    else out[i] = 2 * x[i];
+                }
+            }",
+        )
+        .unwrap();
+        LiftTask {
+            func: prog.kernel().clone(),
+            params: vec![
+                TaskParam {
+                    name: "n".into(),
+                    kind: TaskParamKind::Size("n".into()),
+                },
+                TaskParam {
+                    name: "x".into(),
+                    kind: TaskParamKind::ArrayIn {
+                        dims: vec!["n".into()],
+                        nonzero: false,
+                    },
+                },
+                TaskParam {
+                    name: "out".into(),
+                    kind: TaskParamKind::ArrayOut {
+                        dims: vec!["n".into()],
+                    },
+                },
+            ],
+            output: 2,
+            constants: vec![2],
+            ref_program: Default::default(),
+        }
+    }
+
+    /// The verifier as a trial-by-trial loop over the reference
+    /// interpreter: draw one instance, run the kernel, evaluate, compare.
+    /// Also returns the `(round, trial)` at which it stopped.
+    fn trial_by_trial(
+        task: &LiftTask,
+        candidate: &TacoProgram,
+        cfg: &VerifyConfig,
+    ) -> (VerifyOutcome, Option<(usize, usize)>) {
+        let mut gen = TensorGen::new(cfg.seed ^ seed_from_label(&task.func.name));
+        for round in 0..cfg.shape_rounds {
+            let sizes = task.sizes_for_round(round);
+            for trial in 0..cfg.trials_per_shape {
+                let mode = ValueMode::VerifyPoints {
+                    magnitude: cfg.magnitude,
+                };
+                let instance = match task.instantiate(&sizes, &mut gen, mode) {
+                    Ok(i) => i,
+                    Err(e) => return (VerifyOutcome::Inconclusive(e), Some((round, trial))),
+                };
+                let expected = match task.run_reference(&instance) {
+                    Ok(t) => t,
+                    Err(e) => return (VerifyOutcome::Inconclusive(e), Some((round, trial))),
+                };
+                let actual = gtl_taco::evaluate_interpreted(candidate, &instance.env).ok();
+                if actual.as_ref() != Some(&expected) {
+                    let cex = Counterexample {
+                        shape_round: round,
+                        expected,
+                        actual,
+                    };
+                    return (
+                        VerifyOutcome::Counterexample(Box::new(cex)),
+                        Some((round, trial)),
+                    );
+                }
+            }
+        }
+        (VerifyOutcome::Equivalent, None)
+    }
+
+    #[test]
+    fn batched_rounds_report_what_a_trial_loop_reports() {
+        // `out(i) = x(i) * 2` is wrong on the `3 * x[i]` draws, and the
+        // kernel fails on the division draws: whichever a seed draws
+        // first decides the verdict.
+        let task = rare_branch_task();
+        let cand = parse_program("out(i) = x(i) * 2").unwrap();
+        let (mut later_disagreement, mut partway_error) = (0, 0);
+        for seed in 0..64 {
+            let cfg = VerifyConfig {
+                seed,
+                ..VerifyConfig::default()
+            };
+            let (want, stop) = trial_by_trial(&task, &cand, &cfg);
+            assert_eq!(verify_candidate(&task, &cand, &cfg), want, "seed {seed}");
+            match (&want, stop) {
+                (VerifyOutcome::Counterexample(_), Some((1, trial))) if trial > 0 => {
+                    later_disagreement += 1
+                }
+                (VerifyOutcome::Inconclusive(_), Some((_, trial))) if trial > 0 => {
+                    partway_error += 1
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            later_disagreement > 0,
+            "some seed must first disagree in a later trial of round 1"
+        );
+        assert!(
+            partway_error > 0,
+            "some seed must hit the task error after a round's first trial"
+        );
     }
 
     #[test]
