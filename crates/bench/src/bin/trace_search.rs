@@ -1,71 +1,34 @@
-//! Trace the first N templates a STAGG_TD search attempts on a benchmark.
+//! Trace the first N templates a STAGG search attempts on a benchmark.
+//!
+//! ```text
+//! trace_search <benchmark> [limit] [td|bu]
+//! ```
 
-use gtl_bench::query_for;
-use gtl_analysis::analyze_kernel;
-use gtl_oracle::{Oracle, OracleQuery, SyntheticOracle};
-use gtl_search::{bottom_up_search, top_down_search, CheckOutcome, PenaltyContext, PenaltySettings, SearchBudget};
-use gtl_taco::{parse_program, preprocess_candidate, TacoProgram};
-use gtl_template::*;
+use gtl::SearchMode;
+use gtl_bench::trace_search;
 
 fn main() {
-    let name = std::env::args().nth(1).expect("usage: trace_search <benchmark> [limit] [td|bu]");
-    let limit: u64 = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(40);
-    let mode = std::env::args().nth(3).unwrap_or_else(|| "td".into());
+    let name = std::env::args()
+        .nth(1)
+        .expect("usage: trace_search <benchmark> [limit] [td|bu]");
+    let limit: u64 = std::env::args()
+        .nth(2)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(40);
+    let mode = match std::env::args().nth(3).as_deref() {
+        Some("bu") => SearchMode::BottomUp,
+        _ => SearchMode::TopDown,
+    };
     let b = gtl_benchsuite::by_name(&name).expect("unknown benchmark");
-    let query = query_for(&b);
-    let mut oracle = SyntheticOracle::default();
-    let raw = oracle.candidates(&OracleQuery {
-        label: &query.label,
-        c_source: &query.source,
-        ground_truth: query.ground_truth.as_ref(),
-    });
-    let templates: Vec<Template> = raw
-        .iter()
-        .filter_map(|l| preprocess_candidate(l))
-        .filter_map(|s| parse_program(&s).ok())
-        .filter_map(|p| templatize(&p).ok())
-        .collect();
-    let facts = analyze_kernel(&query.task.func);
-    let dim_list = overlay_lhs_dimension(
-        predict_dimension_list(&templates).unwrap_or_default(),
-        facts.lhs_dim,
+    let trace = trace_search(&b, limit, mode);
+    println!(
+        "dim_list={:?} live_ops={:?}",
+        trace.dim_list,
+        trace.grammar.live_ops()
     );
-    let spec = TdSpec {
-        dim_list: dim_list.clone(),
-        n_indices: index_variable_count(&templates).max(1),
-        allow_repeated_index: any_repeated_index(&templates),
-        include_const: any_const(&templates),
-    };
-    let mut grammar = if mode == "bu" {
-        generate_bu_grammar(&spec)
-    } else {
-        generate_td_grammar(&spec)
-    };
-    learn_weights(&mut grammar, &templates);
-    println!("dim_list={dim_list:?} live_ops={:?}", grammar.live_ops());
-    println!("{}", grammar.pcfg);
-    let mut n = 0u64;
-    let mut spy = |t: &TacoProgram| {
-        n += 1;
-        if n <= limit {
-            println!("attempt {n}: {t}");
-        }
-        CheckOutcome::Failed
-    };
-    let ctx = PenaltyContext {
-        dim_list: dim_list.clone(),
-        grammar_has_const: grammar.nts.constant.is_some(),
-        live_ops: grammar.live_ops(),
-        settings: PenaltySettings::all(),
-    };
-    let budget = SearchBudget {
-        max_attempts: limit,
-        ..SearchBudget::default()
-    };
-    let out = if mode == "bu" {
-        bottom_up_search(&grammar, &ctx, budget, &mut spy)
-    } else {
-        top_down_search(&grammar, &ctx, budget, &mut spy)
-    };
-    println!("attempts={} nodes={}", out.attempts, out.nodes_expanded);
+    println!("{}", trace.grammar.pcfg);
+    for (n, t) in trace.attempts.iter().enumerate() {
+        println!("attempt {}: {t}", n + 1);
+    }
+    println!("attempts={} nodes={}", trace.attempts.len(), trace.pops);
 }

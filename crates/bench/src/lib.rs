@@ -12,6 +12,7 @@ pub mod loadgen;
 pub mod methods;
 pub mod runner;
 pub mod tables;
+pub mod trace;
 
 pub use loadgen::{
     corpus_from_export, open_offsets, parse_mix, run_load, sample_mix, shuffled_indices,
@@ -24,3 +25,4 @@ pub use runner::{
     run_method_batch, run_method_batch_stored, run_method_on, BatchAnnotations, BatchResult,
     MethodResult, SuiteResult,
 };
+pub use trace::{trace_search, SearchTrace};

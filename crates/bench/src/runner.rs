@@ -672,12 +672,13 @@ pub fn batch_json(
     for (n, (r, b)) in batch.suite.results.iter().zip(benchmarks).enumerate() {
         let comma = if n + 1 < batch.suite.results.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"suite\": \"{}\", \"solved\": {}, \"seconds\": {:.6}, \"attempts\": {}, \"phase_us\": {}}}{comma}\n",
+            "    {{\"benchmark\": \"{}\", \"suite\": \"{}\", \"solved\": {}, \"seconds\": {:.6}, \"attempts\": {}, \"pops\": {}, \"phase_us\": {}}}{comma}\n",
             json_escape(&r.name),
             b.suite.cli_name(),
             r.solved,
             r.seconds,
             r.attempts,
+            r.nodes,
             r.phase_times.total_us(),
         ));
     }

@@ -5,17 +5,13 @@ use gtl_template::{GrammarShape, TemplateGrammar};
 
 use crate::driver::{SearchBudget, SearchHooks, SearchOutcome, TemplateChecker};
 use crate::frontier::{run_search, Child, Expand};
-use crate::node::{bu_tree_to_program, tree_facts, CostModel, Tree};
+use crate::node::{Derivation, Rules};
 use crate::penalty::{bu_penalty, PenaltyContext};
 
 /// The bottom-up completion estimate g(x) of §5.2: the sum, over chain
 /// positions not yet filled, of the minimal cost m(d) of adding a tensor
 /// of that position's dimension.
-fn bu_remaining_cost(
-    grammar: &TemplateGrammar,
-    costs: &CostModel,
-    current_tensors: usize,
-) -> f64 {
+fn bu_remaining_cost(grammar: &TemplateGrammar, rules: &Rules, current_tensors: usize) -> f64 {
     let dims = &grammar.nts.position_dims;
     if dims.is_empty() {
         return 0.0;
@@ -29,7 +25,7 @@ fn bu_remaining_cost(
             .pcfg
             .rules_of(nt)
             .iter()
-            .map(|rid| costs.cost(*rid))
+            .map(|rid| rules.cost(*rid))
             .fold(f64::INFINITY, f64::min);
         if m.is_finite() {
             total += m;
@@ -79,46 +75,51 @@ pub fn bottom_up_search_hooked(
     run_search(&exp, budget, checker, hooks)
 }
 
-/// The bottom-up judgement of a dequeued chain tree (Algorithm 2
+/// The bottom-up judgement of a dequeued chain derivation (Algorithm 2
 /// lines 5–12).
-struct BuExpand<'a> {
+pub(crate) struct BuExpand<'a> {
     grammar: &'a TemplateGrammar,
     ctx: &'a PenaltyContext,
-    costs: CostModel,
+    rules: Rules,
     /// Number of tensors that triggers validation (|tensors(x)| = |L|,
     /// Algorithm 2 line 5). With no prediction (full grammar) every
     /// strippable prefix is validated.
     predicted_rhs: Option<usize>,
+    /// g(x) by the number of right-hand-side operands placed or
+    /// promised; every count past the end maps to the last entry (0).
+    remaining: Vec<f64>,
 }
 
 impl<'a> BuExpand<'a> {
     /// Builds the expander; panics if `grammar` is not bottom-up shaped.
-    fn new(grammar: &'a TemplateGrammar, ctx: &'a PenaltyContext) -> BuExpand<'a> {
+    pub(crate) fn new(grammar: &'a TemplateGrammar, ctx: &'a PenaltyContext) -> BuExpand<'a> {
         assert_eq!(
             grammar.shape,
             GrammarShape::BottomUp,
             "bottom_up_search requires a bottom-up grammar"
         );
-        let predicted_rhs = if grammar.nts.position_dims.is_empty() {
-            None
-        } else {
-            Some(grammar.nts.position_dims.len())
-        };
+        let positions = grammar.nts.position_dims.len();
+        let predicted_rhs = (positions > 0).then_some(positions);
+        let rules = Rules::new(grammar);
+        let remaining = (0..=positions)
+            .map(|n| bu_remaining_cost(grammar, &rules, n))
+            .collect();
         BuExpand {
             grammar,
             ctx,
-            costs: CostModel::new(&grammar.pcfg),
+            rules,
             predicted_rhs,
+            remaining,
         }
     }
 }
 
 impl Expand for BuExpand<'_> {
-    fn root(&self) -> Tree {
-        Tree::Hole(self.grammar.pcfg.start())
+    fn rules(&self) -> &Rules {
+        &self.rules
     }
 
-    fn skip(&self, _tree: &Tree) -> bool {
+    fn skip(&self, _d: &Derivation) -> bool {
         false
     }
 
@@ -128,49 +129,41 @@ impl Expand for BuExpand<'_> {
     // validated, which is why the bottom-up variant leans entirely on
     // dimension prediction. Without a prediction (full grammar) every
     // strippable prefix is validated instead.
-    fn candidate(&self, tree: &Tree) -> Option<TacoProgram> {
-        let facts = tree_facts(tree, self.grammar.nts.op, &self.grammar.nts.tails);
+    fn candidate(&self, d: &Derivation) -> Option<TacoProgram> {
         let ready = match self.predicted_rhs {
-            Some(n) => facts.rhs_operand_slots >= n,
+            Some(n) => d.facts().rhs_operand_slots as usize >= n,
             None => true,
         };
         if !ready {
             return None;
         }
-        bu_tree_to_program(tree, &self.grammar.nts.tails)
+        d.bu_program(&self.rules, &self.grammar.nts.tails)
     }
 
     // Line 12: expand the leftmost nonterminal.
-    fn children(&self, tree: &Tree, cost: f64) -> Vec<Child> {
-        if tree.is_complete() {
-            return Vec::new();
-        }
-        let Some(nt) = tree.leftmost_hole() else {
-            return Vec::new();
+    fn children(&self, d: &Derivation, cost: f64, out: &mut Vec<Child>) {
+        let Some(nt) = d.leftmost_hole() else {
+            return;
         };
-        let mut out = Vec::new();
-        for rid in self.grammar.pcfg.rules_of(nt) {
-            let rule_cost = self.costs.cost(*rid);
+        for &rule in self.grammar.pcfg.rules_of(nt) {
+            let rule_cost = self.rules.cost(rule);
             if rule_cost.is_infinite() {
                 continue;
             }
-            let rhs = &self.grammar.pcfg.rule(*rid).rhs;
-            let child = tree.expand_leftmost(rhs).expect("leftmost hole exists");
             let c = cost + rule_cost;
-            let child_facts =
-                tree_facts(&child, self.grammar.nts.op, &self.grammar.nts.tails);
-            let g = bu_remaining_cost(self.grammar, &self.costs, child_facts.rhs_operand_slots);
-            let x = bu_penalty(&child_facts, self.ctx);
+            let facts = d.child(&self.rules, rule).facts;
+            let slots = (facts.rhs_operand_slots as usize).min(self.remaining.len() - 1);
+            let g = self.remaining[slots];
+            let x = bu_penalty(&facts, self.ctx);
             if x.is_infinite() {
                 continue;
             }
             out.push(Child {
-                tree: child,
+                rule,
                 cost: c,
                 f: c + g + x,
             });
         }
-        out
     }
 }
 

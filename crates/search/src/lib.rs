@@ -54,8 +54,10 @@
 mod bottomup;
 mod driver;
 mod frontier;
-pub mod node;
+mod node;
 mod penalty;
+#[cfg(test)]
+mod reference;
 mod topdown;
 
 pub use bottomup::{bottom_up_search, bottom_up_search_hooked};
@@ -63,5 +65,5 @@ pub use driver::{
     CancelFlag, CheckOutcome, SearchBudget, SearchHooks, SearchOutcome, SearchProgress,
     StopReason, TemplateChecker,
 };
-pub use penalty::{bu_penalty, td_penalty, PenaltyContext, PenaltySettings};
+pub use penalty::{PenaltyContext, PenaltySettings};
 pub use topdown::{top_down_search, top_down_search_hooked};

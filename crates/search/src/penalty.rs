@@ -13,9 +13,9 @@
 //!   substantial learned weight ([`gtl_template::TemplateGrammar::live_ops`]);
 //!   templates with no operator at all are exempt.
 
-use gtl_taco::{BinOp, Expr, TacoProgram};
+use gtl_taco::BinOp;
 
-use crate::node::TreeFacts;
+use crate::node::Facts;
 
 /// Which penalty rules are active — the knobs behind Table 2's
 /// `Drop(a1)…Drop(b2)` ablations.
@@ -105,7 +105,7 @@ pub struct PenaltyContext {
 }
 
 impl PenaltyContext {
-    fn predicted_len(&self) -> Option<usize> {
+    pub(crate) fn predicted_len(&self) -> Option<usize> {
         if self.dim_list.is_empty() {
             None
         } else {
@@ -115,29 +115,14 @@ impl PenaltyContext {
 
     /// Minimum distinct operators a complete multi-operand template must
     /// use: half the live set, rounded up.
-    fn min_ops(&self) -> usize {
+    pub(crate) fn min_ops(&self) -> usize {
         self.live_ops.len().div_ceil(2)
     }
 }
 
-/// Does the sequence of distinct tensor symbols, in order of first
-/// appearance, follow the alphabet `a, b, c…`? (a3 / b1.)
-fn alphabetical_by_first_appearance(facts: &TreeFacts) -> bool {
-    let mut seen: Vec<&str> = Vec::new();
-    for acc in &facts.accesses {
-        let name = acc.tensor.as_str();
-        if !seen.contains(&name) {
-            seen.push(name);
-        }
-    }
-    seen.iter()
-        .enumerate()
-        .all(|(n, s)| s.as_bytes() == [b'a' + n as u8])
-}
-
 /// a1: grammar has constants, expression is long, but the template lacks
 /// index variety or a constant (weight 10).
-fn a1_violated(facts: &TreeFacts, ctx: &PenaltyContext) -> bool {
+fn a1_violated(facts: &Facts, ctx: &PenaltyContext) -> bool {
     if !ctx.grammar_has_const {
         return false;
     }
@@ -145,56 +130,23 @@ fn a1_violated(facts: &TreeFacts, ctx: &PenaltyContext) -> bool {
     if facts.rhs_operand_slots < 3 {
         return false;
     }
-    let tensors_with_i = facts
-        .accesses
-        .iter()
-        .skip(1) // LHS
-        .filter(|a| a.indices.iter().any(|ix| ix.as_str() == "i"))
-        .count();
-    tensors_with_i < 2 || !facts.has_const
-}
-
-/// a4: a complete template applying `+`, `-` or `/` to two structurally
-/// identical operands (∞).
-fn a4_violated(program: &TacoProgram) -> bool {
-    fn scan(e: &Expr) -> bool {
-        match e {
-            Expr::Binary { op, lhs, rhs } => {
-                let same = lhs == rhs;
-                let bad_op = matches!(op, BinOp::Add | BinOp::Sub | BinOp::Div);
-                (same && bad_op) || scan(lhs) || scan(rhs)
-            }
-            Expr::Neg(inner) => scan(inner),
-            Expr::Access(_) | Expr::Const(_) | Expr::ConstSym(_) => false,
-        }
-    }
-    scan(&program.rhs)
+    facts.rhs_with_i < 2 || !facts.has_const
 }
 
 /// Operator-coverage check shared by a5 and b2: a template with at least
 /// one operator position must be able to use at least `min_ops` distinct
 /// live operators. Unexpanded operator holes count as potential distinct
-/// operators so partial trees are not pruned prematurely.
-fn op_coverage_violated(facts: &TreeFacts, ctx: &PenaltyContext) -> bool {
-    if facts.ops.is_empty() && facts.op_holes == 0 {
+/// operators so partial derivations are not pruned prematurely.
+fn op_coverage_violated(facts: &Facts, ctx: &PenaltyContext) -> bool {
+    if facts.ops == 0 && facts.op_holes == 0 {
         return false;
     }
-    let mut distinct: Vec<BinOp> = Vec::new();
-    for o in &facts.ops {
-        if !distinct.contains(o) {
-            distinct.push(*o);
-        }
-    }
-    distinct.len() + facts.op_holes < ctx.min_ops()
+    ((facts.ops.count_ones() + facts.op_holes) as usize) < ctx.min_ops()
 }
 
 /// The top-down penalty X(x) over (partial or complete) templates
-/// (§5.1). `program` is the converted template when complete.
-pub fn td_penalty(
-    facts: &TreeFacts,
-    program: Option<&TacoProgram>,
-    ctx: &PenaltyContext,
-) -> f64 {
+/// (§5.1). a4 and a5 judge complete templates only.
+pub(crate) fn td_penalty(facts: &Facts, ctx: &PenaltyContext) -> f64 {
     let s = &ctx.settings;
     let mut x = 0.0f64;
     if s.a1 && a1_violated(facts, ctx) {
@@ -202,7 +154,7 @@ pub fn td_penalty(
     }
     if s.a2 {
         if let Some(len) = ctx.predicted_len() {
-            let current = facts.rhs_operand_slots + 1;
+            let current = facts.rhs_operand_slots as usize + 1;
             let violated = if facts.complete {
                 current != len
             } else {
@@ -213,11 +165,12 @@ pub fn td_penalty(
             }
         }
     }
-    if s.a3 && !alphabetical_by_first_appearance(facts) {
+    // a3: tensor symbols alphabetical by first appearance.
+    if s.a3 && !facts.alphabetical {
         return f64::INFINITY;
     }
-    if let Some(p) = program {
-        if s.a4 && a4_violated(p) {
+    if facts.complete {
+        if s.a4 && facts.a4_violated {
             return f64::INFINITY;
         }
         if s.a5 && op_coverage_violated(facts, ctx) {
@@ -228,17 +181,17 @@ pub fn td_penalty(
 }
 
 /// The bottom-up penalty X(x) (§5.2).
-pub fn bu_penalty(facts: &TreeFacts, ctx: &PenaltyContext) -> f64 {
+pub(crate) fn bu_penalty(facts: &Facts, ctx: &PenaltyContext) -> f64 {
     let s = &ctx.settings;
     let mut x = 0.0f64;
-    if s.b1 && !alphabetical_by_first_appearance(facts) {
+    if s.b1 && !facts.alphabetical {
         x += 100.0;
     }
     if s.b2 {
         if let Some(len) = ctx.predicted_len() {
             // Fires once the template holds at least the predicted number
             // of tensors yet uses too few operators.
-            if facts.rhs_operand_slots + 1 >= len && op_coverage_violated(facts, ctx) {
+            if facts.rhs_operand_slots as usize + 1 >= len && op_coverage_violated(facts, ctx) {
                 return f64::INFINITY;
             }
         }
@@ -249,21 +202,38 @@ pub fn bu_penalty(facts: &TreeFacts, ctx: &PenaltyContext) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtl_taco::{parse_program, Access};
+    use gtl_taco::parse_program;
 
-    fn facts_of(src: &str) -> (TreeFacts, TacoProgram) {
+    /// The facts of a complete template, read off its parsed program.
+    fn facts_of(src: &str) -> Facts {
         let p = parse_program(src).unwrap();
-        let mut accesses = vec![p.lhs.clone()];
-        accesses.extend(p.rhs.accesses().into_iter().cloned());
-        let facts = TreeFacts {
-            accesses,
+        let mut accesses = vec![&p.lhs];
+        accesses.extend(p.rhs.accesses());
+        let mut seen: Vec<&str> = Vec::new();
+        for a in &accesses {
+            if !seen.contains(&a.tensor.as_str()) {
+                seen.push(a.tensor.as_str());
+            }
+        }
+        let alphabetical = seen
+            .iter()
+            .enumerate()
+            .all(|(n, s)| s.as_bytes() == [b'a' + n as u8]);
+        Facts {
+            alphabetical,
+            symbols: seen.len() as u8,
+            lhs_placed: true,
+            rhs_with_i: accesses[1..]
+                .iter()
+                .filter(|a| a.indices.iter().any(|ix| ix.as_str() == "i"))
+                .count() as u32,
             has_const: p.rhs.has_const_sym(),
-            ops: p.rhs.operators(),
-            rhs_operand_slots: p.rhs.operands().len(),
+            ops: p.rhs.operators().iter().fold(0, |m, op| m | 1 << *op as u8),
             op_holes: 0,
+            rhs_operand_slots: p.rhs.operands().len() as u32,
             complete: true,
-        };
-        (facts, p)
+            a4_violated: crate::reference::a4_violated(&p),
+        }
     }
 
     fn ctx(dim_list: Vec<usize>, live: Vec<BinOp>) -> PenaltyContext {
@@ -277,65 +247,65 @@ mod tests {
 
     #[test]
     fn a3_kills_out_of_order_symbols() {
-        let (facts, p) = facts_of("a(i) = c(i) * b(i)");
+        let facts = facts_of("a(i) = c(i) * b(i)");
         let c = ctx(vec![1, 1, 1], vec![BinOp::Mul]);
-        assert!(td_penalty(&facts, Some(&p), &c).is_infinite());
+        assert!(td_penalty(&facts, &c).is_infinite());
     }
 
     #[test]
     fn a2_penalises_wrong_length() {
-        let (facts, p) = facts_of("a(i) = b(i)");
+        let facts = facts_of("a(i) = b(i)");
         let c = ctx(vec![1, 1, 1], vec![BinOp::Mul]);
-        let x = td_penalty(&facts, Some(&p), &c);
+        let x = td_penalty(&facts, &c);
         assert!((x - 100.0).abs() < 1e-9);
     }
 
     #[test]
     fn a4_kills_self_subtraction() {
-        let (facts, p) = facts_of("a(i) = b(i) - b(i)");
+        let facts = facts_of("a(i) = b(i) - b(i)");
         let c = ctx(vec![1, 1, 1], vec![BinOp::Sub]);
-        assert!(td_penalty(&facts, Some(&p), &c).is_infinite());
+        assert!(td_penalty(&facts, &c).is_infinite());
         // Self-multiplication is fine (sum of squares).
-        let (f2, p2) = facts_of("a = b(i) * b(i)");
+        let f2 = facts_of("a = b(i) * b(i)");
         let c2 = ctx(vec![0, 1, 1], vec![BinOp::Mul]);
-        assert_eq!(td_penalty(&f2, Some(&p2), &c2), 0.0);
+        assert_eq!(td_penalty(&f2, &c2), 0.0);
     }
 
     #[test]
     fn a5_requires_op_coverage() {
         // Live ops {+, *}: min 1 distinct → * alone passes.
-        let (facts, p) = facts_of("a(i) = b(i,j) * c(j)");
+        let facts = facts_of("a(i) = b(i,j) * c(j)");
         let c = ctx(vec![1, 2, 1], vec![BinOp::Add, BinOp::Mul]);
-        assert_eq!(td_penalty(&facts, Some(&p), &c), 0.0);
+        assert_eq!(td_penalty(&facts, &c), 0.0);
         // Live ops {+,-,*}: min 2 distinct → * alone fails.
         let c3 = ctx(vec![1, 2, 1], vec![BinOp::Add, BinOp::Sub, BinOp::Mul]);
-        assert!(td_penalty(&facts, Some(&p), &c3).is_infinite());
+        assert!(td_penalty(&facts, &c3).is_infinite());
     }
 
     #[test]
     fn a1_bias_on_long_expressions() {
         // 3 RHS operands (length 4), has const in grammar, no const used,
         // and only one tensor uses i.
-        let (facts, p) = facts_of("a(i) = b(i) + c(j) + d(j)");
+        let facts = facts_of("a(i) = b(i) + c(j) + d(j)");
         let mut c = ctx(vec![1, 1, 1, 1], vec![BinOp::Add]);
-        let x = td_penalty(&facts, Some(&p), &c);
+        let x = td_penalty(&facts, &c);
         assert!(x >= 10.0);
         // Dropping a1 removes the bias.
         c.settings = c.settings.drop_rule("a1");
-        let x2 = td_penalty(&facts, Some(&p), &c);
+        let x2 = td_penalty(&facts, &c);
         assert!(x2 < 10.0);
     }
 
     #[test]
     fn b1_soft_alphabetical() {
-        let (facts, _) = facts_of("a(i) = c(i) * b(i)");
+        let facts = facts_of("a(i) = c(i) * b(i)");
         let c = ctx(vec![1, 1, 1], vec![BinOp::Mul]);
         assert_eq!(bu_penalty(&facts, &c), 100.0);
     }
 
     #[test]
     fn b2_fires_at_predicted_size() {
-        let (facts, _) = facts_of("a(i) = b(i) + c(i)");
+        let facts = facts_of("a(i) = b(i) + c(i)");
         // Live {+,-,*,/}: min 2; only + used and size reached.
         let c = ctx(vec![1, 1, 1], BinOp::ALL.to_vec());
         assert!(bu_penalty(&facts, &c).is_infinite());
@@ -346,22 +316,20 @@ mod tests {
 
     #[test]
     fn partial_a2_only_when_exceeded() {
-        let facts = TreeFacts {
-            accesses: vec![Access::new("a", &["i"])],
-            has_const: false,
-            ops: vec![],
+        let facts = Facts {
+            lhs_placed: true,
+            symbols: 1,
             rhs_operand_slots: 1,
-            op_holes: 0,
-            complete: false,
+            ..Facts::ROOT
         };
         let mut c = ctx(vec![1, 1, 1], vec![BinOp::Mul]);
         c.grammar_has_const = false; // isolate a2 from a1
-        assert_eq!(td_penalty(&facts, None, &c), 0.0, "can still grow");
-        let facts_big = TreeFacts {
+        assert_eq!(td_penalty(&facts, &c), 0.0, "can still grow");
+        let facts_big = Facts {
             rhs_operand_slots: 4,
             ..facts
         };
-        assert!((td_penalty(&facts_big, None, &c) - 100.0).abs() < 1e-9);
+        assert!((td_penalty(&facts_big, &c) - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -369,9 +337,9 @@ mod tests {
         let s = PenaltySettings::all().drop_rule("a4");
         assert!(!s.a4);
         assert!(s.a3);
-        let (facts, p) = facts_of("a(i) = b(i) - b(i)");
+        let facts = facts_of("a(i) = b(i) - b(i)");
         let mut c = ctx(vec![1, 1, 1], vec![BinOp::Sub]);
         c.settings = s;
-        assert!(!td_penalty(&facts, Some(&p), &c).is_infinite());
+        assert!(!td_penalty(&facts, &c).is_infinite());
     }
 }

@@ -5,21 +5,21 @@ use gtl_template::{GrammarShape, TemplateGrammar};
 
 use crate::driver::{SearchBudget, SearchHooks, SearchOutcome, TemplateChecker};
 use crate::frontier::{run_search, Child, Expand};
-use crate::node::{td_tree_to_program, tree_facts, CostModel, Tree};
+use crate::node::{Derivation, Rules};
 use crate::penalty::{td_penalty, PenaltyContext};
 
-/// The top-down judgement of a dequeued partial derivation tree
-/// (Algorithm 1 lines 5–12).
-struct TdExpand<'a> {
+/// The top-down judgement of a dequeued partial derivation (Algorithm 1
+/// lines 5–12).
+pub(crate) struct TdExpand<'a> {
     grammar: &'a TemplateGrammar,
     ctx: &'a PenaltyContext,
-    costs: CostModel,
+    rules: Rules,
     max_depth: usize,
 }
 
 impl<'a> TdExpand<'a> {
     /// Builds the expander; panics if `grammar` is not top-down shaped.
-    fn new(
+    pub(crate) fn new(
         grammar: &'a TemplateGrammar,
         ctx: &'a PenaltyContext,
         max_depth: usize,
@@ -32,78 +32,67 @@ impl<'a> TdExpand<'a> {
         TdExpand {
             grammar,
             ctx,
-            costs: CostModel::new(&grammar.pcfg),
+            rules: Rules::new(grammar),
             max_depth,
         }
+    }
+
+    fn too_deep(&self, depth: u32) -> bool {
+        depth as usize > self.max_depth
     }
 }
 
 impl Expand for TdExpand<'_> {
-    fn root(&self) -> Tree {
-        Tree::Hole(self.grammar.pcfg.start())
+    fn rules(&self) -> &Rules {
+        &self.rules
     }
 
     // Depth limit (Algorithm 1 line 5).
-    fn skip(&self, tree: &Tree) -> bool {
-        tree.expr_depth() > self.max_depth
+    fn skip(&self, d: &Derivation) -> bool {
+        self.too_deep(d.depth())
     }
 
-    // Lines 7–11: complete trees become checker candidates.
-    fn candidate(&self, tree: &Tree) -> Option<TacoProgram> {
-        if !tree.is_complete() {
-            return None;
-        }
-        td_tree_to_program(tree).ok()
+    // Lines 7–11: complete derivations become checker candidates.
+    fn candidate(&self, d: &Derivation) -> Option<TacoProgram> {
+        d.facts().complete.then(|| d.td_program(&self.rules))
     }
 
     // Line 12: expand the leftmost nonterminal with every rule.
-    fn children(&self, tree: &Tree, cost: f64) -> Vec<Child> {
-        if tree.is_complete() {
-            return Vec::new();
-        }
-        let Some(nt) = tree.leftmost_hole() else {
-            return Vec::new();
+    fn children(&self, d: &Derivation, cost: f64, out: &mut Vec<Child>) {
+        let Some(nt) = d.leftmost_hole() else {
+            return;
         };
-        let mut out = Vec::new();
-        for rid in self.grammar.pcfg.rules_of(nt) {
-            let rule_cost = self.costs.cost(*rid);
+        for &rule in self.grammar.pcfg.rules_of(nt) {
+            let rule_cost = self.rules.cost(rule);
             if rule_cost.is_infinite() {
                 continue;
             }
-            let rhs = &self.grammar.pcfg.rule(*rid).rhs;
-            let child = tree.expand_leftmost(rhs).expect("leftmost hole exists");
-            if child.expr_depth() > self.max_depth {
+            let step = d.child(&self.rules, rule);
+            if self.too_deep(step.depth) {
                 continue;
             }
             let c = cost + rule_cost;
-            let g = self.costs.remaining_cost(&child);
+            let g = d.child_remaining_cost(&self.rules, rule);
             if g.is_infinite() {
                 continue;
             }
-            let facts = tree_facts(&child, self.grammar.nts.op, &[]);
-            let program = if facts.complete {
-                td_tree_to_program(&child).ok()
-            } else {
-                None
-            };
-            let x = td_penalty(&facts, program.as_ref(), self.ctx);
+            let x = td_penalty(&step.facts, self.ctx);
             if x.is_infinite() {
                 continue;
             }
             out.push(Child {
-                tree: child,
+                rule,
                 cost: c,
                 f: c + g + x,
             });
         }
-        out
     }
 }
 
 /// Runs the top-down weighted A\* enumeration of Algorithm 1 over a
 /// (learned) top-down template grammar.
 ///
-/// The queue holds partial derivation trees ordered by
+/// The queue holds partial leftmost derivations ordered by
 /// `f(x) = c(x) + g(x) + X(x)`:
 /// `c` accumulates `-log2 P` of applied rules, `g` sums the
 /// Viterbi-inside heuristic over remaining holes, and `X` is the penalty

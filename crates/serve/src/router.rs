@@ -635,7 +635,10 @@ impl RouterHandle {
                 format!("`{addr}` resolves to no address"),
             )
         })?;
-        TcpStream::connect_timeout(&resolved, self.state.config.connect_timeout)
+        let stream = TcpStream::connect_timeout(&resolved, self.state.config.connect_timeout)?;
+        // Forwarded lines and relayed events must not wait on Nagle.
+        stream.set_nodelay(true)?;
+        Ok(stream)
     }
 
     /// Fire-and-forget one line to a replica (cancel, shutdown).

@@ -89,6 +89,9 @@ where
             match listener.accept() {
                 Ok((stream, peer)) => {
                     eprintln!("{label}: client {peer} connected");
+                    // Event lines are small writes a client waits on: send
+                    // each at once rather than coalescing behind an ACK.
+                    let _ = stream.set_nodelay(true);
                     if let Ok(clone) = stream.try_clone() {
                         connections.lock().expect("connections poisoned").push(clone);
                     }
@@ -124,10 +127,12 @@ fn serve_connection<H: LineHandler>(handler: &H, stream: TcpStream) -> LineActio
     };
     let writer = Arc::new(Mutex::new(writer));
     let sink: EventSink = Arc::new(move |event: &Event| {
+        let mut line = event.to_line();
+        line.push('\n');
         let mut out = writer.lock().expect("writer poisoned");
-        // A disconnected peer just drops its events.
-        let _ = writeln!(out, "{}", event.to_line());
-        let _ = out.flush();
+        // One write per event, so the line leaves as one segment. A
+        // disconnected peer just drops its events.
+        let _ = out.write_all(line.as_bytes());
     });
     let reader = std::io::BufReader::new(stream);
     for line in reader.lines() {

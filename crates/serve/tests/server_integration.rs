@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use gtl::StaggConfig;
 use gtl_search::SearchBudget;
 use gtl_serve::{
-    ConfigOverrides, ErrorCode, Event, EventSink, KernelSpec, LiftRequest, LiftServer,
-    ServerConfig, ServerHandle,
+    serve_listener, ConfigOverrides, ErrorCode, Event, EventSink, KernelSpec, LiftClient,
+    LiftRequest, LiftServer, ServerConfig, ServerHandle,
 };
 
 /// A small-budget base config so tests stay fast.
@@ -489,4 +489,38 @@ fn shutdown_drains_queued_jobs_with_shutting_down() {
         ),
         "queued lift must drain with shutting_down: {queued:?}"
     );
+}
+
+#[test]
+fn tcp_round_trips_are_not_held_back_by_nagle() {
+    // Each event must leave the server as one segment. An event line
+    // written as two sends (the JSON, then its newline) leaves the
+    // newline queued behind Nagle's algorithm until the client's delayed
+    // ACK, about 40 ms per event on Linux loopback: 20 round trips took
+    // at least 800 ms that way.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = quick_server(1);
+    let thread = std::thread::spawn(move || {
+        serve_listener(listener, "nagle-server", || server.handle());
+        server.shutdown();
+    });
+    let mut client = LiftClient::connect(&addr).expect("connect");
+    // The cold lift fills the result cache; the timed lifts are hits.
+    let warm = client.lift(LiftRequest::benchmark("warm", "blas_dot")).expect("lift");
+    assert!(matches!(warm.last(), Some(Event::Done { .. })), "{warm:?}");
+    let started = Instant::now();
+    for n in 0..20 {
+        let events = client
+            .lift(LiftRequest::benchmark(format!("hit-{n}"), "blas_dot"))
+            .expect("lift");
+        assert!(matches!(events.last(), Some(Event::Done { .. })), "{events:?}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 cached round trips took {elapsed:?}"
+    );
+    client.shutdown().expect("send shutdown");
+    thread.join().expect("server thread");
 }
