@@ -5,7 +5,7 @@
 //! lift_server [--stdio | --listen ADDR] [--workers N] [--queue N]
 //!             [--progress-ms N] [--timeout-ms N]
 //!             [--oracle SPEC] [--oracles KIND,KIND]
-//!             [--store PATH] [--rotate-store-bytes N]
+//!             [--store PATH]
 //!             [--max-inflight-per-client N]
 //!             [--peers ADDR,ADDR] [--accept-shares]
 //!             [--slow-lift-ms N] [--journal-capacity N]
@@ -24,13 +24,9 @@
 //! `--store PATH` makes completed lifts durable: every deterministic
 //! terminal outcome is appended to a crash-tolerant `gtl_store` log,
 //! and a restarted server prefills its result cache from it — repeat
-//! lifts answer as cache hits with zero search attempts.
-//! `--rotate-store-bytes N` seals the live store log into immutable
-//! segments once it exceeds N bytes, keeping append latency flat and
-//! letting compaction work on sealed segments only; once rotation
-//! leaves [`SEGMENT_MERGE_THRESHOLD`] sealed segments on disk, the
-//! append that crossed the line signals a background merge thread —
-//! the write path never waits for the snapshot merge.
+//! lifts answer as cache hits with zero search attempts. The store is
+//! one append-only file; at startup it is compacted in place when
+//! superseded records outnumber live ones.
 //! `--max-inflight-per-client N` caps how many lifts one client may
 //! have queued or running at once (excess submissions are rejected
 //! with `rate_limited`).
@@ -63,7 +59,6 @@ struct Args {
     oracle: Option<String>,
     oracles: Option<String>,
     store: Option<String>,
-    rotate_store_bytes: Option<u64>,
     max_inflight_per_client: usize,
     peers: Vec<String>,
     accept_shares: bool,
@@ -71,14 +66,9 @@ struct Args {
     journal_capacity: Option<usize>,
 }
 
-/// Sealed segments a rotated store may accumulate before the next
-/// append signals the background merge (or the startup stale-check
-/// merges inline).
-const SEGMENT_MERGE_THRESHOLD: u64 = 8;
-
 const USAGE: &str = "usage: lift_server [--stdio | --listen ADDR] [--workers N] [--queue N] \
 [--progress-ms N] [--timeout-ms N] [--oracle SPEC] [--oracles KIND,KIND] \
-[--store PATH] [--rotate-store-bytes N] [--max-inflight-per-client N] \
+[--store PATH] [--max-inflight-per-client N] \
 [--peers ADDR,ADDR] [--accept-shares] [--slow-lift-ms N] [--journal-capacity N]";
 
 fn usage_error(message: &str) -> ! {
@@ -96,7 +86,6 @@ fn parse_args() -> Args {
         oracle: None,
         oracles: None,
         store: None,
-        rotate_store_bytes: None,
         max_inflight_per_client: 0,
         peers: Vec::new(),
         accept_shares: false,
@@ -129,12 +118,6 @@ fn parse_args() -> Args {
             "--oracle" => args.oracle = Some(value("--oracle")),
             "--oracles" => args.oracles = Some(value("--oracles")),
             "--store" => args.store = Some(value("--store")),
-            "--rotate-store-bytes" => {
-                args.rotate_store_bytes = Some(int_value(
-                    "--rotate-store-bytes",
-                    value("--rotate-store-bytes"),
-                ))
-            }
             "--max-inflight-per-client" => {
                 args.max_inflight_per_client = int_value(
                     "--max-inflight-per-client",
@@ -167,9 +150,6 @@ fn parse_args() -> Args {
     if stdio && args.listen.is_some() {
         usage_error("--stdio and --listen are mutually exclusive");
     }
-    if args.rotate_store_bytes.is_some() && args.store.is_none() {
-        usage_error("--rotate-store-bytes requires --store");
-    }
     args
 }
 
@@ -199,13 +179,8 @@ fn main() {
     // The persistent store: recover, compact when mostly superseded,
     // report what warm-start will serve.
     let store = args.store.as_ref().map(|path| {
-        let store = match args.rotate_store_bytes {
-            Some(bytes) => {
-                gtl_store::LiftStore::open_with_compaction(path, bytes, SEGMENT_MERGE_THRESHOLD)
-            }
-            None => gtl_store::LiftStore::open(path),
-        }
-        .unwrap_or_else(|e| usage_error(&format!("--store: {e}")));
+        let store = gtl_store::LiftStore::open(path)
+            .unwrap_or_else(|e| usage_error(&format!("--store: {e}")));
         if store.recovery().truncated_tail {
             eprintln!(
                 "lift_server: store {path}: dropped a torn tail record ({} bytes)",

@@ -8,10 +8,9 @@
 //! transports are written (and tested) once.
 
 use std::io::{BufRead, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::protocol::Event;
 use crate::server::{EventSink, LineAction, ServerHandle};
@@ -67,26 +66,37 @@ pub fn serve_stdio<H: LineHandler>(handler: &H) -> LineAction {
 
 /// Accepts TCP clients on an already-bound listener (callers bind —
 /// tests use port 0) until one of them requests shutdown, creating one
-/// handler per connection via `new_handler`. Sibling connections are
-/// unblocked by shutting their sockets down, so a `shutdown` request
-/// stops the whole process promptly even while other clients sit idle
-/// in blocking reads. `label` prefixes connection log lines.
+/// handler per connection via `new_handler`. The acceptor blocks in
+/// `accept`, so a new client is served at once; the connection that
+/// receives `shutdown` wakes it with one loopback connect. Sibling
+/// connections are unblocked by shutting their sockets down, so a
+/// `shutdown` request stops the whole process promptly even while other
+/// clients sit idle in blocking reads. `label` prefixes connection log
+/// lines.
 pub fn serve_listener<H, F>(listener: TcpListener, label: &str, new_handler: F)
 where
     H: LineHandler + Send,
     F: Fn() -> H + Sync,
 {
-    listener
-        .set_nonblocking(true)
-        .expect("set_nonblocking on listener");
+    let wake_addr = listener.local_addr().ok().map(|mut addr| {
+        // A wildcard bind is reachable on loopback.
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        addr
+    });
     let stop = AtomicBool::new(false);
     let connections: Mutex<Vec<TcpStream>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         loop {
+            let accepted = listener.accept();
             if stop.load(Ordering::Acquire) {
                 break;
             }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, peer)) => {
                     eprintln!("{label}: client {peer} connected");
                     // Event lines are small writes a client waits on: send
@@ -100,11 +110,11 @@ where
                     scope.spawn(move || {
                         if serve_connection(&handler, stream) == LineAction::Shutdown {
                             stop.store(true, Ordering::Release);
+                            if let Some(addr) = wake_addr {
+                                let _ = TcpStream::connect(addr);
+                            }
                         }
                     });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(50));
                 }
                 Err(e) => {
                     eprintln!("{label}: accept failed: {e}");

@@ -72,7 +72,7 @@ fn inspect(path: &Path) {
     println!("{}: kind {kind}", path.display());
     println!("  records: {} ({} live, {superseded} superseded)", loaded.records.len(), live.len());
     if loaded.sealed_files > 0 {
-        println!("  sealed files: {} (snapshot/segments replayed before the live log)", loaded.sealed_files);
+        println!("  legacy sealed files: {} (folded into the live log on next open)", loaded.sealed_files);
     }
     if loaded.recovery.truncated_tail {
         println!(

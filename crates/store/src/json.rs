@@ -20,6 +20,12 @@ use std::fmt;
 /// may have been silently rounded, so [`Json::as_u64`] rejects it.
 const F64_EXACT_LIMIT: f64 = 9_007_199_254_740_992.0;
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one wire line of
+/// brackets overflows the stack; deeper input is a [`JsonError`]. No
+/// document this workspace writes comes near it.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Debug, Clone)]
 pub enum Json {
@@ -257,6 +263,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -270,6 +277,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -310,8 +319,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -583,6 +603,20 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_recursing_past_the_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far deeper than any stack could recurse: still a typed error.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
+        let mixed = format!("{}1{}", "[{\"k\":".repeat(64), "}]".repeat(64));
+        assert!(parse(&mixed).is_ok(), "128 levels of mixed nesting parse");
     }
 
     #[test]

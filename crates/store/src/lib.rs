@@ -10,7 +10,9 @@
 //!   append is a single `write` of one full line, so a crash can only
 //!   tear the final record; `open` recovers by truncating the torn
 //!   tail, and corruption anywhere else fails with a typed
-//!   [`StoreError`] (never a panic, never silent data loss).
+//!   [`StoreError`] (never a panic, never silent data loss). Each log
+//!   is exactly one file; the sealed segments and snapshot older builds
+//!   could leave next to it are folded into that file at open.
 //! - [`LiftStore`] — completed lift outcomes keyed by the serving
 //!   layer's normalized request hash, with last-writer-wins indexing
 //!   and atomic offline [compaction](LiftStore::compact). `lift_server
@@ -18,6 +20,8 @@
 //!   search attempts; `batch_suite --store` warm-starts suite runs.
 //! - [`json`] — the workspace's one std-only JSON implementation,
 //!   shared with the serving wire protocol and the oracle fixtures.
+//!   Nesting is bounded ([`json::MAX_DEPTH`]), so no input can recurse
+//!   the parser off the stack.
 //!
 //! The `store_tool` binary inspects, compacts and exports store files
 //! offline.
@@ -60,6 +64,6 @@ pub use lift::{
     parse_export, CompactionStats, LiftRecord, LiftStore, StoreCounters, LIFT_LOG_KIND,
 };
 pub use log::{
-    is_log_file, is_log_header, JsonlLog, LoadedLog, Recovery, SealedCompaction, StoreError,
-    FIXTURE_LOG_KIND, STORE_VERSION,
+    is_log_file, is_log_header, JsonlLog, LoadedLog, Recovery, StoreError, FIXTURE_LOG_KIND,
+    STORE_VERSION,
 };

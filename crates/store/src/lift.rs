@@ -9,11 +9,15 @@
 //! the request key — `lift_server --store` warm-starts its result
 //! cache from it, `batch_suite --store` skips already-solved
 //! benchmarks, and `store_tool` inspects/compacts/exports it offline.
+//!
+//! A store is exactly one file. A store left in an older build's rotated
+//! layout (sealed segments plus a snapshot) is folded into that file at
+//! open (see [`JsonlLog::open`]); nothing else here knows about it.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
 use crate::json::Json;
 use crate::log::{JsonlLog, Recovery, StoreError};
@@ -136,146 +140,14 @@ pub struct CompactionStats {
 /// is `Sync` and meant to be shared by every worker of a server.
 #[derive(Debug)]
 pub struct LiftStore {
-    log: Arc<JsonlLog>,
+    log: JsonlLog,
     index: Mutex<HashMap<u64, LiftRecord>>,
     loaded: u64,
     /// Superseded records observed in the log at open time.
     superseded_at_open: u64,
-    /// Sealed segment count at which an append triggers the sealed
-    /// merge ([`LiftStore::open_with_compaction`]); `None` leaves
-    /// compaction entirely to explicit [`LiftStore::compact`] calls.
-    compact_at_segments: Option<u64>,
     recovery: Recovery,
     appended: AtomicU64,
-    compactions: Arc<AtomicU64>,
-    /// The background merge worker ([`LiftStore::open_with_compaction`]
-    /// only): threshold-crossing appends signal it instead of merging
-    /// inline, so the write path never pays for a compaction.
-    merger: Option<MergeWorker>,
-}
-
-/// Shared handshake between appenders and the merge thread.
-#[derive(Debug, Default)]
-struct MergeSignal {
-    state: Mutex<MergeState>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct MergeState {
-    /// An append crossed the segment threshold; a merge should run.
-    requested: bool,
-    /// The worker is currently inside a merge.
-    running: bool,
-    /// The store is dropping; finish any requested work and exit.
-    shutdown: bool,
-}
-
-/// The background sealed-segment merge thread. Appends only flip a
-/// flag under a tiny mutex; the worker does the file I/O off the write
-/// path, serialized against explicit [`LiftStore::compact`] calls by
-/// the log's own merge lock.
-#[derive(Debug)]
-struct MergeWorker {
-    signal: Arc<MergeSignal>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MergeWorker {
-    fn spawn(log: Arc<JsonlLog>, compactions: Arc<AtomicU64>, threshold: u64) -> MergeWorker {
-        let signal = Arc::new(MergeSignal::default());
-        let thread_signal = Arc::clone(&signal);
-        let handle = std::thread::Builder::new()
-            .name("gtl-store-merge".into())
-            .spawn(move || merge_loop(&log, &compactions, threshold, &thread_signal))
-            .expect("spawn store merge thread");
-        MergeWorker {
-            signal,
-            handle: Some(handle),
-        }
-    }
-
-    /// Flags a merge request; the worker picks it up when free.
-    fn request(&self) {
-        let mut state = self.signal.state.lock().expect("merge signal poisoned");
-        state.requested = true;
-        self.signal.cv.notify_all();
-    }
-
-    /// Blocks until no merge is requested or running.
-    fn flush(&self) {
-        let mut state = self.signal.state.lock().expect("merge signal poisoned");
-        while state.requested || state.running {
-            state = self
-                .signal
-                .cv
-                .wait(state)
-                .expect("merge signal poisoned");
-        }
-    }
-}
-
-fn merge_loop(
-    log: &JsonlLog,
-    compactions: &AtomicU64,
-    threshold: u64,
-    signal: &MergeSignal,
-) {
-    loop {
-        {
-            let mut state = signal.state.lock().expect("merge signal poisoned");
-            while !state.requested && !state.shutdown {
-                state = signal.cv.wait(state).expect("merge signal poisoned");
-            }
-            if state.shutdown && !state.requested {
-                return;
-            }
-            state.requested = false;
-            state.running = true;
-        }
-        // Re-check under current conditions: an earlier merge (or an
-        // explicit compact) may already have drained the backlog since
-        // the request was flagged.
-        if log.sealed_segments() as u64 >= threshold {
-            match log.compact_sealed(merge_lift_records) {
-                Ok(_) => {
-                    compactions.fetch_add(1, Ordering::Relaxed);
-                }
-                // A failed background merge loses no data (the sealed
-                // files are intact) and the next threshold crossing
-                // retries, so report and carry on.
-                Err(e) => eprintln!("gtl_store: background segment merge failed: {e}"),
-            }
-        }
-        let mut state = signal.state.lock().expect("merge signal poisoned");
-        state.running = false;
-        signal.cv.notify_all();
-    }
-}
-
-/// The sealed-merge policy for lift logs: last writer wins per key;
-/// records the decoder cannot read are kept verbatim (never silently
-/// dropped).
-fn merge_lift_records(records: Vec<Json>) -> Vec<Json> {
-    let mut order: Vec<String> = Vec::new();
-    let mut by_key: HashMap<String, Json> = HashMap::new();
-    let mut unreadable: Vec<Json> = Vec::new();
-    for record in records {
-        match record.get("key").and_then(Json::as_str) {
-            Some(key) => {
-                if by_key.insert(key.to_string(), record.clone()).is_none() {
-                    order.push(key.to_string());
-                }
-            }
-            None => unreadable.push(record),
-        }
-    }
-    let mut merged: Vec<Json> = order
-        .into_iter()
-        .map(|key| by_key.remove(&key).expect("keyed above"))
-        .collect();
-    merged.extend(unreadable);
-    merged
+    compactions: AtomicU64,
 }
 
 impl LiftStore {
@@ -289,59 +161,8 @@ impl LiftStore {
     /// or kind mismatch, corruption before the tail, or a record
     /// missing required members.
     pub fn open(path: impl Into<PathBuf>) -> Result<LiftStore, StoreError> {
-        Self::open_with(path, None)
-    }
-
-    /// [`LiftStore::open`] with optional segment rotation: when
-    /// `rotate_at_bytes` is set, the live log file is sealed into an
-    /// immutable `.seg-NNNNNN` segment each time it grows past the
-    /// limit, and [`LiftStore::compact`] merges sealed segments into a
-    /// `.snap` snapshot without ever rewriting the live file. A store
-    /// rotated here still opens fine through plain [`LiftStore::open`].
-    ///
-    /// # Errors
-    ///
-    /// As [`LiftStore::open`].
-    pub fn open_with(
-        path: impl Into<PathBuf>,
-        rotate_at_bytes: Option<u64>,
-    ) -> Result<LiftStore, StoreError> {
-        Self::open_impl(path.into(), rotate_at_bytes, None)
-    }
-
-    /// [`LiftStore::open_with`] with the segment-count maintenance rule
-    /// armed: whenever rotation leaves `compact_at_segments` or more
-    /// sealed `.seg-NNNNNN` files on disk, the append that crossed the
-    /// threshold merges them into the snapshot ([`LiftStore::compact`])
-    /// before returning. The live file is still never rewritten, and
-    /// [`LiftStore::compact_if_stale`] treats the same threshold as
-    /// staleness, so startup maintenance merges an over-segmented store
-    /// even when superseded records do not dominate.
-    ///
-    /// # Errors
-    ///
-    /// As [`LiftStore::open`].
-    pub fn open_with_compaction(
-        path: impl Into<PathBuf>,
-        rotate_at_bytes: u64,
-        compact_at_segments: u64,
-    ) -> Result<LiftStore, StoreError> {
-        Self::open_impl(
-            path.into(),
-            Some(rotate_at_bytes),
-            Some(compact_at_segments.max(1)),
-        )
-    }
-
-    fn open_impl(
-        path: PathBuf,
-        rotate_at_bytes: Option<u64>,
-        compact_at_segments: Option<u64>,
-    ) -> Result<LiftStore, StoreError> {
-        let (log, loaded) = match rotate_at_bytes {
-            Some(limit) => JsonlLog::open_rotating(&path, LIFT_LOG_KIND, limit)?,
-            None => JsonlLog::open(&path, LIFT_LOG_KIND)?,
-        };
+        let path = path.into();
+        let (log, loaded) = JsonlLog::open(&path, LIFT_LOG_KIND)?;
         let mut index = HashMap::new();
         let mut superseded = 0u64;
         for (n, doc) in loaded.records.iter().enumerate() {
@@ -355,23 +176,14 @@ impl LiftStore {
                 superseded += 1;
             }
         }
-        let log = Arc::new(log);
-        let compactions = Arc::new(AtomicU64::new(0));
-        // With the maintenance rule armed, merges run on a dedicated
-        // background thread — the appending thread only signals it.
-        let merger = compact_at_segments.map(|threshold| {
-            MergeWorker::spawn(Arc::clone(&log), Arc::clone(&compactions), threshold)
-        });
         Ok(LiftStore {
             log,
             loaded: index.len() as u64,
             superseded_at_open: superseded,
-            compact_at_segments,
             recovery: loaded.recovery,
             index: Mutex::new(index),
             appended: AtomicU64::new(0),
-            compactions,
-            merger,
+            compactions: AtomicU64::new(0),
         })
     }
 
@@ -402,11 +214,7 @@ impl LiftStore {
     /// would corrupt the next open; nothing is stored. [`StoreError::Io`]
     /// when the append cannot be written; the in-memory index is
     /// updated regardless, so serving continues and a later append can
-    /// supersede cleanly. A threshold-crossing append
-    /// ([`LiftStore::open_with_compaction`]) only *signals* the
-    /// background merge worker — the merge itself never runs on (or
-    /// delays) the appending thread, and a merge failure is reported on
-    /// stderr by the worker, not here.
+    /// supersede cleanly.
     pub fn append(&self, record: LiftRecord) -> Result<bool, StoreError> {
         if !record.seconds.is_finite() {
             return Err(StoreError::NonFinite {
@@ -426,39 +234,7 @@ impl LiftStore {
         }
         self.log.append(&record.to_json())?;
         self.appended.fetch_add(1, Ordering::Relaxed);
-        if self.over_segmented() {
-            match &self.merger {
-                Some(worker) => worker.request(),
-                // Unreachable today (the threshold implies a worker),
-                // but merging inline is the correct degraded behavior.
-                None => {
-                    self.compact()?;
-                }
-            }
-        }
         Ok(true)
-    }
-
-    /// Blocks until the background merge worker is idle with no merge
-    /// pending — the barrier tests and orderly shutdowns use before
-    /// inspecting segment counts or compaction counters. A no-op for
-    /// stores without the maintenance rule.
-    pub fn flush_merges(&self) {
-        if let Some(worker) = &self.merger {
-            worker.flush();
-        }
-    }
-
-    /// Whether the sealed half has fragmented past the maintenance
-    /// threshold (always `false` without [`LiftStore::open_with_compaction`]).
-    fn over_segmented(&self) -> bool {
-        self.compact_at_segments
-            .is_some_and(|limit| self.log.sealed_segments() as u64 >= limit)
-    }
-
-    /// Sealed `.seg-NNNNNN` files currently backing this store.
-    pub fn sealed_segments(&self) -> usize {
-        self.log.sealed_segments()
     }
 
     /// Live records currently indexed.
@@ -485,31 +261,15 @@ impl LiftStore {
         records
     }
 
-    /// Compacts the log down to the live set. Served answers are
+    /// Compacts the log down to the live set by rewriting the whole
+    /// file atomically (temp file then rename). Served answers are
     /// unchanged: compaction drops only superseded records.
-    ///
-    /// Unsegmented stores rewrite the whole file atomically (temp
-    /// file then rename). Segmented stores ([`LiftStore::open_with`])
-    /// instead merge the snapshot and sealed segments — last writer wins per
-    /// key — into a fresh snapshot and delete the segments; the live
-    /// file is **never rewritten**, so concurrent appends only wait on
-    /// the lock, never race a rename.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] when a write fails; the original files are
+    /// [`StoreError::Io`] when a write fails; the original file is
     /// untouched in that case.
     pub fn compact(&self) -> Result<CompactionStats, StoreError> {
-        if self.log.has_sealed() {
-            let stats = self.log.compact_sealed(merge_lift_records)?;
-            self.compactions.fetch_add(1, Ordering::Relaxed);
-            return Ok(CompactionStats {
-                records_before: stats.records_before as u64,
-                records_after: stats.records_after as u64,
-                bytes_before: stats.bytes_before,
-                bytes_after: stats.bytes_after,
-            });
-        }
         // Hold the index lock across the rewrite so a concurrent append
         // cannot land between snapshot and rename (it would be lost).
         let index = self.index.lock().expect("lift index poisoned");
@@ -533,16 +293,14 @@ impl LiftStore {
     }
 
     /// Compacts only when the log is stale: it carries more superseded
-    /// than live records, or (with [`LiftStore::open_with_compaction`])
-    /// the sealed half has fragmented past the segment threshold. This
-    /// is the deterministic maintenance rule `lift_server --store`
-    /// applies at startup.
+    /// than live records. This is the deterministic maintenance rule
+    /// `lift_server --store` applies at startup.
     ///
     /// # Errors
     ///
     /// As [`LiftStore::compact`].
     pub fn compact_if_stale(&self) -> Result<Option<CompactionStats>, StoreError> {
-        if self.superseded_at_open > self.loaded || self.over_segmented() {
+        if self.superseded_at_open > self.loaded {
             self.compact().map(Some)
         } else {
             Ok(None)
@@ -566,24 +324,6 @@ impl LiftStore {
     /// What recovery had to do when this store was opened.
     pub fn recovery(&self) -> &Recovery {
         &self.recovery
-    }
-}
-
-impl Drop for LiftStore {
-    fn drop(&mut self) {
-        // Stop the merge worker, letting a requested merge finish
-        // first so a closing store leaves its segments as compact as
-        // the synchronous path used to.
-        if let Some(worker) = self.merger.take() {
-            {
-                let mut state = worker.signal.state.lock().expect("merge signal poisoned");
-                state.shutdown = true;
-                worker.signal.cv.notify_all();
-            }
-            if let Some(handle) = worker.handle {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
@@ -779,160 +519,84 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    fn cleanup_rotated(path: &Path) {
-        if let Some(dir) = path.parent() {
-            let prefix = path.file_name().unwrap().to_str().unwrap().to_string();
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for entry in entries.flatten() {
-                    if entry.file_name().to_str().is_some_and(|n| n.starts_with(&prefix)) {
-                        let _ = std::fs::remove_file(entry.path());
-                    }
-                }
-            }
+    /// Writes one file of the pre-fold rotated layout by hand: the
+    /// version header, then one line per record.
+    fn write_legacy(path: &Path, records: &[LiftRecord]) {
+        let mut text = String::from("{\"gtl_store\":1,\"kind\":\"lift_outcomes\"}\n");
+        for record in records {
+            text.push_str(&record.to_json().to_line());
+            text.push('\n');
         }
+        std::fs::write(path, text).unwrap();
     }
 
-    #[test]
-    fn rotated_store_survives_restart_and_compacts_sealed_only() {
-        let path = tmp("rotated");
-        cleanup_rotated(&path);
-        {
-            // Small limit so a handful of records spans several segments.
-            let store = LiftStore::open_with(&path, Some(256)).unwrap();
-            for round in 0..4u64 {
-                for key in 0..5u64 {
-                    let mut r = solved(key, &format!("bench{key}"));
-                    r.attempts = round;
-                    store.append(r).unwrap();
-                }
+    /// Opens a store laid out as `pieces` (file suffix, records) in the
+    /// old replay order, and checks that it opens to exactly what that
+    /// order gives (last writer wins), leaves only the store file on
+    /// disk, and reopens to the same records.
+    fn check_legacy_fold(case: &str, pieces: &[(&str, Vec<LiftRecord>)]) {
+        let dir = std::env::temp_dir().join(format!("gtl-lift-{case}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("lifts.jsonl");
+        let mut expected: HashMap<u64, LiftRecord> = HashMap::new();
+        for (suffix, records) in pieces {
+            write_legacy(&dir.join(format!("lifts.jsonl{suffix}")), records);
+            for record in records {
+                expected.insert(record.key, record.clone());
             }
         }
-        // Plain open replays segments + live and collapses to 5 keys.
+        let mut expected: Vec<LiftRecord> = expected.into_values().collect();
+        expected.sort_by(|a, b| a.label.cmp(&b.label).then(a.key.cmp(&b.key)));
+
         let store = LiftStore::open(&path).unwrap();
-        assert_eq!(store.counters().loaded, 5);
-        assert_eq!(store.superseded_at_open(), 15);
-        let answers: Vec<_> = (0..5).map(|k| store.get(k)).collect();
+        assert_eq!(store.records(), expected);
         drop(store);
-        // Rotated reopen + compaction merges sealed data, leaves live alone.
-        let store = LiftStore::open_with(&path, Some(256)).unwrap();
-        let live_before = std::fs::read(&path).unwrap();
-        let stats = store.compact().unwrap();
-        assert!(stats.records_after < stats.records_before);
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            live_before,
-            "sealed compaction must not rewrite the live segment"
-        );
-        assert_eq!(answers, (0..5).map(|k| store.get(k)).collect::<Vec<_>>());
-        drop(store);
-        let reopened = LiftStore::open(&path).unwrap();
-        assert_eq!(reopened.counters().loaded, 5);
-        assert_eq!(answers, (0..5).map(|k| reopened.get(k)).collect::<Vec<_>>());
-        cleanup_rotated(&path);
-    }
-
-    fn seg_files(path: &Path) -> usize {
-        let dir = path.parent().unwrap();
-        let prefix = format!("{}.seg-", path.file_name().unwrap().to_str().unwrap());
-        std::fs::read_dir(dir)
+        let left: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_str().is_some_and(|n| n.starts_with(&prefix)))
-            .count()
-    }
-
-    #[test]
-    fn rotation_merges_sealed_segments_past_threshold() {
-        let path = tmp("autocompact");
-        cleanup_rotated(&path);
-        {
-            // Rotation every ~2 records, merge at 3 sealed segments:
-            // the appends below cross the threshold several times.
-            let store = LiftStore::open_with_compaction(&path, 256, 3).unwrap();
-            for round in 0..4u64 {
-                for key in 0..5u64 {
-                    let mut r = solved(key, &format!("bench{key}"));
-                    r.attempts = round;
-                    store.append(r).unwrap();
-                }
-            }
-            // Merges now run on the background worker; wait for it to
-            // drain before inspecting counters and segment counts.
-            store.flush_merges();
-            assert!(
-                store.counters().compactions >= 1,
-                "threshold-crossing appends must have merged"
-            );
-            assert!(
-                store.sealed_segments() < 3 && seg_files(&path) < 3,
-                "segments stay below the threshold ({} on disk)",
-                seg_files(&path)
-            );
-        }
-        // No served answer changed: every key replays to its last write.
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, vec![std::ffi::OsString::from("lifts.jsonl")]);
         let reopened = LiftStore::open(&path).unwrap();
-        assert_eq!(reopened.counters().loaded, 5);
-        for key in 0..5u64 {
-            assert_eq!(reopened.get(key).unwrap().attempts, 3);
-        }
+        assert_eq!(reopened.records(), expected);
         drop(reopened);
-        // An over-segmented store opened with the rule armed is stale:
-        // startup maintenance merges it even though superseded records
-        // do not dominate here on their own.
-        {
-            let store = LiftStore::open_with(&path, Some(128)).unwrap();
-            for key in 5..9u64 {
-                store.append(solved(key, "fresh")).unwrap();
-            }
-        }
-        assert!(seg_files(&path) >= 3, "precondition: fragmented again");
-        let store = LiftStore::open_with_compaction(&path, 128, 3).unwrap();
-        let stats = store.compact_if_stale().unwrap().expect("over-segmented");
-        assert!(stats.records_after <= stats.records_before);
-        assert_eq!(seg_files(&path), 0);
-        assert_eq!(store.len(), 9);
-        cleanup_rotated(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn attempt(mut record: LiftRecord, attempts: u64) -> LiftRecord {
+        record.attempts = attempts;
+        record
     }
 
     #[test]
-    fn appends_flow_while_background_merge_runs() {
-        let path = tmp("bg-merge");
-        cleanup_rotated(&path);
-        {
-            // Tiny rotation + a low threshold keep the background
-            // worker busy while two appenders hammer the store — the
-            // satellite case: no append ever waits on a merge, and
-            // nothing is torn or lost.
-            let store = LiftStore::open_with_compaction(&path, 256, 2).unwrap();
-            std::thread::scope(|scope| {
-                for worker in 0..2u64 {
-                    let store = &store;
-                    scope.spawn(move || {
-                        for n in 0..40u64 {
-                            let mut r = solved(worker * 1000 + n, "bg");
-                            r.nodes = n;
-                            store.append(r).unwrap();
-                        }
-                    });
-                }
-            });
-            store.flush_merges();
-            assert!(store.counters().compactions >= 1, "merges ran");
-            assert!(
-                store.sealed_segments() < 2,
-                "flushed store is back under the threshold"
-            );
-            assert_eq!(store.len(), 80);
-        }
-        // Reopen: every append is durable exactly once, none torn.
-        let reopened = LiftStore::open(&path).unwrap();
-        assert_eq!(reopened.counters().loaded, 80);
-        for worker in 0..2u64 {
-            for n in 0..40u64 {
-                assert_eq!(reopened.get(worker * 1000 + n).unwrap().nodes, n);
-            }
-        }
-        cleanup_rotated(&path);
+    fn legacy_rotated_store_folds_into_one_file() {
+        // Key 1 is written in the snapshot, superseded in segment 2 and
+        // again in the live file; key 2 is superseded in segment 7.
+        check_legacy_fold(
+            "fold",
+            &[
+                (".snap", vec![solved(1, "a"), failed(2, "b")]),
+                (
+                    ".seg-000002",
+                    vec![attempt(solved(1, "a"), 1), solved(3, "c")],
+                ),
+                (".seg-000007", vec![solved(2, "b")]),
+                ("", vec![attempt(solved(1, "a"), 2), failed(4, "d")]),
+            ],
+        );
+    }
+
+    #[test]
+    fn legacy_store_without_live_file_folds_into_one_file() {
+        // The old crash window: a segment was sealed but the fresh live
+        // file was never created.
+        check_legacy_fold(
+            "fold-crash",
+            &[
+                (".seg-000001", vec![failed(1, "a"), solved(2, "b")]),
+                (".seg-000002", vec![solved(1, "a")]),
+            ],
+        );
     }
 
     #[test]

@@ -21,22 +21,18 @@
 //! so it fails loudly with a typed [`StoreError`] instead of dropping
 //! records.
 //!
-//! # Segment rotation
+//! # Legacy sealed files
 //!
-//! A log opened with [`JsonlLog::open_rotating`] seals its live file
-//! once it grows past `rotate_at_bytes`: the file is renamed to
-//! `PATH.seg-NNNNNN` and a fresh live log (header only) is started.
-//! [`JsonlLog::open`] replays a segmented log as snapshot (`PATH.snap`,
-//! if present) → sealed segments in numeric order → live file; every
-//! piece carries the same version/kind header, so the existing
-//! sniffing and replay machinery applies file-by-file. Compaction of a
-//! segmented log ([`JsonlLog::compact_sealed`]) merges the snapshot and
-//! sealed segments into a new snapshot via temp-file + rename and
-//! deletes the segments — the live file is **never rewritten**, so
-//! compaction cannot race an append and the single-writer crash
-//! contract holds unchanged. The merge itself runs off the append
-//! path: it captures the immutable sealed set, releases the append
-//! lock, and merges while writes keep flowing.
+//! Earlier builds could rotate a log into sealed `PATH.seg-NNNNNN`
+//! segments and merge those into a `PATH.snap` snapshot. Such a store
+//! still opens with nothing lost: [`JsonlLog::open`] replays the
+//! snapshot, then the segments in numeric order, then the live file,
+//! and folds them all into the one live file with
+//! [`JsonlLog::rewrite`], which deletes the sealed files after its
+//! rename. A crash mid-fold leaves the sealed files next to a live
+//! file that already holds every record, so the next open replays to
+//! the same live set and folds again. [`JsonlLog::read`] replays the
+//! same order without touching any file.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -210,82 +206,34 @@ pub const FIXTURE_LOG_KIND: &str = "oracle_fixture";
 pub struct JsonlLog {
     path: PathBuf,
     kind: String,
-    /// Bytes at which the live file is sealed into a segment; `None`
-    /// disables rotation (the live file grows without bound).
-    rotate_at: Option<u64>,
-    live: Mutex<Live>,
-    /// Serializes [`JsonlLog::compact_sealed`] calls against each other
-    /// (they share one snapshot temp file) *without* blocking appends:
-    /// the merge holds this lock for its whole run but takes `live`
-    /// only for two short bookkeeping windows.
-    merge_guard: Mutex<()>,
-}
-
-/// The mutable half of a log: the live file handle plus the rotation
-/// bookkeeping that must stay consistent with it.
-#[derive(Debug)]
-struct Live {
-    file: File,
-    /// Current length of the live file, maintained across appends so
-    /// rotation does not stat the file on every write.
-    bytes: u64,
-    /// The number the next sealed segment will take.
-    next_seg: u64,
-    /// Whether any sealed data (snapshot or segments) exists on disk.
-    sealed: bool,
-    /// Sealed `.seg-NNNNNN` files currently on disk (the snapshot is
-    /// not counted) — what a store consults to decide when the sealed
-    /// half has fragmented enough to be worth merging.
-    segments: usize,
+    file: Mutex<File>,
 }
 
 /// The records loaded by [`JsonlLog::open`], plus recovery facts.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LoadedLog {
-    /// Every good record, in replay order: snapshot, sealed segments,
-    /// then the live file (headers excluded).
+    /// Every good record, in replay order: legacy snapshot, legacy
+    /// segments, then the live file (headers excluded).
     pub records: Vec<Json>,
     /// What recovery had to do.
     pub recovery: Recovery,
-    /// How many sealed files (snapshot + segments) preceded the live
-    /// file in the replay; `0` for an unsegmented log.
+    /// How many legacy sealed files (snapshot + segments) preceded the
+    /// live file in the replay; [`JsonlLog::open`] folds them into the
+    /// live file, so this is `0` from the next open on.
     pub sealed_files: usize,
 }
 
-/// What [`JsonlLog::compact_sealed`] did to the sealed half of a log.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SealedCompaction {
-    /// Records read from the snapshot + sealed segments.
-    pub records_before: usize,
-    /// Records written to the merged snapshot.
-    pub records_after: usize,
-    /// Bytes of sealed files before the merge.
-    pub bytes_before: u64,
-    /// Bytes of the merged snapshot.
-    pub bytes_after: u64,
-}
-
-/// `PATH.snap` — the merged snapshot a segmented log compacts into.
+/// `PATH.snap` — the merged snapshot of a legacy rotated log.
 fn snap_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();
     name.push(".snap");
     PathBuf::from(name)
 }
 
-/// `PATH.seg-NNNNNN` — a sealed (immutable) segment of a rotated log.
-fn seg_path(path: &Path, n: u64) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(format!(".seg-{n:06}"));
-    PathBuf::from(name)
-}
-
-/// The sealed on-disk pieces of a rotated log: the snapshot (if any)
-/// and the numbered segments.
-type SealedFiles = (Option<PathBuf>, Vec<(u64, PathBuf)>);
-
-/// Lists the sealed files for a log at `path`: the snapshot (if any)
-/// and the segments in ascending numeric order.
-fn sealed_files(path: &Path) -> Result<SealedFiles, StoreError> {
+/// Lists the legacy sealed files for a log at `path` in replay order:
+/// the snapshot (if any), then the `PATH.seg-NNNNNN` segments in
+/// ascending numeric order.
+fn sealed_files(path: &Path) -> Result<Vec<PathBuf>, StoreError> {
     let snap = snap_path(path);
     let snap = snap.exists().then_some(snap);
     let dir = if path.parent().is_some_and(|p| !p.as_os_str().is_empty()) {
@@ -294,7 +242,7 @@ fn sealed_files(path: &Path) -> Result<SealedFiles, StoreError> {
         PathBuf::from(".")
     };
     let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
-        return Ok((snap, Vec::new()));
+        return Ok(snap.into_iter().collect());
     };
     let prefix = format!("{file_name}.seg-");
     let mut segments = Vec::new();
@@ -302,7 +250,7 @@ fn sealed_files(path: &Path) -> Result<SealedFiles, StoreError> {
         Ok(entries) => entries,
         // A missing parent directory means no segments (the live-file
         // open will surface the real error if the path is unusable).
-        Err(_) => return Ok((snap, Vec::new())),
+        Err(_) => return Ok(snap.into_iter().collect()),
     };
     for entry in entries {
         let entry = entry.map_err(|e| io_err(&dir, e))?;
@@ -315,12 +263,29 @@ fn sealed_files(path: &Path) -> Result<SealedFiles, StoreError> {
         }
     }
     segments.sort_unstable();
-    Ok((snap, segments))
+    Ok(snap.into_iter().chain(segments.into_iter().map(|(_, p)| p)).collect())
+}
+
+/// Replays the legacy sealed files of the log at `path`, read-only, in
+/// replay order (snapshot, then segments by number). A torn tail in a
+/// sealed file is reported in `recovery` but never truncated on disk.
+fn replay_sealed(path: &Path, kind: &str, into: &mut LoadedLog) -> Result<(), StoreError> {
+    for sealed in sealed_files(path)? {
+        let bytes = std::fs::read(&sealed).map_err(|e| io_err(&sealed, e))?;
+        let replayed = replay(&sealed, &bytes, kind)?;
+        into.recovery.truncated_tail |= replayed.recovery.truncated_tail;
+        into.recovery.dropped_bytes += replayed.recovery.dropped_bytes;
+        into.records.extend(replayed.records);
+        into.sealed_files += 1;
+    }
+    Ok(())
 }
 
 impl JsonlLog {
     /// Opens (or creates) the log at `path` for kind `kind`, replaying
-    /// every record and recovering from a torn tail.
+    /// every record and recovering from a torn tail. Legacy sealed
+    /// files next to `path` are replayed first and then folded into
+    /// the live file (see the module docs).
     ///
     /// # Errors
     ///
@@ -328,24 +293,7 @@ impl JsonlLog {
     /// on a header mismatch, [`StoreError::Corrupt`] when a record
     /// before the tail does not parse.
     pub fn open(path: impl Into<PathBuf>, kind: &str) -> Result<(JsonlLog, LoadedLog), StoreError> {
-        Self::open_impl(path.into(), kind, None, None)
-    }
-
-    /// [`JsonlLog::open`] with segment rotation enabled: once the live
-    /// file grows past `rotate_at_bytes` it is sealed into a
-    /// `PATH.seg-NNNNNN` segment and a fresh live file is started. A
-    /// log rotated here replays fine through plain [`JsonlLog::open`]
-    /// later (rotation is a property of the writer, not the format).
-    ///
-    /// # Errors
-    ///
-    /// As [`JsonlLog::open`].
-    pub fn open_rotating(
-        path: impl Into<PathBuf>,
-        kind: &str,
-        rotate_at_bytes: u64,
-    ) -> Result<(JsonlLog, LoadedLog), StoreError> {
-        Self::open_impl(path.into(), kind, None, Some(rotate_at_bytes.max(1)))
+        Self::open_impl(path.into(), kind, None)
     }
 
     /// [`JsonlLog::open`], but over `bytes` the caller already read
@@ -362,41 +310,37 @@ impl JsonlLog {
         kind: &str,
         bytes: &[u8],
     ) -> Result<(JsonlLog, LoadedLog), StoreError> {
-        Self::open_impl(path.into(), kind, Some(bytes), None)
+        Self::open_impl(path.into(), kind, Some(bytes))
     }
 
-    /// The one open path: replays sealed files (snapshot + segments),
-    /// then opens the live file — creating it fresh when missing or
-    /// empty, truncating a torn tail otherwise.
+    /// The one open path: replays legacy sealed files, then opens the
+    /// live file — creating it fresh when missing or empty, truncating
+    /// a torn tail otherwise — and folds any sealed files into it.
     fn open_impl(
         path: PathBuf,
         kind: &str,
         live_bytes: Option<&[u8]>,
-        rotate_at: Option<u64>,
     ) -> Result<(JsonlLog, LoadedLog), StoreError> {
-        let (snap, segments) = sealed_files(&path)?;
-        let mut records = Vec::new();
-        let mut recovery = Recovery::default();
-        let sealed_count = usize::from(snap.is_some()) + segments.len();
-        for sealed in snap.iter().chain(segments.iter().map(|(_, p)| p)) {
-            let bytes = std::fs::read(sealed).map_err(|e| io_err(sealed, e))?;
-            // Sealed files are immutable, so they are replayed
-            // read-only; a torn tail (a crash sealed mid-append bytes)
-            // is reported but never truncated away on disk.
-            let replayed = replay(sealed, &bytes, kind)?;
-            recovery.truncated_tail |= replayed.recovery.truncated_tail;
-            recovery.dropped_bytes += replayed.recovery.dropped_bytes;
-            records.extend(replayed.records);
+        let mut loaded = LoadedLog::default();
+        replay_sealed(&path, kind, &mut loaded)?;
+        let log = Self::open_live(path, kind, live_bytes, &mut loaded)?;
+        if loaded.sealed_files > 0 {
+            log.rewrite(&loaded.records)?;
         }
-        let next_seg = segments.last().map_or(1, |(n, _)| n + 1);
-        let sealed = sealed_count > 0;
+        Ok((log, loaded))
+    }
 
+    /// Opens the live file for appending and replays it onto `loaded`.
+    fn open_live(
+        path: PathBuf,
+        kind: &str,
+        live_bytes: Option<&[u8]>,
+        loaded: &mut LoadedLog,
+    ) -> Result<JsonlLog, StoreError> {
         // A missing live file starts fresh; so does an existing
         // zero-byte file (a crash between creation and the header
         // write, or an operator `touch`) — there is nothing durable to
-        // lose there, so recover by writing a fresh header. A crash
-        // between a rotation's rename and its fresh-header write lands
-        // here too, with the sealed records intact above.
+        // lose there, so recover by writing a fresh header.
         let owned_bytes;
         let live_bytes = match live_bytes {
             Some(bytes) => bytes,
@@ -416,30 +360,13 @@ impl JsonlLog {
                 .truncate(true)
                 .open(&path)
                 .map_err(|e| io_err(&path, e))?;
-            let head = format!("{}\n", header(kind));
-            file.write_all(head.as_bytes())
+            file.write_all(format!("{}\n", header(kind)).as_bytes())
                 .map_err(|e| io_err(&path, e))?;
-            let log = JsonlLog {
+            return Ok(JsonlLog {
                 path,
                 kind: kind.to_string(),
-                rotate_at,
-                live: Mutex::new(Live {
-                    file,
-                    bytes: head.len() as u64,
-                    next_seg,
-                    sealed,
-                    segments: segments.len(),
-                }),
-                merge_guard: Mutex::new(()),
-            };
-            return Ok((
-                log,
-                LoadedLog {
-                    records,
-                    recovery,
-                    sealed_files: sealed_count,
-                },
-            ));
+                file: Mutex::new(file),
+            });
         }
 
         let replayed = replay(&path, live_bytes, kind)?;
@@ -458,36 +385,19 @@ impl JsonlLog {
             .append(true)
             .open(&path)
             .map_err(|e| io_err(&path, e))?;
-        let mut live_len = replayed.good_end;
         if replayed.missing_newline {
             // The final record parsed but lacked its newline (hand
             // editing); terminate it so the next append cannot splice.
             file.write_all(b"\n").map_err(|e| io_err(&path, e))?;
-            live_len += 1;
         }
-        recovery.truncated_tail |= replayed.recovery.truncated_tail;
-        recovery.dropped_bytes += replayed.recovery.dropped_bytes;
-        records.extend(replayed.records);
-        Ok((
-            JsonlLog {
-                path,
-                kind: kind.to_string(),
-                rotate_at,
-                live: Mutex::new(Live {
-                    file,
-                    bytes: live_len,
-                    next_seg,
-                    sealed,
-                    segments: segments.len(),
-                }),
-                merge_guard: Mutex::new(()),
-            },
-            LoadedLog {
-                records,
-                recovery,
-                sealed_files: sealed_count,
-            },
-        ))
+        loaded.recovery.truncated_tail |= replayed.recovery.truncated_tail;
+        loaded.recovery.dropped_bytes += replayed.recovery.dropped_bytes;
+        loaded.records.extend(replayed.records);
+        Ok(JsonlLog {
+            path,
+            kind: kind.to_string(),
+            file: Mutex::new(file),
+        })
     }
 
     /// Creates (or atomically replaces) a log at `path` holding
@@ -505,40 +415,11 @@ impl JsonlLog {
         records: &[Json],
     ) -> Result<JsonlLog, StoreError> {
         let path = path.into();
-        let tmp = path.with_extension("tmp");
-        {
-            let mut out = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)
-                .map_err(|e| io_err(&tmp, e))?;
-            let mut text = format!("{}\n", header(kind));
-            for record in records {
-                text.push_str(&record.to_line());
-                text.push('\n');
-            }
-            out.write_all(text.as_bytes()).map_err(|e| io_err(&tmp, e))?;
-            out.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err(&path, e))?;
-        let bytes = file.metadata().map_err(|e| io_err(&path, e))?.len();
+        let file = write_atomically(&path, kind, records)?;
         Ok(JsonlLog {
             path,
             kind: kind.to_string(),
-            rotate_at: None,
-            live: Mutex::new(Live {
-                file,
-                bytes,
-                next_seg: 1,
-                sealed: false,
-                segments: 0,
-            }),
-            merge_guard: Mutex::new(()),
+            file: Mutex::new(file),
         })
     }
 
@@ -562,198 +443,38 @@ impl JsonlLog {
     /// supersedes cleanly).
     pub fn append(&self, record: &Json) -> Result<(), StoreError> {
         let line = format!("{}\n", record.to_line());
-        let mut live = self.live.lock().expect("log file poisoned");
-        live.file
+        self.file
+            .lock()
+            .expect("log file poisoned")
             .write_all(line.as_bytes())
-            .map_err(|e| io_err(&self.path, e))?;
-        live.bytes += line.len() as u64;
-        if self.rotate_at.is_some_and(|limit| live.bytes >= limit) {
-            self.rotate_locked(&mut live)?;
-        }
-        Ok(())
-    }
-
-    /// Seals the live file as the next segment and starts a fresh one.
-    /// A crash between the rename and the fresh header is recovered by
-    /// the next open (sealed records replay; a new live file is
-    /// created), so rotation adds no new data-loss window.
-    fn rotate_locked(&self, live: &mut Live) -> Result<(), StoreError> {
-        let seg = seg_path(&self.path, live.next_seg);
-        std::fs::rename(&self.path, &seg).map_err(|e| io_err(&self.path, e))?;
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        let head = format!("{}\n", header(&self.kind));
-        file.write_all(head.as_bytes())
-            .map_err(|e| io_err(&self.path, e))?;
-        live.file = file;
-        live.bytes = head.len() as u64;
-        live.next_seg += 1;
-        live.sealed = true;
-        live.segments += 1;
-        Ok(())
-    }
-
-    /// Whether sealed data (a snapshot or segments) exists for this
-    /// log — the signal that compaction must go through
-    /// [`JsonlLog::compact_sealed`] rather than [`JsonlLog::rewrite`].
-    pub fn has_sealed(&self) -> bool {
-        self.live.lock().expect("log file poisoned").sealed
-    }
-
-    /// Sealed `.seg-NNNNNN` files currently on disk for this log (the
-    /// merged snapshot, if any, is not counted). Rotation grows this by
-    /// one per seal; [`JsonlLog::compact_sealed`] resets it to zero.
-    pub fn sealed_segments(&self) -> usize {
-        self.live.lock().expect("log file poisoned").segments
-    }
-
-    /// Compacts the sealed half of a segmented log: reads the snapshot
-    /// and every sealed segment, passes the records through `merge`
-    /// (the store's dedup policy), writes the result as a fresh
-    /// snapshot via temp-file + rename, and deletes the segments. The
-    /// live file is never touched, so records appended after the merge
-    /// policy ran still supersede at the next replay.
-    ///
-    /// Appends proceed concurrently: the merge captures the sealed
-    /// file set under the `live` lock, then releases it for the whole
-    /// read → merge → write span. Sealed files are immutable, so the
-    /// captured set cannot change underneath the merge; a rotation
-    /// that seals a *new* segment mid-merge is simply not part of this
-    /// compaction — it survives on disk (replaying after the snapshot,
-    /// so last-writer-wins ordering holds) and is picked up by the
-    /// next one. Concurrent `compact_sealed` calls serialize on a
-    /// dedicated merge lock, never on the append path.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failure; the pre-existing
-    /// sealed files are intact in that case.
-    pub fn compact_sealed(
-        &self,
-        merge: impl FnOnce(Vec<Json>) -> Vec<Json>,
-    ) -> Result<SealedCompaction, StoreError> {
-        let _merging = self.merge_guard.lock().expect("merge guard poisoned");
-        // Capture the sealed set under the live lock so a concurrent
-        // rotation cannot rename the live file into a segment between
-        // the directory scan and the snapshot of `segments`.
-        let (snap, segments) = {
-            let _live = self.live.lock().expect("log file poisoned");
-            sealed_files(&self.path)?
-        };
-        let mut records = Vec::new();
-        let mut bytes_before = 0u64;
-        for sealed in snap.iter().chain(segments.iter().map(|(_, p)| p)) {
-            let bytes = std::fs::read(sealed).map_err(|e| io_err(sealed, e))?;
-            bytes_before += bytes.len() as u64;
-            records.extend(replay(sealed, &bytes, &self.kind)?.records);
-        }
-        let records_before = records.len();
-        let merged = merge(records);
-        let snap = snap_path(&self.path);
-        let tmp = {
-            let mut name = snap.as_os_str().to_os_string();
-            name.push(".tmp");
-            PathBuf::from(name)
-        };
-        {
-            let mut out = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)
-                .map_err(|e| io_err(&tmp, e))?;
-            let mut text = format!("{}\n", header(&self.kind));
-            for record in &merged {
-                text.push_str(&record.to_line());
-                text.push('\n');
-            }
-            out.write_all(text.as_bytes()).map_err(|e| io_err(&tmp, e))?;
-            out.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &snap).map_err(|e| io_err(&snap, e))?;
-        for (_, seg) in &segments {
-            // A segment surviving a failed delete is harmless: its
-            // records are already in the snapshot, and the store-level
-            // dedup collapses the duplicates at the next open.
-            let _ = std::fs::remove_file(seg);
-        }
-        let mut live = self.live.lock().expect("log file poisoned");
-        live.sealed = true;
-        // Only the captured segments were merged; any sealed mid-merge
-        // are still on disk and still counted.
-        live.segments = live.segments.saturating_sub(segments.len());
-        drop(live);
-        let bytes_after = std::fs::metadata(&snap).map_or(0, |m| m.len());
-        Ok(SealedCompaction {
-            records_before,
-            records_after: merged.len(),
-            bytes_before,
-            bytes_after,
-        })
+            .map_err(|e| io_err(&self.path, e))
     }
 
     /// Atomically replaces the log's *entire* contents with `records`
-    /// (write to a temp file, rename over) — the whole-log compaction
-    /// primitive for unsegmented logs. Any snapshot or sealed segments
-    /// are deleted afterwards, since `records` supersedes everything.
-    /// The append handle is re-pointed at the new file, so the log
-    /// stays usable. Segmented stores prefer
-    /// [`JsonlLog::compact_sealed`], which leaves the live file alone.
+    /// (write to a temp file, rename over) — the one compaction
+    /// primitive. Any legacy snapshot or sealed segments are deleted
+    /// afterwards, since `records` supersedes everything. The append
+    /// handle is re-pointed at the new file, so the log stays usable.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] when any step fails; the original file is
     /// untouched in that case.
     pub fn rewrite(&self, records: &[Json]) -> Result<(), StoreError> {
-        let mut live = self.live.lock().expect("log file poisoned");
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut out = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)
-                .map_err(|e| io_err(&tmp, e))?;
-            let mut text = format!("{}\n", header(&self.kind));
-            for record in records {
-                text.push_str(&record.to_line());
-                text.push('\n');
-            }
-            out.write_all(text.as_bytes()).map_err(|e| io_err(&tmp, e))?;
-            out.sync_all().map_err(|e| io_err(&tmp, e))?;
-        }
-        std::fs::rename(&tmp, &self.path).map_err(|e| io_err(&self.path, e))?;
-        live.file = OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        live.bytes = live
-            .file
-            .metadata()
-            .map_err(|e| io_err(&self.path, e))?
-            .len();
+        let mut file = self.file.lock().expect("log file poisoned");
+        *file = write_atomically(&self.path, &self.kind, records)?;
         // The new live file holds everything; sealed leftovers would
         // replay stale records ahead of it, so they go.
-        let (snap, segments) = sealed_files(&self.path)?;
-        if let Some(snap) = snap {
-            std::fs::remove_file(&snap).map_err(|e| io_err(&snap, e))?;
+        for sealed in sealed_files(&self.path)? {
+            std::fs::remove_file(&sealed).map_err(|e| io_err(&sealed, e))?;
         }
-        for (_, seg) in &segments {
-            std::fs::remove_file(seg).map_err(|e| io_err(seg, e))?;
-        }
-        live.sealed = false;
-        live.segments = 0;
         Ok(())
     }
 
     /// Reads a log without expecting a particular kind (the
     /// `store_tool` entry point). Returns the kind named in the header
-    /// and the loaded records — snapshot and sealed segments included,
-    /// in replay order; never modifies any file.
+    /// and the loaded records — legacy sealed files included, in replay
+    /// order; never modifies any file.
     ///
     /// # Errors
     ///
@@ -761,24 +482,18 @@ impl JsonlLog {
     /// file.
     pub fn read(path: &Path) -> Result<(String, LoadedLog), StoreError> {
         let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-        let (kind, mut loaded) = Self::read_bytes(path, &bytes)?;
-        let (snap, segments) = sealed_files(path)?;
-        let mut records = Vec::new();
-        for sealed in snap.iter().chain(segments.iter().map(|(_, p)| p)) {
-            let bytes = std::fs::read(sealed).map_err(|e| io_err(sealed, e))?;
-            let replayed = replay(sealed, &bytes, &kind)?;
-            loaded.recovery.truncated_tail |= replayed.recovery.truncated_tail;
-            loaded.recovery.dropped_bytes += replayed.recovery.dropped_bytes;
-            records.extend(replayed.records);
-            loaded.sealed_files += 1;
-        }
-        records.append(&mut loaded.records);
-        loaded.records = records;
+        let (kind, live) = Self::read_bytes(path, &bytes)?;
+        let mut loaded = LoadedLog::default();
+        replay_sealed(path, &kind, &mut loaded)?;
+        loaded.recovery.truncated_tail |= live.recovery.truncated_tail;
+        loaded.recovery.dropped_bytes += live.recovery.dropped_bytes;
+        loaded.records.extend(live.records);
         Ok((kind, loaded))
     }
 
-    /// [`JsonlLog::read`], but over `bytes` the caller already read
-    /// from `path` (`path` is used for error messages only).
+    /// Parses the live bytes of a log without expecting a particular
+    /// kind (`path` is used for error messages only; sealed files are
+    /// not consulted).
     ///
     /// # Errors
     ///
@@ -803,6 +518,34 @@ impl JsonlLog {
             },
         ))
     }
+}
+
+/// Writes a header plus `records` to a temp file next to `path`, syncs
+/// it and renames it over `path`; returns an append handle to the new
+/// file. An existing file at `path` is untouched on failure.
+fn write_atomically(path: &Path, kind: &str, records: &[Json]) -> Result<File, StoreError> {
+    let tmp = path.with_extension("tmp");
+    {
+        let mut out = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&tmp)
+            .map_err(|e| io_err(&tmp, e))?;
+        let mut text = format!("{}\n", header(kind));
+        for record in records {
+            text.push_str(&record.to_line());
+            text.push('\n');
+        }
+        out.write_all(text.as_bytes())
+            .map_err(|e| io_err(&tmp, e))?;
+        out.sync_all().map_err(|e| io_err(&tmp, e))?;
+    }
+    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
+    OpenOptions::new()
+        .append(true)
+        .open(path)
+        .map_err(|e| io_err(path, e))
 }
 
 /// What [`replay`] found in a log's bytes.
@@ -1101,129 +844,39 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Removes a log and every sidecar file rotation may have left.
-    fn cleanup(path: &Path) {
-        let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_file(snap_path(path));
-        if let Ok((_, segs)) = sealed_files(path) {
-            for (_, seg) in segs {
-                let _ = std::fs::remove_file(&seg);
-            }
-        }
-    }
-
     #[test]
-    fn rotation_seals_segments_and_replays_in_order() {
-        let path = tmp("rotate");
-        cleanup(&path);
-        {
-            // ~40 bytes/header and ~9 bytes/record: a 64-byte limit
-            // forces a seal every few appends.
-            let (log, _) = JsonlLog::open_rotating(&path, "test_kind", 64).unwrap();
-            for n in 0..20 {
-                log.append(&record(n)).unwrap();
+    fn legacy_sealed_files_are_read_in_order_then_folded_by_open() {
+        let path = tmp("legacy");
+        let seg = |n: u64| PathBuf::from(format!("{}.seg-{n:06}", path.display()));
+        let write = |p: &Path, ns: &[u64]| {
+            let mut text = format!("{}\n", header("test_kind"));
+            for n in ns {
+                text.push_str(&format!("{}\n", record(*n)));
             }
-        }
-        let (_, segments) = sealed_files(&path).unwrap();
-        assert!(segments.len() >= 2, "expected multiple sealed segments");
-        // Plain open replays the whole history in append order.
+            std::fs::write(p, text).unwrap();
+        };
+        // Past six digits the names stop sorting by number: segment
+        // 1000000 must still replay after segment 999999.
+        write(&snap_path(&path), &[0, 1]);
+        write(&seg(1_000_000), &[4]);
+        write(&seg(999_999), &[2, 3]);
+        write(&path, &[5]);
+        let expected: Vec<Json> = (0..6).map(record).collect();
+        // The read-only path replays every piece and modifies nothing.
+        let (_, read) = JsonlLog::read(&path).unwrap();
+        assert_eq!(read.records, expected);
+        assert_eq!(read.sealed_files, 3);
+        assert!(snap_path(&path).exists() && seg(999_999).exists() && seg(1_000_000).exists());
+        // Open replays the same order, then leaves one live file.
         let (log, loaded) = JsonlLog::open(&path, "test_kind").unwrap();
-        assert_eq!(loaded.records, (0..20).map(record).collect::<Vec<_>>());
-        assert_eq!(loaded.sealed_files, segments.len());
-        assert!(log.has_sealed());
-        // And the read-only path sees the same records.
-        let (kind, read) = JsonlLog::read(&path).unwrap();
-        assert_eq!(kind, "test_kind");
-        assert_eq!(read.records.len(), 20);
-        // Reopening rotated and appending more keeps numbering.
-        {
-            let (log, _) = JsonlLog::open_rotating(&path, "test_kind", 64).unwrap();
-            for n in 20..30 {
-                log.append(&record(n)).unwrap();
-            }
-        }
+        assert_eq!(loaded.records, expected);
+        assert_eq!(loaded.sealed_files, 3);
+        assert!(!snap_path(&path).exists() && !seg(999_999).exists() && !seg(1_000_000).exists());
+        log.append(&record(6)).unwrap();
         let (_, loaded) = JsonlLog::open(&path, "test_kind").unwrap();
-        assert_eq!(loaded.records, (0..30).map(record).collect::<Vec<_>>());
-        cleanup(&path);
-    }
-
-    #[test]
-    fn compact_sealed_merges_without_touching_live() {
-        let path = tmp("compact-sealed");
-        cleanup(&path);
-        let (log, _) = JsonlLog::open_rotating(&path, "test_kind", 64).unwrap();
-        for n in 0..20 {
-            log.append(&record(n)).unwrap();
-        }
-        let live_before = std::fs::read(&path).unwrap();
-        let stats = log
-            .compact_sealed(|records| {
-                // Keep only even records — an observable merge policy.
-                records
-                    .into_iter()
-                    .filter(|r| r.get("n").and_then(Json::as_u64).unwrap() % 2 == 0)
-                    .collect()
-            })
-            .unwrap();
-        assert!(stats.records_after < stats.records_before);
-        assert!(stats.bytes_after < stats.bytes_before);
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            live_before,
-            "live segment must never be rewritten by compaction"
-        );
-        let (_, segments) = sealed_files(&path).unwrap();
-        assert!(segments.is_empty(), "segments merged into the snapshot");
-        assert!(snap_path(&path).exists());
-        // Replay = merged snapshot, then the untouched live records.
-        let (_, loaded) = JsonlLog::open(&path, "test_kind").unwrap();
-        let sealed_kept = stats.records_after;
-        assert!(loaded.records.len() >= sealed_kept);
-        assert!(loaded.records[..sealed_kept]
-            .iter()
-            .all(|r| r.get("n").and_then(Json::as_u64).unwrap() % 2 == 0));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn crash_between_seal_and_fresh_live_recovers() {
-        let path = tmp("rotate-crash");
-        cleanup(&path);
-        let (log, _) = JsonlLog::open_rotating(&path, "test_kind", 64).unwrap();
-        for n in 0..10 {
-            log.append(&record(n)).unwrap();
-        }
-        drop(log);
-        // Simulate the crash window: the live file was renamed to a
-        // segment but the fresh header was never written.
-        let (_, segments) = sealed_files(&path).unwrap();
-        let next = segments.last().unwrap().0 + 1;
-        std::fs::rename(&path, seg_path(&path, next)).unwrap();
-        let (log, loaded) = JsonlLog::open(&path, "test_kind").unwrap();
-        assert_eq!(loaded.records, (0..10).map(record).collect::<Vec<_>>());
-        log.append(&record(10)).unwrap();
-        let (_, loaded) = JsonlLog::open(&path, "test_kind").unwrap();
-        assert_eq!(loaded.records.len(), 11);
-        cleanup(&path);
-    }
-
-    #[test]
-    fn rewrite_clears_sealed_files() {
-        let path = tmp("rewrite-sealed");
-        cleanup(&path);
-        let (log, _) = JsonlLog::open_rotating(&path, "test_kind", 64).unwrap();
-        for n in 0..20 {
-            log.append(&record(n)).unwrap();
-        }
-        assert!(log.has_sealed());
-        log.rewrite(&[record(99)]).unwrap();
-        assert!(!log.has_sealed());
-        let (_, segments) = sealed_files(&path).unwrap();
-        assert!(segments.is_empty());
-        assert!(!snap_path(&path).exists());
-        let (_, loaded) = JsonlLog::open(&path, "test_kind").unwrap();
-        assert_eq!(loaded.records, vec![record(99)]);
-        cleanup(&path);
+        assert_eq!(loaded.records, (0..7).map(record).collect::<Vec<_>>());
+        assert_eq!(loaded.sealed_files, 0);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1232,65 +885,5 @@ mod tests {
         assert!(!is_log_header("{\"version\":1,\"entries\":{}}"));
         assert!(!is_log_header("{"));
         assert!(!is_log_header(""));
-    }
-
-    #[test]
-    fn appends_proceed_during_sealed_merge() {
-        // The merge closure blocks mid-compaction while the main
-        // thread keeps appending — enough to rotate a brand-new
-        // segment. If compact_sealed held the append lock across the
-        // merge (the old behavior), the appends below would deadlock
-        // against the parked closure and the test would hang; with the
-        // narrowed locking they complete, the mid-merge segment
-        // survives the compaction, and a replay sees every record
-        // exactly once.
-        use std::sync::mpsc;
-        let path = tmp("merge-concurrent");
-        cleanup(&path);
-        let (log, _) = JsonlLog::open_rotating(&path, "test_kind", 64).unwrap();
-        for n in 0..20 {
-            log.append(&record(n)).unwrap();
-        }
-        assert!(log.sealed_segments() >= 2);
-        let (started_tx, started_rx) = mpsc::channel();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        std::thread::scope(|scope| {
-            let merger = scope.spawn(|| {
-                log.compact_sealed(move |records| {
-                    started_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                    records
-                })
-            });
-            started_rx.recv().unwrap();
-            // Merge is parked mid-flight: appends must flow freely,
-            // including a rotation that seals a new segment.
-            for n in 20..40 {
-                log.append(&record(n)).unwrap();
-            }
-            assert!(
-                log.sealed_segments() >= 1,
-                "appends during the merge sealed a fresh segment"
-            );
-            release_tx.send(()).unwrap();
-            let stats = merger.join().unwrap().unwrap();
-            assert!(stats.records_before >= 1);
-        });
-        // The segment sealed mid-merge was not part of the compaction:
-        // it is still on disk and still counted for the next merge.
-        assert!(log.sealed_segments() >= 1);
-        let (_, segments) = sealed_files(&path).unwrap();
-        assert_eq!(segments.len(), log.sealed_segments());
-        // Replay order (snapshot → surviving segments → live) yields
-        // every record exactly once — no loss, no duplication.
-        let (_, loaded) = JsonlLog::open(&path, "test_kind").unwrap();
-        let mut ns: Vec<u64> = loaded
-            .records
-            .iter()
-            .map(|r| r.get("n").and_then(Json::as_u64).unwrap())
-            .collect();
-        ns.sort_unstable();
-        assert_eq!(ns, (0..40).collect::<Vec<_>>());
-        cleanup(&path);
     }
 }
