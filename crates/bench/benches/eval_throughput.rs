@@ -25,8 +25,8 @@ use gtl_bench::{run_method_batch, Method};
 use gtl_benchsuite::{by_suite, Suite};
 use gtl_cfront::{run_compiled, run_kernel};
 use gtl_taco::{
-    evaluate, evaluate_interpreted, parse_program, Access, BatchKernel, Expr, Lane, TacoProgram,
-    TensorEnv,
+    evaluate, evaluate_interpreted, parse_program, Access, BatchKernel, Expr, Lane, LaneEnv,
+    TacoProgram, TensorEnv,
 };
 use gtl_tensor::{Shape, TensorGen};
 
@@ -97,9 +97,9 @@ const LANES: usize = 64;
 
 /// The batch-filtering fixture for one microkernel: a pool of four
 /// same-shape candidate tensors per template slot, 64 substitution
-/// lanes over the pool, and the concretized program of every lane for
-/// the interpreter side of the comparison.
-fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Lane>, Vec<TacoProgram>) {
+/// lanes over the pool (a tensor name per slot), and the concretized
+/// program of every lane for the interpreter side of the comparison.
+fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Vec<String>>, Vec<TacoProgram>) {
     let kernel = BatchKernel::new(&m.program);
     let mut gen = TensorGen::from_label(m.name);
     let mut env = TensorEnv::new();
@@ -109,21 +109,20 @@ fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Lane>, Vec<TacoProgram>) {
             env.insert(format!("{slot}{v}"), gen.int_tensor(shape.clone(), -5, 5));
         }
     }
-    let lanes: Vec<Lane> = (0..LANES)
-        .map(|t| Lane {
-            tensors: kernel
+    let lanes: Vec<Vec<String>> = (0..LANES)
+        .map(|t| {
+            kernel
                 .tensor_slots()
                 .iter()
                 .enumerate()
                 .map(|(s, slot)| format!("{slot}{}", (t + s) % 4))
-                .collect(),
-            constants: vec![],
+                .collect()
         })
         .collect();
     let programs: Vec<TacoProgram> = lanes
         .iter()
         .map(|lane| {
-            fn rename(e: &Expr, kernel: &BatchKernel, lane: &Lane) -> Expr {
+            fn rename(e: &Expr, kernel: &BatchKernel, lane: &[String]) -> Expr {
                 match e {
                     Expr::Access(acc) => {
                         let s = kernel
@@ -132,7 +131,7 @@ fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Lane>, Vec<TacoProgram>) {
                             .position(|n| n == acc.tensor.as_str())
                             .expect("slot bound");
                         Expr::Access(Access {
-                            tensor: lane.tensors[s].as_str().into(),
+                            tensor: lane[s].as_str().into(),
                             indices: acc.indices.clone(),
                         })
                     }
@@ -211,7 +210,23 @@ fn main() {
     // validator's loop).
     let mut filter_rows: Vec<FilterRow> = Vec::new();
     for m in microkernels() {
-        let (env, lanes, programs) = filter_fixture(&m);
+        let (env, names, programs) = filter_fixture(&m);
+        let lane_env = LaneEnv::from_env(&env);
+        let ids: Vec<Vec<u32>> = names
+            .iter()
+            .map(|lane| {
+                lane.iter()
+                    .map(|n| lane_env.id(n).expect("bound"))
+                    .collect()
+            })
+            .collect();
+        let lanes: Vec<Lane<'_>> = ids
+            .iter()
+            .map(|tensors| Lane {
+                tensors,
+                constants: &[],
+            })
+            .collect();
         c.bench_function(&format!("interp_filter_{}", m.name), |b| {
             b.iter(|| {
                 for p in &programs {
@@ -224,7 +239,7 @@ fn main() {
         c.bench_function(&format!("batch_filter_{}", m.name), |b| {
             b.iter(|| {
                 let k = BatchKernel::new(std::hint::black_box(&m.program));
-                std::hint::black_box(k.evaluate_lanes(std::hint::black_box(&lanes), &env))
+                std::hint::black_box(k.evaluate_lanes(std::hint::black_box(&lanes), &lane_env))
             })
         });
         let batch_ns = c.last_mean_ns() / LANES as f64;

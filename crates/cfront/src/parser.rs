@@ -26,7 +26,20 @@ pub enum CParseError {
         /// Token index of the assignment operator.
         position: usize,
     },
+    /// Statements or expressions nest deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Token index where the bound was crossed.
+        position: usize,
+    },
 }
+
+/// The deepest nesting the parser accepts. Each nested statement,
+/// expression, parenthesis, unary or cast operator and operator of a
+/// chain counts one level, so every tree it returns is at most this high
+/// and every recursive walk over it (analysis, compilation, execution)
+/// stays far inside a thread's stack. Real kernels nest a few dozen
+/// levels at most.
+pub const MAX_DEPTH: usize = 128;
 
 impl fmt::Display for CParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -40,6 +53,12 @@ impl fmt::Display for CParseError {
             } => write!(f, "expected {expected} at token {position}, found {found:?}"),
             CParseError::NotAnLvalue { position } => {
                 write!(f, "assignment target at token {position} is not an lvalue")
+            }
+            CParseError::TooDeep { position } => {
+                write!(
+                    f,
+                    "nesting deeper than {MAX_DEPTH} levels at token {position}"
+                )
             }
         }
     }
@@ -58,9 +77,31 @@ const TYPE_KEYWORDS: [&str; 4] = ["void", "int", "float", "double"];
 struct Parser {
     toks: Vec<CTok>,
     pos: usize,
+    /// Current nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
+    /// Enters one nesting level.
+    fn descend(&mut self) -> Result<(), CParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(CParseError::TooDeep { position: self.pos });
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, CParseError>,
+    ) -> Result<T, CParseError> {
+        self.descend()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn peek(&self) -> Option<&CTok> {
         self.toks.get(self.pos)
     }
@@ -217,6 +258,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, CParseError> {
+        self.nested(Parser::parse_stmt_inner)
+    }
+
+    fn parse_stmt_inner(&mut self) -> Result<Stmt, CParseError> {
         match self.peek() {
             Some(CTok::LBrace) => {
                 self.bump();
@@ -384,7 +429,7 @@ impl Parser {
     }
 
     fn parse_expr(&mut self) -> Result<CExpr, CParseError> {
-        self.parse_assign()
+        self.nested(Parser::parse_assign)
     }
 
     fn parse_assign(&mut self) -> Result<CExpr, CParseError> {
@@ -402,7 +447,7 @@ impl Parser {
             return Err(CParseError::NotAnLvalue { position: op_pos });
         }
         self.bump();
-        let rhs = self.parse_assign()?;
+        let rhs = self.nested(Parser::parse_assign)?;
         Ok(CExpr::Assign {
             op,
             lhs: Box::new(lhs),
@@ -416,7 +461,7 @@ impl Parser {
             self.bump();
             let then_val = self.parse_expr()?;
             self.expect(&CTok::Colon, "':'")?;
-            let else_val = self.parse_ternary()?;
+            let else_val = self.nested(Parser::parse_ternary)?;
             Ok(CExpr::Ternary {
                 cond: Box::new(cond),
                 then_val: Box::new(then_val),
@@ -429,6 +474,7 @@ impl Parser {
 
     /// Precedence-climbing over the binary operators.
     fn parse_binary(&mut self, min_prec: u8) -> Result<CExpr, CParseError> {
+        let entry = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let (op, prec) = match self.peek() {
@@ -450,14 +496,27 @@ impl Parser {
             if prec < min_prec {
                 break;
             }
+            // Each operator of a left-associated chain deepens the tree.
+            self.descend()?;
             self.bump();
             let rhs = self.parse_binary(prec + 1)?;
             lhs = CExpr::binary(op, lhs, rhs);
         }
+        self.depth = entry;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<CExpr, CParseError> {
+        match self.peek() {
+            Some(CTok::Minus | CTok::Star | CTok::Amp | CTok::Bang) => {
+                self.nested(Parser::parse_unary_inner)
+            }
+            Some(CTok::LParen) if self.is_type_keyword(1) => self.nested(Parser::parse_unary_inner),
+            _ => self.parse_postfix(),
+        }
+    }
+
+    fn parse_unary_inner(&mut self) -> Result<CExpr, CParseError> {
         match self.peek() {
             Some(CTok::Minus) => {
                 self.bump();
@@ -582,7 +641,11 @@ fn is_lvalue(e: &CExpr) -> bool {
 /// ```
 pub fn parse_c(src: &str) -> Result<CProgram, CParseError> {
     let toks = tokenize_c(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut functions = Vec::new();
     while p.peek().is_some() {
         functions.push(p.parse_function()?);

@@ -10,7 +10,6 @@
 //! candidates it already rejected, and the grammar is re-learned over
 //! the accumulated candidate pool.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -20,7 +19,7 @@ use gtl_search::{
     bottom_up_search_hooked, top_down_search_hooked, CheckOutcome, PenaltyContext, SearchHooks,
     SearchOutcome,
 };
-use gtl_taco::{parse_program, preprocess_candidate, TacoProgram};
+use gtl_taco::{parse_program, preprocess_candidate, CanonEncoder, KeySet, TacoProgram};
 use gtl_trace::{Phase, PhaseCollector, PhaseSpan, PhaseTimes};
 use gtl_template::{
     any_const, any_repeated_index, generate_bu_full_grammar, generate_bu_grammar,
@@ -28,7 +27,7 @@ use gtl_template::{
     overlay_lhs_dimension, predict_dimension_list, templatize, TdSpec, Template,
     TemplateGrammar,
 };
-use gtl_validate::{generate_examples, validate_template, IoExample, LiftTask, ValidationStats};
+use gtl_validate::{generate_examples, IoExample, LiftTask, ValidationStats, Validator};
 use gtl_verify::verify_candidate;
 
 use crate::config::{GrammarMode, SearchMode, StaggConfig};
@@ -380,9 +379,13 @@ impl Stagg {
                 Some(first) => vals.all(|v| v == first),
             }
         };
-        // Canonical fingerprints of templates already validated this
-        // round: the one deduplication layer of the lift.
-        let mut seen_canonical: HashSet<u64> = HashSet::new();
+        // Canonical keys of templates already validated this round, held
+        // exactly: the one deduplication layer of the lift.
+        let mut canon = CanonEncoder::default();
+        let mut seen_canonical = KeySet::default();
+        // The task's parameters and the examples' tensors, interned once
+        // for every template this round validates.
+        let validator = Validator::new(task, examples);
         // A bounded sample of rejected candidates, collected only when
         // a later round could use it as feedback.
         let collect_rejected = self.config.oracle_rounds.max(1) > 1;
@@ -411,28 +414,21 @@ impl Stagg {
                 // would reject every substitution — skip it. Pruned
                 // templates fail exactly as validation would, so the
                 // run's outcome (and attempt count) is unchanged.
-                let rhs_accesses = template.rhs.accesses();
-                let unconstrained = template
-                    .lhs
-                    .indices
-                    .iter()
-                    .any(|ix| !rhs_accesses.iter().any(|acc| acc.indices.contains(ix)));
-                if unconstrained || (rhs_accesses.is_empty() && !outputs_uniform) {
+                let facts = canon.load(template);
+                if facts.unconstrained_output || (!facts.reads_tensor && !outputs_uniform) {
                     stats.pruned_infeasible += 1;
                     return CheckOutcome::Failed;
                 }
-                // Equivalence: templates with equal canonical
-                // fingerprints enumerate identical substitution sets, so
-                // re-validating one is pure waste.
-                if !seen_canonical.insert(gtl_taco::canonical_fingerprint(template)) {
+                // Equivalence: templates with equal canonical keys
+                // enumerate identical substitution sets, so re-validating
+                // one is pure waste.
+                if !seen_canonical.insert(canon.key()) {
                     stats.pruned_equivalent += 1;
                     return CheckOutcome::Failed;
                 }
             }
-            match validate_template(
+            match validator.validate(
                 template,
-                task,
-                examples,
                 |concrete, _sub| {
                     if let Some(observer) = observer {
                         observer.validated(concrete);

@@ -1,7 +1,7 @@
 //! Integration tests of the shared TCP transport, driven through a real
-//! server and a real router: hostile wire lines get typed errors and
-//! leave the connection usable, and routed requests are not held back
-//! by the replica's acceptor.
+//! server and a real router: hostile wire lines (deep JSON, deep TACO,
+//! deep C) get typed errors and leave the connection usable, and routed
+//! requests are not held back by the replica's acceptor.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -88,6 +88,53 @@ fn deep_nesting_is_bad_json_and_the_connection_survives() {
         match exchange(&mut stream, &mut reader, &deep) {
             Event::Error { code, .. } => assert_eq!(code, ErrorCode::BadJson, "{addr}"),
             other => panic!("{addr}: expected bad_json, got {other:?}"),
+        }
+        let stats = exchange(&mut stream, &mut reader, &Request::Stats.to_line());
+        assert!(matches!(stats, Event::Stats { .. }), "{addr}: {stats:?}");
+    }
+    stop(&router, router_thread);
+    server_thread.join().expect("server thread");
+}
+
+/// Two `lift` lines that parse as JSON but nest 100,000 deep in TACO
+/// (the ground truth) and in C (the loop body).
+fn deep_lift_lines() -> [String; 2] {
+    let n = 100_000;
+    let params = r#"[{"name":"n","kind":"size","symbol":"n"},{"name":"a","kind":"array_in","dims":["n"],"nonzero":false},{"name":"b","kind":"array_in","dims":["n"],"nonzero":false},{"name":"out","kind":"array_out","dims":[]}]"#;
+    let kernel = |body: &str| {
+        format!("void dot(int n, int *a, int *b, int *out) {{ *out = 0; for (int i = 0; i < n; i++) *out += {body} * b[i]; }}")
+    };
+    let deep_truth = format!("out = {}a(i){} * b(i)", "(".repeat(n), ")".repeat(n));
+    let deep_body = format!("{}a[i]{}", "(".repeat(n), ")".repeat(n));
+    [
+        format!(
+            r#"{{"type":"lift","id":"deep_truth","source":"{}","params":{params},"ground_truth":"{deep_truth}"}}"#,
+            kernel("a[i]")
+        ),
+        format!(
+            r#"{{"type":"lift","id":"deep_c","source":"{}","params":{params}}}"#,
+            kernel(&deep_body)
+        ),
+    ]
+}
+
+#[test]
+fn deep_sources_are_bad_source_and_the_connection_survives() {
+    // A TACO ground truth or a C kernel nested 100,000 deep used to
+    // recurse its parser off the end of the stack and abort the process.
+    let (server, server_thread) = spawn_server();
+    let (router, router_thread) = spawn_router(&server);
+    for addr in [&server, &router] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        for line in deep_lift_lines() {
+            match exchange(&mut stream, &mut reader, &line) {
+                Event::Error { code, .. } => assert_eq!(code, ErrorCode::BadSource, "{addr}"),
+                other => panic!("{addr}: expected bad_source, got {other:?}"),
+            }
         }
         let stats = exchange(&mut stream, &mut reader, &Request::Stats.to_line());
         assert!(matches!(stats, Event::Stats { .. }), "{addr}: {stats:?}");

@@ -29,7 +29,7 @@
 //!
 //! [`crate::evaluate`] is this engine with a single identity lane.
 
-use std::collections::HashMap;
+use std::cell::OnceCell;
 
 use gtl_tensor::{Rat, Shape, Tensor};
 
@@ -38,15 +38,88 @@ use crate::eval::EvalError;
 use crate::isa::{Encoder, IsaProgram, Opcode};
 use crate::semantics::{SemanticError, TensorEnv};
 
-/// One substitution of the template: a concrete tensor name per tensor
-/// slot and a concrete value per symbolic-constant slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lane {
-    /// Concrete tensor names, aligned with [`BatchKernel::tensor_slots`].
-    pub tensors: Vec<String>,
-    /// Concrete constant values, aligned with
-    /// [`BatchKernel::const_slots`].
-    pub constants: Vec<i64>,
+/// One substitution of the template: a tensor id per tensor slot and a
+/// value per symbolic-constant slot. Ids index a [`LaneEnv`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lane<'a> {
+    /// Tensor ids, aligned with [`BatchKernel::tensor_slots`].
+    pub tensors: &'a [u32],
+    /// Constant values, aligned with [`BatchKernel::const_slots`].
+    pub constants: &'a [i64],
+}
+
+/// The tensors lanes bind, by id: a name (which errors report) and the
+/// tensor, or `None` for a name with no binding. Each tensor is
+/// converted to `i64` at most once per environment, however many
+/// evaluations read it.
+#[derive(Debug, Default)]
+pub struct LaneEnv<'e> {
+    entries: Vec<EnvEntry<'e>>,
+}
+
+#[derive(Debug)]
+struct EnvEntry<'e> {
+    name: &'e str,
+    tensor: Option<&'e Tensor>,
+    /// The tensor's elements as `i64`s, `None` if one is not an integer.
+    ints: OnceCell<Option<Vec<i64>>>,
+}
+
+impl<'e> LaneEnv<'e> {
+    /// An empty environment.
+    pub fn new() -> LaneEnv<'e> {
+        LaneEnv::default()
+    }
+
+    /// Binds `name` to `tensor` (`None`: unbound) and returns its id.
+    pub fn push(&mut self, name: &'e str, tensor: Option<&'e Tensor>) -> u32 {
+        self.entries.push(EnvEntry {
+            name,
+            tensor,
+            ints: OnceCell::new(),
+        });
+        self.entries.len() as u32 - 1
+    }
+
+    /// Every binding of `env`, in name order.
+    pub fn from_env(env: &'e TensorEnv) -> LaneEnv<'e> {
+        let mut out = LaneEnv::new();
+        for (name, tensor) in env {
+            out.push(name, Some(tensor));
+        }
+        out
+    }
+
+    /// The id of the first binding named `name`.
+    pub fn id(&self, name: &str) -> Option<u32> {
+        self.entries
+            .iter()
+            .position(|e| e.name == name)
+            .map(|id| id as u32)
+    }
+
+    fn name(&self, id: u32) -> &'e str {
+        self.entries[id as usize].name
+    }
+
+    fn tensor(&self, id: u32) -> Result<&'e Tensor, SemanticError> {
+        self.entries[id as usize]
+            .tensor
+            .ok_or_else(|| SemanticError::UnboundTensor {
+                name: self.name(id).to_string(),
+            })
+    }
+
+    fn ints(&self, id: u32) -> Option<&[i64]> {
+        let entry = &self.entries[id as usize];
+        entry
+            .ints
+            .get_or_init(|| {
+                let t = entry.tensor.expect("only bound tensors are converted");
+                t.data().iter().map(|r| r.to_i64()).collect()
+            })
+            .as_deref()
+    }
 }
 
 /// One template access: which tensor slot it reads and, per index
@@ -74,7 +147,7 @@ enum Mode {
 /// A template lowered once for evaluation under many substitutions.
 ///
 /// ```
-/// use gtl_taco::{parse_program, BatchKernel, Lane, TensorEnv};
+/// use gtl_taco::{parse_program, BatchKernel, Lane, LaneEnv};
 /// use gtl_tensor::{Rat, Shape, Tensor};
 ///
 /// // The template leaves tensor names symbolic; each lane binds them.
@@ -82,12 +155,13 @@ enum Mode {
 /// let kernel = BatchKernel::new(&template);
 /// assert_eq!(kernel.tensor_slots(), ["m", "x"]);
 ///
-/// let mut env = TensorEnv::new();
-/// env.insert("mat".into(), Tensor::from_ints(Shape::new(vec![2, 2]), &[1, 2, 3, 4]));
-/// env.insert("v".into(), Tensor::from_ints(Shape::new(vec![2]), &[10, 100]));
-/// let lanes = vec![
-///     Lane { tensors: vec!["mat".into(), "v".into()], constants: vec![] },
-///     Lane { tensors: vec!["mat".into(), "v".into()], constants: vec![] },
+/// let mat = Tensor::from_ints(Shape::new(vec![2, 2]), &[1, 2, 3, 4]);
+/// let v = Tensor::from_ints(Shape::new(vec![2]), &[10, 100]);
+/// let mut env = LaneEnv::new();
+/// let ids = [env.push("mat", Some(&mat)), env.push("v", Some(&v))];
+/// let lanes = [
+///     Lane { tensors: &ids, constants: &[] },
+///     Lane { tensors: &ids, constants: &[] },
 /// ];
 /// let results = kernel.evaluate_lanes(&lanes, &env);
 /// assert_eq!(results[0].as_ref().unwrap().data(), &[Rat::from(210), Rat::from(430)]);
@@ -208,6 +282,18 @@ impl BatchKernel {
         &self.slot_names
     }
 
+    /// The rank every access of tensor slot `slot` reads it at, or `None`
+    /// when two accesses disagree.
+    pub fn slot_rank(&self, slot: usize) -> Option<usize> {
+        let mut ranks = self
+            .accesses
+            .iter()
+            .filter(|acc| acc.slot as usize == slot)
+            .map(|acc| acc.loops.len());
+        let first = ranks.next()?;
+        ranks.all(|r| r == first).then_some(first)
+    }
+
     /// The template's symbolic-constant slots, in RHS first-use order. A
     /// [`Lane`] binds one `i64` per entry.
     pub fn const_slots(&self) -> &[u32] {
@@ -228,23 +314,21 @@ impl BatchKernel {
     /// slot.
     fn analyze_lane<'e>(
         &self,
-        lane: &Lane,
-        env: &'e TensorEnv,
+        lane: &Lane<'_>,
+        env: &LaneEnv<'e>,
     ) -> Result<(Vec<usize>, Vec<&'e Tensor>), SemanticError> {
         let mut extents: Vec<Option<usize>> = vec![None; self.loop_names.len()];
         let mut bound: Vec<Option<&Tensor>> = vec![None; self.slot_names.len()];
         for acc in &self.accesses {
-            let name = &lane.tensors[acc.slot as usize];
+            let id = lane.tensors[acc.slot as usize];
             let t = match bound[acc.slot as usize] {
                 Some(t) => t,
-                None => env
-                    .get(name)
-                    .ok_or_else(|| SemanticError::UnboundTensor { name: name.clone() })?,
+                None => env.tensor(id)?,
             };
             bound[acc.slot as usize] = Some(t);
             if t.rank() != acc.loops.len() {
                 return Err(SemanticError::RankMismatch {
-                    name: name.clone(),
+                    name: env.name(id).to_string(),
                     access_rank: acc.loops.len(),
                     bound_rank: t.rank(),
                 });
@@ -290,7 +374,7 @@ impl BatchKernel {
     /// Folds every constant leaf into one `i64` coefficient for the
     /// product fast path; `None` (overflow) sends the lane to the exact
     /// engine, which computes the identical value.
-    fn fold_coeff(&self, lane: &Lane) -> Option<i64> {
+    fn fold_coeff(&self, lane: &Lane<'_>) -> Option<i64> {
         let mut coeff = 1i64;
         for inst in &self.isa.insts {
             let c = match inst.op {
@@ -317,8 +401,8 @@ impl BatchKernel {
     /// a caller bug, not a candidate failure.
     pub fn evaluate_lanes(
         &self,
-        lanes: &[Lane],
-        env: &TensorEnv,
+        lanes: &[Lane<'_>],
+        env: &LaneEnv<'_>,
     ) -> Vec<Result<Tensor, EvalError>> {
         /// Lanes binding the same shape to every slot.
         struct Group {
@@ -362,7 +446,7 @@ impl BatchKernel {
             }
         }
         for g in &groups {
-            self.run_group(lanes, &g.ids, &g.loop_extents, &bound, &mut results);
+            self.run_group(lanes, env, &g.ids, &g.loop_extents, &bound, &mut results);
         }
         results
             .into_iter()
@@ -377,7 +461,8 @@ impl BatchKernel {
     /// loops'; `bound[id]` is the tensor lane `id` binds to every slot.
     fn run_group(
         &self,
-        lanes: &[Lane],
+        lanes: &[Lane<'_>],
+        env: &LaneEnv<'_>,
         ids: &[usize],
         loop_extents: &[usize],
         bound: &[Vec<&Tensor>],
@@ -428,19 +513,9 @@ impl BatchKernel {
         // summation (with none, every element is read once and the
         // conversion would cost more than it saves), and (per lane) every
         // input element an i64 integer.
-        // Conversion is memoised per concrete tensor name, so a tensor
-        // shared by many lanes converts once.
+        // Conversion is memoised per environment entry, so a tensor
+        // shared by many lanes and evaluations converts once.
         let int_eligible = !self.isa.has_div && sum_iters > 1;
-        let mut ints_by_name: HashMap<&str, Option<Vec<i64>>> = HashMap::new();
-        if int_eligible {
-            for &id in ids {
-                for (name, t) in lanes[id].tensors.iter().zip(&bound[id]) {
-                    ints_by_name
-                        .entry(name.as_str())
-                        .or_insert_with(|| t.data().iter().map(|r| r.to_i64()).collect());
-                }
-            }
-        }
         let modes: Vec<Mode> = ids
             .iter()
             .map(|&id| {
@@ -448,11 +523,7 @@ impl BatchKernel {
                     return Mode::Exact;
                 }
                 let lane = &lanes[id];
-                if lane
-                    .tensors
-                    .iter()
-                    .any(|n| ints_by_name[n.as_str()].is_none())
-                {
+                if lane.tensors.iter().any(|&t| env.ints(t).is_none()) {
                     return Mode::Exact;
                 }
                 if self.product_loads.is_some() {
@@ -473,8 +544,7 @@ impl BatchKernel {
                     self.accesses
                         .iter()
                         .map(|acc| {
-                            ints_by_name[lanes[id].tensors[acc.slot as usize].as_str()]
-                                .as_deref()
+                            env.ints(lanes[id].tensors[acc.slot as usize])
                                 .expect("int mode implies integer conversion")
                         })
                         .collect::<Vec<_>>()
@@ -1042,14 +1112,49 @@ mod tests {
         e
     }
 
+    /// A lane by tensor names; [`eval_named`] resolves the names.
+    #[derive(Debug)]
+    struct Named {
+        tensors: Vec<&'static str>,
+        constants: Vec<i64>,
+    }
+
+    /// Evaluates named lanes: each name binds its tensor in `env`, a
+    /// name `env` lacks binds nothing.
+    fn eval_named(
+        k: &BatchKernel,
+        lanes: &[Named],
+        env: &TensorEnv,
+    ) -> Vec<Result<Tensor, EvalError>> {
+        let mut lane_env = LaneEnv::from_env(env);
+        let ids: Vec<Vec<u32>> = lanes
+            .iter()
+            .map(|l| {
+                l.tensors
+                    .iter()
+                    .map(|n| lane_env.id(n).unwrap_or_else(|| lane_env.push(n, None)))
+                    .collect()
+            })
+            .collect();
+        let views: Vec<Lane<'_>> = lanes
+            .iter()
+            .zip(&ids)
+            .map(|(l, ids)| Lane {
+                tensors: ids,
+                constants: &l.constants,
+            })
+            .collect();
+        k.evaluate_lanes(&views, &lane_env)
+    }
+
     /// Applies a lane to the template: rename every tensor by slot,
     /// replace every `Const` by its value.
-    fn concretize(k: &BatchKernel, t: &TacoProgram, lane: &Lane) -> TacoProgram {
+    fn concretize(k: &BatchKernel, t: &TacoProgram, lane: &Named) -> TacoProgram {
         let names: Map<&str, &str> = k
             .tensor_slots()
             .iter()
             .map(String::as_str)
-            .zip(lane.tensors.iter().map(String::as_str))
+            .zip(lane.tensors.iter().copied())
             .collect();
         let consts: Map<u32, i64> = k
             .const_slots()
@@ -1082,10 +1187,10 @@ mod tests {
     /// The batch result of every lane must equal the reference
     /// interpreter on the substituted program — values and error
     /// classification.
-    fn assert_lanes_match_interpreter(src: &str, lanes: &[Lane], env: &TensorEnv) {
+    fn assert_lanes_match_interpreter(src: &str, lanes: &[Named], env: &TensorEnv) {
         let t = parse_program(src).unwrap();
         let k = BatchKernel::new(&t);
-        let got = k.evaluate_lanes(lanes, env);
+        let got = eval_named(&k, lanes, env);
         assert_eq!(got.len(), lanes.len());
         for (lane, got) in lanes.iter().zip(&got) {
             let concrete = concretize(&k, &t, lane);
@@ -1094,16 +1199,16 @@ mod tests {
         }
     }
 
-    fn lane(tensors: &[&str]) -> Lane {
-        Lane {
-            tensors: tensors.iter().map(|s| s.to_string()).collect(),
+    fn lane(tensors: &[&'static str]) -> Named {
+        Named {
+            tensors: tensors.to_vec(),
             constants: vec![],
         }
     }
 
-    fn lane_c(tensors: &[&str], constants: &[i64]) -> Lane {
-        Lane {
-            tensors: tensors.iter().map(|s| s.to_string()).collect(),
+    fn lane_c(tensors: &[&'static str], constants: &[i64]) -> Named {
+        Named {
+            tensors: tensors.to_vec(),
             constants: constants.to_vec(),
         }
     }
@@ -1182,7 +1287,7 @@ mod tests {
         let lanes = [lane(&["b", "c"]), lane(&["b", "cz"]), lane(&["c", "b"])];
         let t = parse_program("a(i) = b(i) / c(i)").unwrap();
         let k = BatchKernel::new(&t);
-        let got = k.evaluate_lanes(&lanes, &e);
+        let got = eval_named(&k, &lanes, &e);
         assert_eq!(
             got[1],
             Err(EvalError::Arithmetic(RatError::DivisionByZero)),
@@ -1206,7 +1311,7 @@ mod tests {
         ];
         let t = parse_program("y(i) = m(i,j) * x(j)").unwrap();
         let k = BatchKernel::new(&t);
-        let got = k.evaluate_lanes(&lanes, &e);
+        let got = eval_named(&k, &lanes, &e);
         assert!(got[0].is_ok());
         assert!(matches!(
             got[1],
@@ -1235,7 +1340,7 @@ mod tests {
         let lanes = [lane(&["bb"]), lane(&["bs"])];
         let t = parse_program("a = b(i) * b(i) * b(i) * b(i)").unwrap();
         let k = BatchKernel::new(&t);
-        let got = k.evaluate_lanes(&lanes, &e);
+        let got = eval_named(&k, &lanes, &e);
         assert_eq!(got[0], Err(EvalError::Arithmetic(RatError::Overflow)));
         assert!(got[1].is_ok());
         assert_lanes_match_interpreter("a = b(i) * b(i) * b(i) * b(i)", &lanes, &e);
@@ -1275,7 +1380,7 @@ mod tests {
     fn empty_lane_slice_is_fine() {
         let t = parse_program("a(i) = b(i)").unwrap();
         let k = BatchKernel::new(&t);
-        assert!(k.evaluate_lanes(&[], &TensorEnv::new()).is_empty());
+        assert!(k.evaluate_lanes(&[], &LaneEnv::new()).is_empty());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::fmt;
 use gtl_tensor::{Rat, RatError, Tensor};
 
 use crate::ast::{BinOp, Expr, TacoProgram};
-use crate::batch::{access_strides, BatchKernel, Lane};
+use crate::batch::{access_strides, BatchKernel, Lane, LaneEnv};
 use crate::semantics::{analyze, IndexAnalysis, SemanticError, TensorEnv};
 
 /// An evaluation error.
@@ -166,12 +166,18 @@ pub fn evaluate(program: &TacoProgram, env: &TensorEnv) -> Result<Tensor, EvalEr
             .unwrap_or(SemanticError::Uninstantiated)
             .into());
     }
+    let mut lane_env = LaneEnv::new();
+    let ids: Vec<u32> = kernel
+        .tensor_slots()
+        .iter()
+        .map(|name| lane_env.push(name, env.get(name)))
+        .collect();
     let lane = Lane {
-        tensors: kernel.tensor_slots().to_vec(),
-        constants: Vec::new(),
+        tensors: &ids,
+        constants: &[],
     };
     kernel
-        .evaluate_lanes(std::slice::from_ref(&lane), env)
+        .evaluate_lanes(&[lane], &lane_env)
         .pop()
         .expect("one result per lane")
 }

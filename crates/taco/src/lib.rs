@@ -56,8 +56,8 @@ pub use ast::{
     canonical_tensor_name, Access, BinOp, Expr, Ident, IndexVar, Operand, TacoProgram,
     CANONICAL_INDICES,
 };
-pub use batch::{BatchKernel, Lane};
-pub use canon::{canonical_fingerprint, canonical_key, canonicalize, canonicalize_expr};
+pub use batch::{BatchKernel, Lane, LaneEnv};
+pub use canon::{canonical_fingerprint, canonicalize, CanonEncoder, Facts, KeySet};
 pub use codegen::{generate_c, GeneratedKernel};
 pub use isa::{Encoder, Inst, IsaProgram, Opcode};
 pub use eval::{

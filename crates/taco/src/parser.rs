@@ -26,7 +26,18 @@ pub enum ParseError {
         /// Index of the first extra token.
         position: usize,
     },
+    /// The expression nests deeper than [`MAX_DEPTH`].
+    TooDeep {
+        /// Index of the token that crossed the bound.
+        position: usize,
+    },
 }
+
+/// The deepest nesting the parser accepts. Each parenthesis, unary minus
+/// and operator of a chain counts one level, so every expression tree it
+/// returns is at most this high and every recursive walk over it stays
+/// far inside a thread's stack. Real candidates nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -40,6 +51,12 @@ impl fmt::Display for ParseError {
             } => write!(f, "expected {expected} at token {position}, found {found:?}"),
             ParseError::TrailingTokens { position } => {
                 write!(f, "trailing tokens starting at token {position}")
+            }
+            ParseError::TooDeep { position } => {
+                write!(
+                    f,
+                    "expression nests deeper than {MAX_DEPTH} levels at token {position}"
+                )
             }
         }
     }
@@ -56,9 +73,28 @@ impl From<LexError> for ParseError {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enters one nesting level.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(ParseError::TooDeep { position: self.pos });
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -97,6 +133,7 @@ impl Parser {
     /// operator. `*`/`/` bind tighter than `+`/`-`; all operators are
     /// left-associative.
     fn parse_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let entry = self.depth;
         let mut lhs = self.parse_factor()?;
         loop {
             let op = match self.peek() {
@@ -109,24 +146,31 @@ impl Parser {
             if op.precedence() < min_prec {
                 break;
             }
+            // Each operator of a left-associated chain deepens the tree.
+            self.descend()?;
             self.bump();
             let rhs = self.parse_expr(op.precedence() + 1)?;
             lhs = Expr::binary(op, lhs, rhs);
         }
+        self.depth = entry;
         Ok(lhs)
     }
 
     fn parse_factor(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Some(Token::Minus) => {
+                self.descend()?;
                 self.bump();
                 let inner = self.parse_factor()?;
+                self.depth -= 1;
                 Ok(Expr::Neg(Box::new(inner)))
             }
             Some(Token::LParen) => {
+                self.descend()?;
                 self.bump();
                 let inner = self.parse_expr(0)?;
                 self.expect(&Token::RParen, "')'")?;
+                self.depth -= 1;
                 Ok(inner)
             }
             Some(Token::Int(v)) => {
@@ -211,14 +255,14 @@ impl Parser {
 /// ```
 pub fn parse_program(input: &str) -> Result<TacoProgram, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     p.parse_program()
 }
 
 /// Parses a TACO expression (the right-hand side only).
 pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.parse_expr(0)?;
     if p.pos != p.tokens.len() {
         return Err(ParseError::TrailingTokens { position: p.pos });

@@ -14,10 +14,10 @@
 use std::collections::HashMap;
 
 use gtl_taco::{
-    evaluate_interpreted, Access, BatchKernel, BinOp, EvalError, Expr, Lane, TacoProgram,
-    TensorEnv,
+    evaluate_interpreted, Access, BatchKernel, BinOp, EvalError, Expr, Lane, LaneEnv,
+    TacoProgram, TensorEnv,
 };
-use gtl_tensor::{Rat, Shape, TensorGen};
+use gtl_tensor::{Rat, Shape, Tensor, TensorGen};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -158,12 +158,47 @@ fn build_env(kernel: &BatchKernel, template: &TacoProgram, seed: u64, profile: V
     env
 }
 
+/// A lane by tensor names, resolved against the test's [`TensorEnv`].
+#[derive(Debug)]
+struct NamedLane {
+    tensors: Vec<String>,
+    constants: Vec<i64>,
+}
+
+/// Evaluates named lanes through the id-based batch interface: every
+/// name of `env` gets an id, and a name `env` lacks is bound to nothing.
+fn evaluate_named(
+    kernel: &BatchKernel,
+    lanes: &[NamedLane],
+    env: &TensorEnv,
+) -> Vec<Result<Tensor, EvalError>> {
+    let mut lane_env = LaneEnv::from_env(env);
+    let ids: Vec<Vec<u32>> = lanes
+        .iter()
+        .map(|lane| {
+            lane.tensors
+                .iter()
+                .map(|n| lane_env.id(n).unwrap_or_else(|| lane_env.push(n, None)))
+                .collect()
+        })
+        .collect();
+    let views: Vec<Lane<'_>> = lanes
+        .iter()
+        .zip(&ids)
+        .map(|(lane, ids)| Lane {
+            tensors: ids,
+            constants: &lane.constants,
+        })
+        .collect();
+    kernel.evaluate_lanes(&views, &lane_env)
+}
+
 /// Derives `n` lanes from the pick stream: mostly well-shaped bindings
 /// (either same-shape candidate), occasionally the wrong-rank or a
 /// missing tensor.
-fn derive_lanes(kernel: &BatchKernel, picks: &mut Picks, n: usize) -> Vec<Lane> {
+fn derive_lanes(kernel: &BatchKernel, picks: &mut Picks, n: usize) -> Vec<NamedLane> {
     (0..n)
-        .map(|_| Lane {
+        .map(|_| NamedLane {
             tensors: (0..kernel.tensor_slots().len())
                 .map(|s| match picks.pick(8) {
                     6 => "bad5".to_string(),
@@ -182,7 +217,7 @@ fn derive_lanes(kernel: &BatchKernel, picks: &mut Picks, n: usize) -> Vec<Lane> 
 
 /// Applies a lane to the template: rename every access by slot, replace
 /// every `ConstSym` by its bound value.
-fn concretize(kernel: &BatchKernel, template: &TacoProgram, lane: &Lane) -> TacoProgram {
+fn concretize(kernel: &BatchKernel, template: &TacoProgram, lane: &NamedLane) -> TacoProgram {
     let names: HashMap<&str, &str> = kernel
         .tensor_slots()
         .iter()
@@ -222,10 +257,10 @@ fn concretize(kernel: &BatchKernel, template: &TacoProgram, lane: &Lane) -> Taco
 fn assert_batch_matches_interpreter(
     template: &TacoProgram,
     env: &TensorEnv,
-    lanes: &[Lane],
+    lanes: &[NamedLane],
 ) -> Result<(), TestCaseError> {
     let kernel = BatchKernel::new(template);
-    let got = kernel.evaluate_lanes(lanes, env);
+    let got = evaluate_named(&kernel, lanes, env);
     prop_assert_eq!(got.len(), lanes.len());
     for (lane, got) in lanes.iter().zip(&got) {
         let concrete = concretize(&kernel, template, lane);
@@ -284,8 +319,8 @@ fn wide_mixed_batch_matches_interpreter() {
     env.insert("bad5".into(), gen.int_tensor(Shape::new(vec![5]), -5, 5));
     let names = ["g0", "h0", "g1", "h1", "bad5", "missing"];
     let mut picks = Picks(99);
-    let lanes: Vec<Lane> = (0..64)
-        .map(|_| Lane {
+    let lanes: Vec<NamedLane> = (0..64)
+        .map(|_| NamedLane {
             tensors: vec![
                 names[picks.pick(names.len())].to_string(),
                 names[picks.pick(names.len())].to_string(),
@@ -293,7 +328,7 @@ fn wide_mixed_batch_matches_interpreter() {
             constants: vec![],
         })
         .collect();
-    let got = kernel.evaluate_lanes(&lanes, &env);
+    let got = evaluate_named(&kernel, &lanes, &env);
     let mut errors = 0;
     for (lane, got) in lanes.iter().zip(&got) {
         let want = evaluate_interpreted(&concretize(&kernel, &template, lane), &env);

@@ -1,6 +1,7 @@
-//! Differential property test for algebraic canonicalization: a
-//! canonicalized program must evaluate exactly like the original on
-//! the value window candidate filtering actually uses.
+//! Differential property tests for algebraic canonicalization.
+//!
+//! First, a canonicalized program must evaluate exactly like the
+//! original on the value window candidate filtering actually uses.
 //!
 //! Values are drawn from the validator's small-integer window (with
 //! zeros, so division errors occur), where the module-level caveat
@@ -9,8 +10,15 @@
 //! set never erases an erroring subterm, though reassociation may
 //! change *which* error of several surfaces first).
 
+//! Second, the production [`CanonEncoder`] must agree with the string
+//! form it replaced ([`mod@reference`]): two templates get equal keys
+//! exactly when their reference `canonical_key`s are equal, and
+//! [`canonicalize`] builds the reference's tree.
+
+use gtl_taco::canon::reference;
 use gtl_taco::{
-    canonical_fingerprint, canonicalize, evaluate, Access, BinOp, Expr, TacoProgram, TensorEnv,
+    canonical_fingerprint, canonicalize, evaluate, Access, BinOp, CanonEncoder, Expr, TacoProgram,
+    TensorEnv,
 };
 use gtl_tensor::{Shape, TensorGen};
 use proptest::prelude::*;
@@ -78,7 +86,11 @@ fn build_env(program: &TacoProgram, seed: u64) -> TensorEnv {
         if env.contains_key(acc.tensor.as_str()) {
             continue;
         }
-        let extents: Vec<usize> = acc.indices.iter().map(|ix| extent_of(ix.as_str())).collect();
+        let extents: Vec<usize> = acc
+            .indices
+            .iter()
+            .map(|ix| extent_of(ix.as_str()))
+            .collect();
         // -2..2 is zero-rich: `/` draws hit division by zero often.
         env.insert(
             acc.tensor.to_string(),
@@ -121,5 +133,150 @@ proptest! {
             "fingerprint must not distinguish a program from its canonical form: {}",
             program
         );
+    }
+}
+
+/// Template leaves: accesses over `a` (the LHS symbol, reused on the
+/// RHS), `b` and `c` with repeated indices allowed; `Const` slots drawn
+/// from a small id pool, so slots are both shared and free; and
+/// constants whose printed order disagrees with their value order
+/// (`#-1` < `#-12` < `#100` < `#12` < `#3` as bytes).
+fn arb_template_leaf() -> BoxedStrategy<Expr> {
+    let access = (
+        prop::sample::select(vec!["a", "b", "c"]),
+        prop::collection::vec(prop::sample::select(vec!["i", "j", "k"]), 0..4),
+    )
+        .prop_map(|(name, indices)| Expr::access(name, &indices));
+    prop_oneof![
+        access,
+        (0u32..3).prop_map(Expr::ConstSym),
+        prop::sample::select(vec![-1i64, -12, 0, 1, 3, 12, 100, i64::MIN, i64::MAX])
+            .prop_map(Expr::Const),
+    ]
+}
+
+/// Templates mixing every operator, unary minus, and the pair that
+/// makes printed keys and structure disagree: `-x` next to `x - y` in
+/// one chain, where `(- x)` sorts after `(- x y)`.
+fn arb_template() -> impl Strategy<Value = TacoProgram> {
+    let rhs = arb_template_leaf().prop_recursive(3, 16, 2, |inner| {
+        prop_oneof![
+            (
+                prop::sample::select(BinOp::ALL.to_vec()),
+                inner.clone(),
+                inner.clone()
+            )
+                .prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+            inner.clone().prop_map(|e| Expr::Neg(Box::new(e))),
+            (
+                prop::sample::select(vec![BinOp::Add, BinOp::Mul]),
+                inner.clone(),
+                inner
+            )
+                .prop_map(|(op, x, y)| {
+                    Expr::binary(
+                        op,
+                        Expr::Neg(Box::new(x.clone())),
+                        Expr::binary(BinOp::Sub, x, y),
+                    )
+                }),
+        ]
+    });
+    let lhs = prop::sample::select(vec![vec![], vec!["i"], vec!["i", "j"], vec!["i", "i"]])
+        .prop_map(|indices| Access::new("a", &indices));
+    (lhs, rhs).prop_map(|(lhs, rhs)| TacoProgram::new(lhs, rhs))
+}
+
+/// Respellings that often keep the reference key: slots `b`/`c`
+/// swapped, indices `j`/`k` swapped, or every `+`/`*` mirrored.
+fn variants(t: &TacoProgram) -> [TacoProgram; 3] {
+    fn map(e: &Expr, f: &dyn Fn(&Expr) -> Option<Expr>) -> Expr {
+        if let Some(out) = f(e) {
+            return out;
+        }
+        match e {
+            Expr::Neg(inner) => Expr::Neg(Box::new(map(inner, f))),
+            Expr::Binary { op, lhs, rhs } => Expr::binary(*op, map(lhs, f), map(rhs, f)),
+            leaf => leaf.clone(),
+        }
+    }
+    let swap = |x: &str, y: &str, s: &str| -> String {
+        if s == x {
+            y.to_string()
+        } else if s == y {
+            x.to_string()
+        } else {
+            s.to_string()
+        }
+    };
+    let slots = map(&t.rhs, &|e| match e {
+        Expr::Access(a) => Some(Expr::Access(Access {
+            tensor: swap("b", "c", a.tensor.as_str()).as_str().into(),
+            indices: a.indices.clone(),
+        })),
+        _ => None,
+    });
+    let indices = map(&t.rhs, &|e| match e {
+        Expr::Access(a) => Some(Expr::Access(Access {
+            tensor: a.tensor.clone(),
+            indices: a
+                .indices
+                .iter()
+                .map(|ix| swap("j", "k", ix.as_str()).as_str().into())
+                .collect(),
+        })),
+        _ => None,
+    });
+    fn mirror(e: &Expr) -> Expr {
+        match e {
+            Expr::Binary { op, lhs, rhs } if op.is_associative() => {
+                Expr::binary(*op, mirror(rhs), mirror(lhs))
+            }
+            Expr::Binary { op, lhs, rhs } => Expr::binary(*op, mirror(lhs), mirror(rhs)),
+            Expr::Neg(inner) => Expr::Neg(Box::new(mirror(inner))),
+            leaf => leaf.clone(),
+        }
+    }
+    [
+        TacoProgram::new(t.lhs.clone(), slots),
+        TacoProgram::new(t.lhs.clone(), indices),
+        TacoProgram::new(t.lhs.clone(), mirror(&t.rhs)),
+    ]
+}
+
+proptest! {
+    /// The encoder partitions templates exactly like the reference key:
+    /// for every pair in a batch (templates plus respellings), keys are
+    /// equal exactly when reference keys are; and the production
+    /// canonical tree is the reference's.
+    #[test]
+    fn encoder_keys_partition_like_reference_keys(
+        seeds in prop::collection::vec(arb_template(), 6..7),
+    ) {
+        let mut templates: Vec<TacoProgram> = Vec::new();
+        for t in &seeds {
+            templates.push(t.clone());
+            templates.extend(variants(t));
+        }
+        let mut enc = CanonEncoder::default();
+        let keys: Vec<Vec<u8>> = templates
+            .iter()
+            .map(|t| {
+                enc.load(t);
+                enc.key().to_vec()
+            })
+            .collect();
+        let reference_keys: Vec<String> = templates.iter().map(reference::canonical_key).collect();
+        for (i, a) in templates.iter().enumerate() {
+            prop_assert_eq!(canonicalize(a), reference::canonicalize(a), "tree of {}", a);
+            for (j, b) in templates.iter().enumerate() {
+                prop_assert_eq!(
+                    keys[i] == keys[j],
+                    reference_keys[i] == reference_keys[j],
+                    "{} vs {}: reference keys {} / {}",
+                    a, b, reference_keys[i], reference_keys[j]
+                );
+            }
+        }
     }
 }

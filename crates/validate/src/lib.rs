@@ -47,11 +47,9 @@ mod subst;
 mod task;
 mod validator;
 
-pub use subst::{
-    apply_substitution, enumerate_substitutions, template_slots, Substitution, TemplateSlots,
-};
+pub use subst::{apply_substitution, Substitution};
 pub use task::{LiftTask, TaskError, TaskInstance, TaskParam, TaskParamKind, ValueMode};
 pub use validator::{
     generate_examples, validate_template, validate_template_cached, ExampleConfig, IoExample,
-    ValidationStats,
+    ValidationStats, Validator,
 };

@@ -31,6 +31,16 @@ pub enum TaskParamKind {
     },
 }
 
+impl TaskParamKind {
+    /// The logical rank: arrays by declared dims, scalars 0.
+    pub(crate) fn rank(&self) -> usize {
+        match self {
+            TaskParamKind::Size(_) | TaskParamKind::ScalarIn { .. } => 0,
+            TaskParamKind::ArrayIn { dims, .. } | TaskParamKind::ArrayOut { dims } => dims.len(),
+        }
+    }
+}
+
 /// One parameter of the task.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskParam {
@@ -146,23 +156,6 @@ impl LiftTask {
     /// The output parameter's name.
     pub fn output_name(&self) -> &str {
         &self.params[self.output].name
-    }
-
-    /// Logical rank of each parameter (arrays by declared dims, scalars
-    /// rank 0), keyed by name.
-    pub fn param_ranks(&self) -> BTreeMap<&str, usize> {
-        self.params
-            .iter()
-            .map(|p| {
-                let rank = match &p.kind {
-                    TaskParamKind::Size(_) | TaskParamKind::ScalarIn { .. } => 0,
-                    TaskParamKind::ArrayIn { dims, .. } | TaskParamKind::ArrayOut { dims } => {
-                        dims.len()
-                    }
-                };
-                (p.name.as_str(), rank)
-            })
-            .collect()
     }
 
     /// Builds a concrete instance under a size binding.
@@ -334,6 +327,48 @@ pub(crate) mod tests_support {
             ref_program: Default::default(),
         }
     }
+
+    /// A scaled GEMV plus a summed scaled vector, over three ranks of
+    /// parameters and a four-value constant pool:
+    /// `out(i) = 2 * m(i,j) * x(j) + s * y(j)`.
+    pub(crate) fn gemv_task() -> LiftTask {
+        let prog = parse_c(
+            "void gemv(int n, int *m, int *x, int s, int *y, int *out) {
+                for (int i = 0; i < n; i++) {
+                    out[i] = 0;
+                    for (int j = 0; j < n; j++) out[i] += 2 * m[i * n + j] * x[j] + s * y[j];
+                }
+            }",
+        )
+        .unwrap();
+        let array = |dims: &[&str]| TaskParamKind::ArrayIn {
+            dims: dims.iter().map(|d| d.to_string()).collect(),
+            nonzero: false,
+        };
+        let param = |name: &str, kind| TaskParam {
+            name: name.into(),
+            kind,
+        };
+        LiftTask {
+            func: prog.kernel().clone(),
+            params: vec![
+                param("n", TaskParamKind::Size("n".into())),
+                param("m", array(&["n", "n"])),
+                param("x", array(&["n"])),
+                param("s", TaskParamKind::ScalarIn { nonzero: false }),
+                param("y", array(&["n"])),
+                param(
+                    "out",
+                    TaskParamKind::ArrayOut {
+                        dims: vec!["n".into()],
+                    },
+                ),
+            ],
+            output: 5,
+            constants: vec![0, 2, -1, 3],
+            ref_program: Default::default(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -356,11 +391,9 @@ mod tests {
 
     #[test]
     fn ranks() {
-        let task = dot_task();
-        let ranks = task.param_ranks();
-        assert_eq!(ranks["n"], 0);
-        assert_eq!(ranks["a"], 1);
-        assert_eq!(ranks["out"], 0);
+        let ranks: Vec<usize> = dot_task().params.iter().map(|p| p.kind.rank()).collect();
+        // n, a, b, out.
+        assert_eq!(ranks, [0, 1, 1, 0]);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The template validator (§6): I/O example generation plus the
 //! validate-then-verify loop over substitutions.
 
-use gtl_taco::{BatchKernel, EvalCache, Lane, TacoProgram};
+use gtl_taco::{BatchKernel, EvalCache, Lane, LaneEnv, TacoProgram};
 use gtl_tensor::{Tensor, TensorGen};
 
-use crate::subst::{apply_substitution, enumerate_substitutions, Substitution};
+use crate::subst::{apply_substitution, Substitution, Substitutions};
 use crate::task::{LiftTask, TaskInstance, ValueMode};
 
 /// How many substitutions one batched evaluation sweep carries. Large
@@ -106,64 +106,175 @@ impl ValidationStats {
     }
 }
 
-/// The §6 validation loop: enumerate substitutions, test each against the
-/// I/O examples, and hand survivors to `verify`; the first substitution
-/// the verifier accepts wins. Returns the verified concrete program.
-///
-/// `verify` realises §7; passing `|_| true` gives the I/O-only behaviour
-/// of the C2TACO baseline.
-///
-/// Substitutions are drained in 64-lane batches (`LANE_BATCH`): the template
-/// is lowered once into a [`BatchKernel`] and each I/O example filters a
-/// whole batch of [`Lane`]s in a single pass over a shared loop nest,
-/// instead of evaluating one substituted program at a time. Survivors are
-/// handed to `verify` in enumeration order, so the returned program (and
-/// which substitutions the verifier sees) is the first passing
-/// substitution the verifier accepts.
+/// A task and its examples interned for validation, built once per search
+/// round: parameters become ids (their position in `task.params`), listed
+/// per logical rank, and each example's tensors sit in a [`LaneEnv`]
+/// indexed by id. A substitution is then a slot → id array plus constant
+/// values, a lane borrows it, and a concrete [`TacoProgram`] is built only
+/// for substitutions that pass every example.
+pub struct Validator<'t> {
+    task: &'t LiftTask,
+    /// Per logical rank, the ids of the parameters of that rank.
+    by_rank: Vec<Vec<u32>>,
+    /// The output parameter's id.
+    output: [u32; 1],
+    /// Per example: its tensors by parameter id, and the expected output.
+    examples: Vec<(LaneEnv<'t>, &'t Tensor)>,
+}
+
+impl<'t> Validator<'t> {
+    /// Interns `task`'s parameters and `examples`' tensors.
+    pub fn new(task: &'t LiftTask, examples: &'t [IoExample]) -> Validator<'t> {
+        let mut by_rank: Vec<Vec<u32>> = Vec::new();
+        for (id, p) in task.params.iter().enumerate() {
+            let rank = p.kind.rank();
+            if by_rank.len() <= rank {
+                by_rank.resize(rank + 1, Vec::new());
+            }
+            by_rank[rank].push(id as u32);
+        }
+        let examples = examples
+            .iter()
+            .map(|ex| {
+                let mut env = LaneEnv::new();
+                for p in &task.params {
+                    env.push(&p.name, ex.instance.env.get(&p.name));
+                }
+                (env, &ex.output)
+            })
+            .collect();
+        Validator {
+            task,
+            by_rank,
+            output: [task.output as u32],
+            examples,
+        }
+    }
+
+    /// The §6 validation loop: enumerate substitutions, test each against
+    /// the I/O examples, and hand survivors to `verify`; the first
+    /// substitution the verifier accepts wins. Returns the verified
+    /// concrete program.
+    ///
+    /// `verify` realises §7; passing `|_, _| true` gives the I/O-only
+    /// behaviour of the C2TACO baseline.
+    ///
+    /// Substitutions are drained in 64-lane batches (`LANE_BATCH`): the
+    /// template is lowered once into a [`BatchKernel`] and each I/O example
+    /// filters a whole batch of [`Lane`]s in a single pass over a shared
+    /// loop nest, instead of evaluating one substituted program at a time.
+    /// Survivors are handed to `verify` in enumeration order, so the
+    /// returned program (and which substitutions the verifier sees) is the
+    /// first passing substitution the verifier accepts.
+    pub fn validate(
+        &self,
+        template: &TacoProgram,
+        mut verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
+        stats: &mut ValidationStats,
+    ) -> Option<TacoProgram> {
+        let kernel = BatchKernel::new(template);
+        let mut subs =
+            Substitutions::new(&kernel, &self.by_rank, &self.output, &self.task.constants)?;
+        let n_tensors = kernel.tensor_slots().len();
+        let n_consts = kernel.const_slots().len();
+        let mut tensors = Vec::with_capacity(LANE_BATCH * n_tensors);
+        let mut constants = Vec::with_capacity(LANE_BATCH * n_consts);
+        let mut alive: Vec<usize> = Vec::with_capacity(LANE_BATCH);
+        loop {
+            tensors.clear();
+            constants.clear();
+            let mut len = 0;
+            while len < LANE_BATCH && subs.next_into(&mut tensors, &mut constants) {
+                len += 1;
+            }
+            if len == 0 {
+                return None;
+            }
+            stats.substitutions_tried += len as u64;
+            let lane = |i: usize| Lane {
+                tensors: &tensors[i * n_tensors..(i + 1) * n_tensors],
+                constants: &constants[i * n_consts..(i + 1) * n_consts],
+            };
+            // Example-major filtering: each example prunes the batch, so
+            // later examples only evaluate lanes that still have a chance.
+            alive.clear();
+            alive.extend(0..len);
+            let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(len);
+            for (env, output) in &self.examples {
+                if alive.is_empty() {
+                    break;
+                }
+                lanes.clear();
+                lanes.extend(alive.iter().map(|&i| lane(i)));
+                let results = kernel.evaluate_lanes(&lanes, env);
+                let mut results = results.iter();
+                alive.retain(|_| matches!(results.next(), Some(Ok(out)) if out == *output));
+            }
+            for &i in &alive {
+                stats.io_passes += 1;
+                let sub = self.substitution(&kernel, lane(i));
+                let concrete = apply_substitution(template, &sub, self.task.output_name());
+                if verify(&concrete, &sub) {
+                    return Some(concrete);
+                }
+            }
+            if len < LANE_BATCH {
+                return None;
+            }
+        }
+    }
+
+    /// The named [`Substitution`] a lane realises: every tensor symbol
+    /// but the output binding `a`, and every constant slot.
+    fn substitution(&self, kernel: &BatchKernel, lane: Lane<'_>) -> Substitution {
+        let mut sub = Substitution::default();
+        for (sym, &id) in kernel.tensor_slots().iter().zip(lane.tensors) {
+            if sym != "a" {
+                let name = &self.task.params[id as usize].name;
+                sub.tensors.insert(sym.clone(), name.clone());
+            }
+        }
+        for (&slot, &value) in kernel.const_slots().iter().zip(lane.constants) {
+            sub.constants.insert(slot, value);
+        }
+        sub
+    }
+
+    /// Every substitution of `template`, in enumeration order.
+    #[cfg(test)]
+    pub(crate) fn substitutions(&self, template: &TacoProgram) -> Vec<Substitution> {
+        let kernel = BatchKernel::new(template);
+        let Some(mut subs) =
+            Substitutions::new(&kernel, &self.by_rank, &self.output, &self.task.constants)
+        else {
+            return Vec::new();
+        };
+        let (mut tensors, mut constants) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        while subs.next_into(&mut tensors, &mut constants) {
+            let lane = Lane {
+                tensors: &tensors,
+                constants: &constants,
+            };
+            out.push(self.substitution(&kernel, lane));
+            tensors.clear();
+            constants.clear();
+        }
+        out
+    }
+}
+
+/// [`Validator::validate`] for one template: interns the task on every
+/// call, so a caller validating many templates should build one
+/// [`Validator`] instead.
 pub fn validate_template(
     template: &TacoProgram,
     task: &LiftTask,
     examples: &[IoExample],
-    mut verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
+    verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
     stats: &mut ValidationStats,
 ) -> Option<TacoProgram> {
-    let output_name = task.output_name().to_string();
-    let subs = enumerate_substitutions(template, task);
-    if subs.is_empty() {
-        return None;
-    }
-    let kernel = BatchKernel::new(template);
-    for chunk in subs.chunks(LANE_BATCH) {
-        stats.substitutions_tried += chunk.len() as u64;
-        let lanes: Vec<Lane> = chunk
-            .iter()
-            .map(|sub| lane_for(&kernel, sub, &output_name))
-            .collect();
-        // Example-major filtering: each example prunes the batch, so later
-        // examples only evaluate lanes that still have a chance.
-        let mut alive: Vec<usize> = (0..chunk.len()).collect();
-        for ex in examples {
-            if alive.is_empty() {
-                break;
-            }
-            let batch: Vec<Lane> = alive.iter().map(|&i| lanes[i].clone()).collect();
-            let results = kernel.evaluate_lanes(&batch, &ex.instance.env);
-            alive = alive
-                .into_iter()
-                .zip(results)
-                .filter(|(_, r)| matches!(r, Ok(out) if *out == ex.output))
-                .map(|(i, _)| i)
-                .collect();
-        }
-        for i in alive {
-            stats.io_passes += 1;
-            let concrete = apply_substitution(template, &chunk[i], &output_name);
-            if verify(&concrete, &chunk[i]) {
-                return Some(concrete);
-            }
-        }
-    }
-    None
+    Validator::new(task, examples).validate(template, verify, stats)
 }
 
 /// [`validate_template`]; `cache` is ignored. [`EvalCache`] is an empty
@@ -178,32 +289,6 @@ pub fn validate_template_cached(
     _cache: &EvalCache,
 ) -> Option<TacoProgram> {
     validate_template(template, task, examples, verify, stats)
-}
-
-/// Builds the [`Lane`] realising one substitution: tensor slots resolve
-/// like [`apply_substitution`] (the LHS symbol `a` reused on the RHS binds
-/// the output; unbound symbols keep their name and fail analysis, exactly
-/// as the substituted program would). Every constant slot is bound:
-/// [`enumerate_substitutions`] binds each id [`crate::template_slots`]
-/// collects, the same `ConstSym` set the kernel lowers.
-fn lane_for(kernel: &BatchKernel, sub: &Substitution, output: &str) -> Lane {
-    let tensors = kernel
-        .tensor_slots()
-        .iter()
-        .map(|s| {
-            if s == "a" {
-                output.to_string()
-            } else {
-                sub.tensors.get(s).cloned().unwrap_or_else(|| s.clone())
-            }
-        })
-        .collect();
-    let constants = kernel
-        .const_slots()
-        .iter()
-        .map(|id| sub.constants[id])
-        .collect();
-    Lane { tensors, constants }
 }
 
 #[cfg(test)]

@@ -70,7 +70,7 @@ mod exhaustive;
 
 pub use exhaustive::{verify_exhaustive, ExhaustiveConfig, ExhaustiveOutcome};
 
-use gtl_taco::{BatchKernel, EvalCache, Lane, TacoProgram, TensorEnv};
+use gtl_taco::{BatchKernel, EvalCache, Lane, LaneEnv, TacoProgram, TensorEnv};
 use gtl_tensor::{seed_from_label, Tensor, TensorGen};
 use gtl_validate::{LiftTask, TaskError, ValueMode};
 
@@ -192,40 +192,24 @@ pub fn verify_candidate_cached(
     verify_candidate(task, candidate, cfg)
 }
 
-/// The drawn trials of one check: the kernel's output per trial, one
-/// [`Lane`] per trial, and one environment binding every trial's inputs
-/// under per-trial names, so a single batched pass evaluates the
-/// candidate on all of them.
+/// The drawn trials of one check: the kernel's output per trial and,
+/// per trial, the input bound to each of the candidate's tensor slots,
+/// so a single batched pass evaluates the candidate on all of them.
 #[derive(Default)]
 struct Trials {
     expected: Vec<Tensor>,
-    lanes: Vec<Lane>,
-    env: TensorEnv,
+    /// Trial-major: one entry per (trial, tensor slot).
+    inputs: Vec<Option<Tensor>>,
 }
 
 impl Trials {
     /// Adds a trial: its kernel output and its input bindings. Only the
-    /// tensors the candidate reads are bound; a name the candidate reads
+    /// tensors the candidate reads are kept; a name the candidate reads
     /// but the task lacks stays unbound and fails to evaluate.
     fn push(&mut self, kernel: &BatchKernel, expected: Tensor, mut env: TensorEnv) {
-        let trial = self.expected.len();
-        let tensors = kernel
-            .tensor_slots()
-            .iter()
-            .map(|name| {
-                // `#` never occurs in a C identifier, so per-trial names
-                // cannot collide.
-                let key = format!("{name}#{trial}");
-                if let Some(tensor) = env.remove(name) {
-                    self.env.insert(key.clone(), tensor);
-                }
-                key
-            })
-            .collect();
-        self.lanes.push(Lane {
-            tensors,
-            constants: Vec::new(),
-        });
+        for name in kernel.tensor_slots() {
+            self.inputs.push(env.remove(name));
+        }
         self.expected.push(expected);
     }
 
@@ -235,8 +219,22 @@ impl Trials {
         // Verification candidates are concrete; a leftover symbolic
         // constant cannot be bound, so it fails to evaluate everywhere.
         let actual: Vec<Option<Tensor>> = if kernel.const_slots().is_empty() {
+            let slots = kernel.tensor_slots();
+            let mut env = LaneEnv::new();
+            let ids: Vec<u32> = self
+                .inputs
+                .iter()
+                .enumerate()
+                .map(|(k, input)| env.push(&slots[k % slots.len()], input.as_ref()))
+                .collect();
+            let lanes: Vec<Lane<'_>> = (0..self.expected.len())
+                .map(|t| Lane {
+                    tensors: &ids[t * slots.len()..(t + 1) * slots.len()],
+                    constants: &[],
+                })
+                .collect();
             kernel
-                .evaluate_lanes(&self.lanes, &self.env)
+                .evaluate_lanes(&lanes, &env)
                 .into_iter()
                 .map(Result::ok)
                 .collect()
