@@ -141,7 +141,7 @@ impl Expand for BuExpand<'_> {
     }
 
     // Line 12: expand the leftmost nonterminal.
-    fn children(&self, d: &Derivation, cost: f64, out: &mut Vec<Child>) {
+    fn children(&self, d: &Derivation, out: &mut Vec<Child>) {
         let Some(nt) = d.leftmost_hole() else {
             return;
         };
@@ -150,7 +150,7 @@ impl Expand for BuExpand<'_> {
             if rule_cost.is_infinite() {
                 continue;
             }
-            let c = cost + rule_cost;
+            let c = d.cost() + rule_cost;
             let facts = d.child(&self.rules, rule).facts;
             let slots = (facts.rhs_operand_slots as usize).min(self.remaining.len() - 1);
             let g = self.remaining[slots];
@@ -158,11 +158,7 @@ impl Expand for BuExpand<'_> {
             if x.is_infinite() {
                 continue;
             }
-            out.push(Child {
-                rule,
-                cost: c,
-                f: c + g + x,
-            });
+            out.push(Child { rule, f: c + g + x });
         }
     }
 }

@@ -7,13 +7,16 @@
 //! itself is [`run_search`], byte-identical in pop order to the paper
 //! artifact's single-thread searches.
 //!
-//! The frontier holds plain data. A heap entry is `f`, the accumulated
-//! rule cost and a `u32` index into an arena of [`Node`]s, each of which
-//! is a parent index plus one rule. The arena index doubles as the push
+//! The frontier holds plain data. A heap entry is 16 bytes:
+//! `(f, node, len)`, where `node` is a `u32` index into an arena of
+//! [`Node`]s (each a parent index plus one rule) and `len` is the number
+//! of rules in its derivation. The arena index doubles as the push
 //! sequence number that breaks priority ties. A popped entry is replayed
-//! into one reusable [`Derivation`]; children are scored from it and
-//! pushed as arena slots, and only a popped complete derivation becomes
-//! a [`TacoProgram`]. Tearing the frontier down frees two vectors.
+//! into one reusable [`Derivation`], which rewinds to the prefix it
+//! shares with the previous pop and applies only the rest; children are
+//! scored from it and pushed as arena slots, and only a popped complete
+//! derivation becomes a [`TacoProgram`]. Tearing the frontier down frees
+//! two vectors.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -33,8 +36,6 @@ use crate::node::{Derivation, Node, Rules};
 pub(crate) struct Child {
     /// The rule applied to the leftmost hole.
     pub rule: RuleId,
-    /// Accumulated rule cost `c(x)`.
-    pub cost: f64,
     /// Full priority `f(x) = c(x) + g(x) + X(x)`.
     pub f: f64,
 }
@@ -57,15 +58,17 @@ pub(crate) trait Expand {
 
     /// Appends the prioritised successors of the node (none for a
     /// complete derivation) to `out`, in push order.
-    fn children(&self, d: &Derivation, cost: f64, out: &mut Vec<Child>);
+    fn children(&self, d: &Derivation, out: &mut Vec<Child>);
 }
 
 /// A frontier entry: best (lowest) `f` first, ties broken toward the
 /// most recently pushed entry (the larger arena index).
 struct QEntry {
     f: Priority,
+    /// The arena index of the state.
     node: u32,
-    cost: f64,
+    /// The number of rules in its derivation.
+    len: u32,
 }
 
 impl PartialEq for QEntry {
@@ -126,7 +129,7 @@ fn best_first(
     queue.push(QEntry {
         f: Priority(0.0),
         node: 0,
-        cost: 0.0,
+        len: 0,
     });
 
     while let Some(entry) = queue.pop() {
@@ -137,7 +140,7 @@ fn best_first(
             return state.outcome(None, false);
         }
         state.nodes += 1;
-        derivation.replay(exp.rules(), &arena, entry.node);
+        derivation.replay(exp.rules(), &arena, entry.node, entry.len);
         if exp.skip(&derivation) {
             continue;
         }
@@ -148,7 +151,7 @@ fn best_first(
             }
         }
         children.clear();
-        exp.children(&derivation, entry.cost, &mut children);
+        exp.children(&derivation, &mut children);
         for child in &children {
             let node = u32::try_from(arena.len()).expect("fewer than 2^32 pushed states");
             arena.push(Node {
@@ -158,7 +161,7 @@ fn best_first(
             queue.push(QEntry {
                 f: Priority(child.f),
                 node,
-                cost: child.cost,
+                len: entry.len + 1,
             });
         }
         if let Some(progress) = &hooks.progress {
@@ -166,4 +169,17 @@ fn best_first(
         }
     }
     state.outcome(None, true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The frontier's memory is its entries plus the arena: a new field in
+    /// either must be a deliberate choice, not a silent growth.
+    #[test]
+    fn frontier_entries_stay_small() {
+        assert_eq!(std::mem::size_of::<QEntry>(), 16);
+        assert_eq!(std::mem::size_of::<Node>(), 8);
+    }
 }

@@ -11,10 +11,17 @@
 //!   state.
 //! - A popped node is replayed into one reusable [`Derivation`]: its rule
 //!   chain, the open-hole stack (leftmost on top, each hole with its
-//!   expression depth and whether it sits after `=`) and the
-//!   penalty-relevant [`Facts`] of everything placed so far. Accesses
-//!   enter those facts as per-rule facts interned once per search in
-//!   [`Rules`] (tensor letter for a3/b1, "has index `i`" for a1).
+//!   expression depth and whether it sits after `=`), the accumulated
+//!   rule cost and the penalty-relevant [`Facts`] of everything placed so
+//!   far. Accesses enter those facts as per-rule facts interned once per
+//!   search in [`Rules`] (tensor letter for a3/b1, "has index `i`" for
+//!   a1).
+//! - Replay is incremental. The derivation keeps the arena path of its
+//!   current node and an undo trail, one record per applied rule (the
+//!   expanded hole, how many holes the rule pushed, and the facts, depth
+//!   and cost before it). Consecutive pops share most of their rules, so
+//!   a replay walks up from the popped node only to the path, rewinds to
+//!   that shared prefix and applies the remaining rules.
 //! - A child is scored from that summary plus one rule
 //!   ([`Derivation::child`], [`Derivation::child_remaining_cost`]): no
 //!   child is built unless it is pushed, and pushing one costs an arena
@@ -23,8 +30,9 @@
 //!   ([`Derivation::td_program`], [`Derivation::bu_program`]).
 //!
 //! Every quantity is computed as the tree-shaped state this replaced
-//! computed it — the same holes summed in the same left-to-right order —
-//! so priorities, and hence pop order, are bit-identical to it.
+//! computed it — the same holes summed in the same left-to-right order,
+//! the same rule costs summed root to leaf — so priorities, and hence pop
+//! order, are bit-identical to it, however a replay got there.
 
 use std::ops::Range;
 
@@ -310,60 +318,115 @@ pub(crate) struct Step {
     pub depth: u32,
 }
 
+/// What applying one rule overwrote, so that [`Derivation::replay`] can
+/// take the rule back.
+#[derive(Debug, Clone, Copy)]
+struct Undo {
+    /// The hole the rule expanded.
+    hole: Hole,
+    /// How many holes the rule pushed in its place.
+    pushed: u32,
+    /// The derivation's facts before the rule.
+    facts: Facts,
+    /// The derivation's depth before the rule.
+    depth: u32,
+    /// The accumulated rule cost before the rule.
+    cost: f64,
+}
+
 /// The scratch summary of one popped derivation; the frontier replays
-/// every popped node into the same value, so its buffers are reused.
+/// every popped node into the same value, so its buffers are reused and
+/// only the rules that differ from the previous pop are re-applied.
 #[derive(Debug)]
 pub(crate) struct Derivation {
+    /// The arena nodes of the derivation, root first: `path[k]` is the
+    /// state after `k` rules. Empty until the first replay.
+    path: Vec<u32>,
     /// The rules applied so far, in leftmost-derivation order.
     rules: Vec<RuleId>,
+    /// One record per applied rule, to rewind it.
+    trail: Vec<Undo>,
     /// Open holes, the leftmost on top.
     holes: Vec<Hole>,
     /// Expression depth of the derivation tree.
     depth: u32,
     facts: Facts,
+    /// Accumulated rule cost `c(x)`, summed root to leaf.
+    cost: f64,
     /// With one hole left: an a4 violation among the closed binary nodes.
     a4_closed: bool,
     /// With one hole left: the rules whose placement in that hole makes
     /// some open `+`/`-`/`/` node's operands identical.
     a4_completing: Vec<RuleId>,
+    /// Scratch for [`Derivation::replay`]: the nodes to apply, leaf first.
+    suffix: Vec<u32>,
 }
 
 impl Default for Derivation {
     fn default() -> Self {
         Derivation {
+            path: Vec::new(),
             rules: Vec::new(),
+            trail: Vec::new(),
             holes: Vec::new(),
             depth: 1,
             facts: Facts::ROOT,
+            cost: 0.0,
             a4_closed: false,
             a4_completing: Vec::new(),
+            suffix: Vec::new(),
         }
     }
 }
 
 impl Derivation {
-    /// Rebuilds the summary of arena node `node`.
-    pub(crate) fn replay(&mut self, rules: &Rules, arena: &[Node], node: u32) {
-        self.rules.clear();
-        let mut at = node;
-        while at != 0 {
-            let n = arena[at as usize];
-            self.rules.push(n.rule);
-            at = n.parent;
+    /// Makes this the summary of arena node `node`, whose derivation has
+    /// `len` rules.
+    ///
+    /// Walks up from `node` only until it meets the current path,
+    /// rewinds to that shared prefix through the trail, and applies the
+    /// remaining rules. Each rule is applied by the same [`apply`] as a
+    /// replay from the root, so every quantity is bit-identical to one.
+    ///
+    /// [`apply`]: Derivation::apply
+    pub(crate) fn replay(&mut self, rules: &Rules, arena: &[Node], node: u32, len: u32) {
+        if self.path.is_empty() {
+            self.path.push(0);
+            self.holes.push(rules.start);
         }
-        self.rules.reverse();
-        self.holes.clear();
-        self.holes.push(rules.start);
-        self.depth = 1;
-        self.facts = Facts::ROOT;
+        self.suffix.clear();
+        let (mut at, mut k) = (node, len as usize);
+        while self.path.get(k) != Some(&at) {
+            self.suffix.push(at);
+            at = arena[at as usize].parent;
+            k -= 1;
+        }
+        while self.path.len() > k + 1 {
+            self.undo();
+        }
+        // `apply` reads the a4 state through `child`; a replay from the
+        // root applies every rule with it clear.
         self.a4_closed = false;
         self.a4_completing.clear();
-        for i in 0..self.rules.len() {
-            self.apply(rules, self.rules[i]);
+        while let Some(at) = self.suffix.pop() {
+            self.apply(rules, arena[at as usize].rule);
+            self.path.push(at);
         }
         if self.holes.len() == 1 {
             self.prepare_a4(rules);
         }
+    }
+
+    /// Takes back the last applied rule.
+    fn undo(&mut self) {
+        let u = self.trail.pop().expect("a rule to take back");
+        self.holes.truncate(self.holes.len() - u.pushed as usize);
+        self.holes.push(u.hole);
+        self.facts = u.facts;
+        self.depth = u.depth;
+        self.cost = u.cost;
+        self.rules.pop();
+        self.path.pop();
     }
 
     /// Expands the leftmost hole with `rule`.
@@ -374,6 +437,13 @@ impl Derivation {
             .pop()
             .expect("a derivation with a hole to expand");
         let info = rules.info(rule);
+        self.trail.push(Undo {
+            hole: top,
+            pushed: info.rhs.len() as u32,
+            facts: self.facts,
+            depth: self.depth,
+            cost: self.cost,
+        });
         let depth = top.depth + u32::from(info.binary);
         for r in rules.rhs[info.rhs.clone()].iter().rev() {
             let after_eq = top.after_eq || r.after_eq;
@@ -388,6 +458,8 @@ impl Derivation {
         }
         self.facts = step.facts;
         self.depth = step.depth;
+        self.cost += info.cost;
+        self.rules.push(rule);
     }
 
     /// The leftmost hole's nonterminal, if any hole is open.
@@ -404,6 +476,11 @@ impl Derivation {
     /// The derivation's penalty facts.
     pub(crate) fn facts(&self) -> &Facts {
         &self.facts
+    }
+
+    /// The accumulated rule cost `c(x)`.
+    pub(crate) fn cost(&self) -> f64 {
+        self.cost
     }
 
     /// The facts and depth of the child that expands the leftmost hole
@@ -584,7 +661,8 @@ mod tests {
     use super::*;
     use gtl_taco::parse_program;
     use gtl_template::{
-        bu_derivation, generate_bu_grammar, generate_td_grammar, td_derivation, TdSpec, Template,
+        bu_derivation, generate_bu_grammar, generate_td_grammar, td_derivation, GrammarShape,
+        TdSpec, Template,
     };
 
     fn spec(dims: Vec<usize>, n_indices: usize) -> TdSpec {
@@ -607,8 +685,76 @@ mod tests {
             });
         }
         let mut d = Derivation::default();
-        d.replay(&table, &arena, len as u32);
+        d.replay(&table, &arena, len as u32, len as u32);
         (table, d)
+    }
+
+    /// Every derivation of `g` in breadth-first order, as an arena with
+    /// each node's length, until `cap` nodes.
+    fn exhaustive_arena(g: &TemplateGrammar, table: &Rules, cap: usize) -> (Vec<Node>, Vec<u32>) {
+        let mut arena = vec![Node::ROOT];
+        let mut lens = vec![0u32];
+        let mut next = 0;
+        while next < arena.len() && arena.len() < cap {
+            let mut d = Derivation::default();
+            d.replay(table, &arena, next as u32, lens[next]);
+            if let Some(nt) = d.leftmost_hole() {
+                for &rule in g.pcfg.rules_of(nt) {
+                    arena.push(Node {
+                        parent: next as u32,
+                        rule,
+                    });
+                    lens.push(lens[next] + 1);
+                }
+            }
+            next += 1;
+        }
+        (arena, lens)
+    }
+
+    /// One shared derivation replays every node of an exhaustive arena in
+    /// a shuffled order, so most replays rewind; each must leave exactly
+    /// the state of a replay from the root.
+    #[test]
+    fn incremental_replay_equals_replay_from_the_root() {
+        let mut td = generate_td_grammar(&TdSpec {
+            include_const: true,
+            ..spec(vec![1, 1, 1], 1)
+        });
+        td.pcfg.equalize_weights();
+        let bu = generate_bu_grammar(&spec(vec![1, 1, 1, 1], 1));
+        for g in [&td, &bu] {
+            let table = Rules::new(g);
+            let (arena, lens) = exhaustive_arena(g, &table, 6000);
+            let mut order: Vec<usize> = (0..arena.len()).collect();
+            let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+            for i in (1..order.len()).rev() {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                order.swap(i, (seed % (i as u64 + 1)) as usize);
+            }
+            let (mut a4_nodes, mut complete) = (0, 0);
+            let mut shared = Derivation::default();
+            for &n in &order {
+                shared.replay(&table, &arena, n as u32, lens[n]);
+                let mut fresh = Derivation::default();
+                fresh.replay(&table, &arena, n as u32, lens[n]);
+                // `Debug` prints every field, trail and a4 state included,
+                // and each `f64` in its shortest exact form.
+                assert_eq!(format!("{shared:?}"), format!("{fresh:?}"), "node {n}");
+                a4_nodes += usize::from(shared.a4_closed || !shared.a4_completing.is_empty());
+                complete += usize::from(shared.facts.complete);
+            }
+            assert!(
+                complete > 0,
+                "no complete derivation in {} nodes",
+                arena.len()
+            );
+            if g.shape == GrammarShape::TopDown {
+                assert!(a4_nodes > 0, "no a4 state in {} nodes", arena.len());
+            }
+        }
     }
 
     fn template(src: &str) -> Template {

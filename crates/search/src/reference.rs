@@ -7,7 +7,9 @@
 //! complete ones, converting it to a program — exactly what the search
 //! did before the flat state, including penalties over those facts. The
 //! tests below random-walk derivations through both and require the same
-//! children, priorities (bit for bit), depth verdicts and candidates.
+//! children, priorities and costs (bit for bit), depth verdicts and
+//! candidates. Jump walks also revisit earlier nodes through one shared
+//! flat state, so its incremental replay must rewind correctly.
 
 use gtl_grammar::{NtId, Pcfg, RuleId, Sym, TemplateTok};
 use gtl_taco::{Access, BinOp, Expr, TacoProgram};
@@ -810,69 +812,78 @@ mod differential {
         }
     }
 
+    /// Requires both states to agree at one node: skip verdict, leftmost
+    /// hole, candidate, every rule's depth (top-down), the accumulated
+    /// cost, and the pushed children's rules and priorities bit for bit.
+    /// Returns the reference children, in push order.
+    fn agree(
+        flat: &dyn Expand,
+        reference: &RefExpand<'_>,
+        d: &Derivation,
+        tree: &Tree,
+        cost: f64,
+        at: &str,
+    ) -> Vec<RefChild> {
+        let g = reference.grammar;
+        let top_down = g.shape == GrammarShape::TopDown;
+        assert_eq!(flat.skip(d), reference.skip(tree), "skip, {at}");
+        assert_eq!(d.leftmost_hole(), tree.leftmost_hole(), "hole, {at}");
+        let want = reference.candidate(tree);
+        if top_down && tree.is_complete() {
+            assert!(want.is_some(), "a complete derivation converts, {at}");
+        }
+        assert_eq!(flat.candidate(d), want, "candidate, {at}");
+        if top_down {
+            if let Some(nt) = tree.leftmost_hole() {
+                for rule in g.pcfg.rules_of(nt) {
+                    let child = tree.expand_leftmost(&g.pcfg.rule(*rule).rhs).unwrap();
+                    assert_eq!(
+                        d.child(flat.rules(), *rule).depth as usize,
+                        child.expr_depth(),
+                        "depth of {rule:?}, {at}"
+                    );
+                }
+            }
+        }
+        assert_eq!(d.cost().to_bits(), cost.to_bits(), "cost, {at}");
+        let mut kids = Vec::new();
+        flat.children(d, &mut kids);
+        let want = reference.children(tree, cost);
+        let got: Vec<_> = kids.iter().map(|c| (c.rule, c.f.to_bits())).collect();
+        let expected: Vec<_> = want.iter().map(|c| (c.rule, c.f.to_bits())).collect();
+        assert_eq!(got, expected, "children, {at}");
+        want
+    }
+
     /// Follows one derivation, choosing each next state among the pushed
-    /// children by `choices`, and requires both states to agree at every
-    /// step: skip verdict, leftmost hole, candidate, every rule's depth
-    /// (top-down), and the pushed children's rules, costs and priorities
-    /// bit for bit.
+    /// children by `choices`, and requires both states to [`agree`] at
+    /// every step.
     fn walk(g: &TemplateGrammar, ctx: &PenaltyContext, max_depth: usize, choices: &[u64]) {
         let flat = expander(g, ctx, max_depth);
         let reference = RefExpand::new(g, ctx, max_depth);
-        let top_down = g.shape == GrammarShape::TopDown;
         let mut arena = vec![Node::ROOT];
         let mut node = 0u32;
         let mut d = Derivation::default();
         let mut tree = reference.root();
         let mut cost = 0.0;
-        let mut kids: Vec<Child> = Vec::new();
         for step in 0..=choices.len() {
-            d.replay(flat.rules(), &arena, node);
+            d.replay(flat.rules(), &arena, node, step as u32);
             let at = format!("step {step} at `{tree:?}`");
-            assert_eq!(flat.skip(&d), reference.skip(&tree), "skip, {at}");
-            assert_eq!(d.leftmost_hole(), tree.leftmost_hole(), "hole, {at}");
-            let want = reference.candidate(&tree);
-            if top_down && tree.is_complete() {
-                assert!(want.is_some(), "a complete derivation converts, {at}");
-            }
-            assert_eq!(flat.candidate(&d), want, "candidate, {at}");
-            if top_down {
-                if let Some(nt) = tree.leftmost_hole() {
-                    for rule in g.pcfg.rules_of(nt) {
-                        let child = tree.expand_leftmost(&g.pcfg.rule(*rule).rhs).unwrap();
-                        assert_eq!(
-                            d.child(flat.rules(), *rule).depth as usize,
-                            child.expr_depth(),
-                            "depth of {rule:?}, {at}"
-                        );
-                    }
-                }
-            }
-            kids.clear();
-            flat.children(&d, cost, &mut kids);
-            let want = reference.children(&tree, cost);
-            let got: Vec<_> = kids
-                .iter()
-                .map(|c| (c.rule, c.cost.to_bits(), c.f.to_bits()))
-                .collect();
-            let expected: Vec<_> = want
-                .iter()
-                .map(|c| (c.rule, c.cost.to_bits(), c.f.to_bits()))
-                .collect();
-            assert_eq!(got, expected, "children, {at}");
+            let want = agree(flat.as_ref(), &reference, &d, &tree, cost, &at);
             let Some(&choice) = choices.get(step) else {
                 break;
             };
-            if kids.is_empty() {
+            if want.is_empty() {
                 break;
             }
-            let pick = (choice % kids.len() as u64) as usize;
+            let pick = (choice % want.len() as u64) as usize;
             arena.push(Node {
                 parent: node,
-                rule: kids[pick].rule,
+                rule: want[pick].rule,
             });
             node = (arena.len() - 1) as u32;
             tree = want[pick].tree.clone();
-            cost = kids[pick].cost;
+            cost = want[pick].cost;
         }
     }
 
@@ -883,6 +894,83 @@ mod differential {
                 .map(|c| c.rotate_left(8 * n as u32))
                 .collect();
             walk(g, ctx, max_depth, &shifted);
+            jump_walk(g, ctx, max_depth, &shifted);
+        }
+    }
+
+    /// A state of the jump walk's arena, as the reference knows it.
+    struct Visited {
+        tree: Tree,
+        cost: f64,
+        /// The number of rules in its derivation.
+        len: u32,
+        /// The arena indices of its pushed children, once it was visited.
+        children: Option<std::ops::Range<usize>>,
+    }
+
+    /// Visits a random sequence of arena nodes with one shared
+    /// [`Derivation`], as the frontier does, and requires both states to
+    /// [`agree`] at every visit. A first visit pushes every child; then
+    /// `choices` picks the next node: a child, an ancestor, a sibling, any
+    /// earlier node (a cousin, the root), or a complete derivation. Every
+    /// move other than to a child makes the replay rewind.
+    fn jump_walk(g: &TemplateGrammar, ctx: &PenaltyContext, max_depth: usize, choices: &[u64]) {
+        let flat = expander(g, ctx, max_depth);
+        let reference = RefExpand::new(g, ctx, max_depth);
+        let mut arena = vec![Node::ROOT];
+        let mut states = vec![Visited {
+            tree: reference.root(),
+            cost: 0.0,
+            len: 0,
+            children: None,
+        }];
+        let mut complete = Vec::new();
+        let mut d = Derivation::default();
+        let mut node = 0usize;
+        for (step, &choice) in choices.iter().enumerate() {
+            d.replay(flat.rules(), &arena, node as u32, states[node].len);
+            let s = &states[node];
+            let at = format!("step {step}, node {node} at `{:?}`", s.tree);
+            let want = agree(flat.as_ref(), &reference, &d, &s.tree, s.cost, &at);
+            if s.children.is_none() {
+                let first = arena.len();
+                let len = s.len + 1;
+                for child in want {
+                    if child.tree.holes().is_empty() {
+                        complete.push(arena.len());
+                    }
+                    arena.push(Node {
+                        parent: node as u32,
+                        rule: child.rule,
+                    });
+                    states.push(Visited {
+                        tree: child.tree,
+                        cost: child.cost,
+                        len,
+                        children: None,
+                    });
+                }
+                states[node].children = Some(first..arena.len());
+            }
+            let pick = |n: usize| (choice >> 3) as usize % n.max(1);
+            let child_of = |of: usize| match states[of].children.clone() {
+                Some(kids) if !kids.is_empty() => Some(kids.start + pick(kids.len())),
+                _ => None,
+            };
+            let any = pick(arena.len());
+            node = match choice % 8 {
+                0..=3 => child_of(node).unwrap_or(any),
+                4 => {
+                    let mut up = node;
+                    for _ in 0..=pick(states[node].len as usize) {
+                        up = arena[up].parent as usize;
+                    }
+                    up
+                }
+                5 => child_of(arena[node].parent as usize).unwrap_or(any),
+                6 => any,
+                _ => complete.get(pick(complete.len())).copied().unwrap_or(any),
+            };
         }
     }
 
@@ -977,20 +1065,22 @@ mod differential {
         let reference = RefExpand::new(&g, &ctx, 6);
         let mut arena = vec![Node::ROOT];
         let mut tree = reference.root();
+        let mut cost = 0.0;
         for rule in init {
             arena.push(Node {
                 parent: (arena.len() - 1) as u32,
                 rule: *rule,
             });
             tree = tree.expand_leftmost(&g.pcfg.rule(*rule).rhs).unwrap();
+            cost += reference.costs.cost(*rule);
         }
         let mut d = Derivation::default();
-        d.replay(flat.rules(), &arena, (arena.len() - 1) as u32);
+        d.replay(flat.rules(), &arena, init.len() as u32, init.len() as u32);
         let mut kids = Vec::new();
-        flat.children(&d, 0.0, &mut kids);
+        flat.children(&d, &mut kids);
         let flat_child = kids.into_iter().find(|c| c.rule == *last);
         let ref_child = reference
-            .children(&tree, 0.0)
+            .children(&tree, cost)
             .into_iter()
             .find(|c| c.rule == *last);
         (flat_child, ref_child)

@@ -58,7 +58,7 @@ impl Expand for TdExpand<'_> {
     }
 
     // Line 12: expand the leftmost nonterminal with every rule.
-    fn children(&self, d: &Derivation, cost: f64, out: &mut Vec<Child>) {
+    fn children(&self, d: &Derivation, out: &mut Vec<Child>) {
         let Some(nt) = d.leftmost_hole() else {
             return;
         };
@@ -71,7 +71,7 @@ impl Expand for TdExpand<'_> {
             if self.too_deep(step.depth) {
                 continue;
             }
-            let c = cost + rule_cost;
+            let c = d.cost() + rule_cost;
             let g = d.child_remaining_cost(&self.rules, rule);
             if g.is_infinite() {
                 continue;
@@ -80,11 +80,7 @@ impl Expand for TdExpand<'_> {
             if x.is_infinite() {
                 continue;
             }
-            out.push(Child {
-                rule,
-                cost: c,
-                f: c + g + x,
-            });
+            out.push(Child { rule, f: c + g + x });
         }
     }
 }
