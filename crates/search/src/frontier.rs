@@ -15,11 +15,13 @@
 //! into one reusable [`Derivation`], which rewinds to the prefix it
 //! shares with the previous pop and applies only the rest; children are
 //! scored from it and pushed as arena slots, and only a popped complete
-//! derivation becomes a [`TacoProgram`]. Tearing the frontier down frees
-//! two vectors.
+//! derivation becomes a [`TacoProgram`]. A finished search clears the
+//! two vectors and, if they grew large, keeps them for the next one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::ops::RangeInclusive;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gtl_grammar::RuleId;
 use gtl_taco::TacoProgram;
@@ -60,6 +62,21 @@ pub(crate) trait Expand {
     /// complete derivation) to `out`, in push order.
     fn children(&self, d: &Derivation, out: &mut Vec<Child>);
 }
+
+/// The arena capacities, in entries, at which [`run_search`] keeps a
+/// search's storage for a later one: an arena of 1 to 8 MiB, and a heap
+/// of at most as many entries. A smaller frontier is cheap to grow again and finds room in memory
+/// the process has freed; one grown past the range by an unusually large
+/// budget should give its memory back.
+const KEEP_NODES: RangeInclusive<usize> = (1 << 17)..=(1 << 20);
+
+/// Frontier storage kept between searches: an empty arena and heap
+/// vector. A budget-exhausting search grows them to MiBs by doubling,
+/// and where the allocator finds room for each doubled block (and so the
+/// process's peak memory) varied from run to run. Reusing them, a later
+/// search neither grows nor moves them. Concurrent searches that find
+/// the storage taken grow their own, and only the largest is kept.
+static SPARE: Mutex<(Vec<Node>, Vec<QEntry>)> = Mutex::new((Vec::new(), Vec::new()));
 
 /// A frontier entry: best (lowest) `f` first, ties broken toward the
 /// most recently pushed entry (the larger arena index).
@@ -108,11 +125,25 @@ pub(crate) fn run_search(
     checker: &mut dyn TemplateChecker,
     hooks: &SearchHooks,
 ) -> SearchOutcome {
-    let outcome = best_first(exp, budget, checker, hooks);
+    let (mut arena, queue) = std::mem::take(&mut *spare());
+    let mut queue = BinaryHeap::from(queue);
+    let outcome = best_first(exp, budget, checker, hooks, &mut arena, &mut queue);
+    if KEEP_NODES.contains(&arena.capacity()) && queue.capacity() <= *KEEP_NODES.end() {
+        arena.clear();
+        queue.clear();
+        let mut spare = spare();
+        if spare.0.capacity() < arena.capacity() {
+            *spare = (arena, queue.into_vec());
+        }
+    }
     if let Some(progress) = &hooks.progress {
         progress.record(outcome.nodes_expanded, outcome.attempts);
     }
     outcome
+}
+
+fn spare() -> MutexGuard<'static, (Vec<Node>, Vec<QEntry>)> {
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn best_first(
@@ -120,10 +151,12 @@ fn best_first(
     budget: SearchBudget,
     checker: &mut dyn TemplateChecker,
     hooks: &SearchHooks,
+    arena: &mut Vec<Node>,
+    queue: &mut BinaryHeap<QEntry>,
 ) -> SearchOutcome {
+    debug_assert!(arena.is_empty() && queue.is_empty());
     let mut state = RunState::new(budget);
-    let mut queue: BinaryHeap<QEntry> = BinaryHeap::new();
-    let mut arena = vec![Node::ROOT];
+    arena.push(Node::ROOT);
     let mut derivation = Derivation::default();
     let mut children = Vec::new();
     queue.push(QEntry {
@@ -140,7 +173,7 @@ fn best_first(
             return state.outcome(None, false);
         }
         state.nodes += 1;
-        derivation.replay(exp.rules(), &arena, entry.node, entry.len);
+        derivation.replay(exp.rules(), arena, entry.node, entry.len);
         if exp.skip(&derivation) {
             continue;
         }
