@@ -2,7 +2,7 @@
 //! real-world benchmarks, as a horizontal bar chart.
 
 use gtl_bench::tables::success_bar;
-use gtl_bench::{run_method_on, Method};
+use gtl_bench::{run_batch, Method, Route};
 
 fn main() {
     let real = gtl_benchsuite::real_world_benchmarks();
@@ -17,7 +17,7 @@ fn main() {
         Method::stagg_td(),
     ];
     for m in &methods {
-        let r = run_method_on(m, &real);
+        let r = run_batch(m, &real, 1, &Route::Pipeline, None).suite;
         println!("{}", success_bar(&r, 40));
     }
 }

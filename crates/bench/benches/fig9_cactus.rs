@@ -3,7 +3,7 @@
 //! `solved<TAB>cumulative_seconds` pairs for each method.
 
 use gtl_bench::tables::cactus_lines;
-use gtl_bench::{run_method_on, Method};
+use gtl_bench::{run_batch, Method, Route};
 
 fn main() {
     let real = gtl_benchsuite::real_world_benchmarks();
@@ -17,7 +17,7 @@ fn main() {
     println!("\nFigure 9: cactus plot on the 67 real-world benchmarks");
     println!("(series: benchmarks solved vs cumulative seconds)\n");
     for m in &methods {
-        let r = run_method_on(m, &real);
+        let r = run_batch(m, &real, 1, &Route::Pipeline, None).suite;
         println!("# {} (solved {})", r.method, r.solved());
         print!("{}", cactus_lines(&r));
         println!();

@@ -2,7 +2,7 @@
 //! the 67 real-world and 77 real-world+artificial sets, plus the
 //! "solved by C2TACO" and "solved by Tenspiler" restrictions.
 
-use gtl_bench::{run_method, Method};
+use gtl_bench::{run_batch, Method, Route};
 use gtl_bench::tables::{header, row, summary_cells};
 
 fn main() {
@@ -13,7 +13,11 @@ fn main() {
     println!("\nTable 1: comparison of benchmark-solving performance\n");
     let widths = [22, 4, 8, 9, 9];
     // One sweep over all 77 per method; the real-world view is a filter.
-    let full_results: Vec<_> = methods.iter().map(run_method).collect();
+    let all = gtl_benchsuite::all_benchmarks();
+    let full_results: Vec<_> = methods
+        .iter()
+        .map(|m| run_batch(m, &all, 1, &Route::Pipeline, None).suite)
+        .collect();
     let real_results: Vec<_> = full_results
         .iter()
         .map(|r| r.filtered(|name| real_names.iter().any(|n| n == name)))

@@ -35,15 +35,10 @@
 
 use std::collections::BTreeMap;
 
-use std::sync::Arc;
-
 use gtl::{OracleSpec, StaggConfig};
-use gtl_bench::{
-    batch_json, run_batch_via_router, run_batch_via_server_stored, run_method_batch,
-    run_method_batch_stored, BatchAnnotations, Method,
-};
-use gtl_store::LiftStore;
+use gtl_bench::{batch_json, run_batch, Method, Route};
 use gtl_benchsuite::{all_benchmarks, real_world_benchmarks, suite_from_name, Benchmark};
+use gtl_store::LiftStore;
 
 struct Args {
     jobs: usize,
@@ -232,7 +227,7 @@ fn main() {
             "batch_suite: store {path}: {} outcome(s) loaded",
             store.len()
         );
-        Arc::new(store)
+        store
     });
 
     eprintln!(
@@ -253,56 +248,30 @@ fn main() {
             ""
         }
     );
-    let mut warm_hits: Option<usize> = None;
-    let batch = if let Some(addr) = &args.via_router {
+    let route = match &args.via_router {
         // The endpoint executes with its own base configuration; the
-        // method rides as a per-request override so the
-        // run is reproducible regardless of how the replicas were
-        // started (and so the router's routing key resolves the same
+        // method rides as a per-request override so the run is
+        // reproducible regardless of how the replicas were started
+        // (and so the router's routing key resolves the same
         // configuration the replicas do).
-        let overrides = gtl_serve::ConfigOverrides {
-            mode: Some(match args.method.as_str() {
-                "bu" => gtl::SearchMode::BottomUp,
-                _ => gtl::SearchMode::TopDown,
-            }),
-            ..Default::default()
-        };
-        run_batch_via_router(
-            &method.name(),
-            &benchmarks,
-            args.jobs,
-            addr,
-            args.oracle.as_deref(),
-            &overrides,
-        )
-    } else if args.via_server {
-        let (batch, warm) = run_batch_via_server_stored(
-            &method.name(),
-            &config,
-            &benchmarks,
-            args.jobs,
-            store.clone(),
-        );
-        if store.is_some() {
-            eprintln!(
-                "  warm start: {warm}/{} answered from the store",
-                benchmarks.len()
-            );
-            warm_hits = Some(warm);
-        }
-        batch
-    } else if let Some(store) = &store {
-        let (batch, warm) =
-            run_method_batch_stored(&method, &config, &benchmarks, args.jobs, store);
+        Some(addr) => Route::Endpoint {
+            addr: addr.clone(),
+            oracle: args.oracle.clone(),
+            overrides: gtl_serve::ConfigOverrides {
+                mode: Some(config.mode),
+                ..Default::default()
+            },
+        },
+        None if args.via_server => Route::Server,
+        None => Route::Pipeline,
+    };
+    let batch = run_batch(&method, &benchmarks, args.jobs, &route, store.as_ref());
+    if let Some(warm) = batch.warm_hits {
         eprintln!(
             "  warm start: {warm}/{} answered from the store",
             benchmarks.len()
         );
-        warm_hits = Some(warm);
-        batch
-    } else {
-        run_method_batch(&method, &benchmarks, args.jobs)
-    };
+    }
 
     // Per-suite summary on stderr; JSON on stdout / file.
     let mut per_suite: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
@@ -327,7 +296,7 @@ fn main() {
     let mut parallel_speedup: Option<f64> = None;
     if args.compare_sequential {
         eprintln!("rerunning with jobs = 1 for comparison…");
-        let sequential = run_method_batch(&method, &benchmarks, 1);
+        let sequential = run_batch(&method, &benchmarks, 1, &Route::Pipeline, None);
         let mismatches: Vec<&str> = batch
             .suite
             .results
@@ -351,15 +320,7 @@ fn main() {
         parallel_speedup = Some(speedup);
     }
 
-    let json = batch_json(
-        &batch,
-        &benchmarks,
-        &skipped,
-        &BatchAnnotations {
-            parallel_speedup,
-            warm_hits,
-        },
-    );
+    let json = batch_json(&batch, &benchmarks, &skipped, parallel_speedup);
     match &args.json_path {
         Some(path) => {
             std::fs::write(path, &json).expect("write JSON output");

@@ -2,7 +2,7 @@
 //! print per-benchmark outcomes, for tuning the reproduction against the
 //! paper's headline numbers.
 
-use gtl_bench::{run_method, Method};
+use gtl_bench::{run_batch, Method, Route};
 
 fn main() {
     let methods: Vec<Method> = std::env::args()
@@ -15,7 +15,14 @@ fn main() {
         })
         .unwrap_or_else(Method::table1_lineup);
     for method in methods {
-        let result = run_method(&method);
+        let result = run_batch(
+            &method,
+            &gtl_benchsuite::all_benchmarks(),
+            1,
+            &Route::Pipeline,
+            None,
+        )
+        .suite;
         println!("== {} : {}/77 solved ==", result.method, result.solved());
         for r in &result.results {
             if !r.solved {

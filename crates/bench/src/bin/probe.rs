@@ -1,10 +1,10 @@
 //! Per-benchmark diagnostic probe: dump oracle candidates, templates and
 //! the predicted dimension list for one benchmark.
 
+use gtl::{build_search_grammar, template_from_candidate, StaggConfig};
 use gtl_bench::query_for;
 use gtl_oracle::{Oracle, OracleQuery, SyntheticOracle};
-use gtl_taco::{parse_program, preprocess_candidate};
-use gtl_template::{predict_dimension_list, templatize};
+use gtl_template::predict_dimension_list;
 
 fn main() {
     let name = std::env::args().nth(1).expect("usage: probe <benchmark>");
@@ -17,24 +17,21 @@ fn main() {
         ground_truth: query.ground_truth.as_ref(),
     });
     println!("ground truth: {}", b.ground_truth);
+    let mut templates = Vec::new();
     for line in &raw {
-        let tpl = preprocess_candidate(line)
-            .and_then(|s| parse_program(&s).ok())
-            .and_then(|p| templatize(&p).ok());
-        match tpl {
-            Some(t) => println!("  {line:<45} -> {t} dims={:?}", t.dimension_list()),
+        match template_from_candidate(line) {
+            Some(t) => {
+                println!("  {line:<45} -> {t} dims={:?}", t.dimension_list());
+                templates.push(t);
+            }
             None => println!("  {line:<45} -> (discarded)"),
         }
     }
-    let templates: Vec<_> = raw
-        .iter()
-        .filter_map(|l| preprocess_candidate(l))
-        .filter_map(|s| parse_program(&s).ok())
-        .filter_map(|p| templatize(&p).ok())
-        .collect();
     println!("voted dims: {:?}", predict_dimension_list(&templates));
     println!(
         "n_indices: {}",
         gtl_template::index_variable_count(&templates)
     );
+    let searched = build_search_grammar(&query.task, &templates, &StaggConfig::top_down());
+    println!("search dims (LHS from analysis): {:?}", searched.dim_list);
 }

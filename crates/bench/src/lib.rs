@@ -20,9 +20,6 @@ pub use loadgen::{
 };
 pub use methods::{Method, MethodKind};
 pub use runner::{
-    batch_json, query_for, run_batch_via_router, run_batch_via_server,
-    run_batch_via_server_stored, run_method,
-    run_method_batch, run_method_batch_stored, run_method_on, BatchAnnotations, BatchResult,
-    MethodResult, SuiteResult,
+    batch_json, query_for, run_batch, BatchResult, MethodResult, Route, SuiteResult,
 };
 pub use trace::{trace_search, SearchTrace};

@@ -204,6 +204,16 @@ impl Method {
         self.name.clone()
     }
 
+    /// The pipeline configuration of a STAGG method (`None` for the
+    /// baselines). Request keys for stored outcomes and the in-process
+    /// server's base configuration come from it.
+    pub fn config(&self) -> Option<&StaggConfig> {
+        match &self.kind {
+            MethodKind::Stagg(config) => Some(config),
+            _ => None,
+        }
+    }
+
     /// Runs the method on one query. Each lift gets a fresh oracle
     /// minted by the method's shared provider, so all methods with the
     /// same spec see identical candidates for a given benchmark.

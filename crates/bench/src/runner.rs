@@ -1,21 +1,22 @@
 //! Shared evaluation runner: applies one method to a set of benchmarks
 //! and aggregates the statistics the paper's tables report.
 //!
-//! [`run_method_batch`] is the parallel batch runner: it fans the
-//! benchmark set out over a worker pool (each worker runs whole lifts,
-//! so per-benchmark results are identical to a sequential run — only
-//! completion order differs) and records wall-clock time for
-//! throughput reporting.
+//! [`run_batch`] is the one batch runner: it fans a benchmark set out
+//! over a worker pool (each worker runs whole lifts, so per-benchmark
+//! results are identical to a sequential run — only completion order
+//! differs) along a [`Route`], warm-starts from an optional store, and
+//! records wall-clock time for throughput reporting.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gtl::{LiftQuery, StaggConfig};
+use gtl::LiftQuery;
 use gtl_benchsuite::Benchmark;
-use gtl_serve::{request_key, Event, EventSink, LiftRequest, LiftServer, ServerConfig};
-use gtl_store::{LiftRecord, LiftStore};
+use gtl_serve::{
+    request_key, ConfigOverrides, Event, LiftClient, LiftRequest, LiftServer, ServerConfig,
+    ServerHandle,
+};
+use gtl_store::{Json, LiftRecord, LiftStore};
 use gtl_trace::PhaseTimes;
 
 use crate::methods::Method;
@@ -142,32 +143,31 @@ impl SuiteResult {
     }
 }
 
-/// Runs a method over a benchmark set.
-pub fn run_method_on(method: &Method, benchmarks: &[Benchmark]) -> SuiteResult {
-    let results = benchmarks
-        .iter()
-        .map(|b| {
-            let query = query_for(b);
-            method.run(&query)
-        })
-        .collect();
-    SuiteResult {
-        method: method.name(),
-        results,
-    }
+/// Where a batch's lifts run.
+#[derive(Debug, Clone)]
+pub enum Route {
+    /// Each worker calls the pipeline directly ([`Method::run`]).
+    Pipeline,
+    /// Through an in-process [`LiftServer`] with one worker per job:
+    /// the path a remote `lift_client` takes (queue, worker pool,
+    /// result cache), minus the socket. STAGG methods only.
+    Server,
+    /// Through an already-listening wire endpoint (a `lift_server
+    /// --listen`, or a `lift_router` fronting a replica set), one TCP
+    /// connection per job. `oracle` and `overrides` ride in every
+    /// request, so the endpoint's base configuration plus these decide
+    /// what runs.
+    Endpoint {
+        /// The endpoint's `host:port`.
+        addr: String,
+        /// A per-request oracle spec.
+        oracle: Option<String>,
+        /// Per-request configuration overrides.
+        overrides: ConfigOverrides,
+    },
 }
 
-/// Runs a method over the full 77-benchmark suite.
-pub fn run_method(method: &Method) -> SuiteResult {
-    run_method_on(method, &gtl_benchsuite::all_benchmarks())
-}
-
-/// Pretty seconds for table cells.
-pub fn fmt_seconds(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64())
-}
-
-/// The outcome of one parallel batch run over a benchmark set.
+/// The outcome of one batch run over a benchmark set.
 #[derive(Debug, Clone)]
 pub struct BatchResult {
     /// Per-benchmark outcomes, in the input benchmark order (independent
@@ -177,6 +177,9 @@ pub struct BatchResult {
     pub wall: Duration,
     /// Worker count the batch ran with.
     pub jobs: usize,
+    /// Benchmarks answered from the store without running a lift
+    /// (`None` when the batch ran without a store).
+    pub warm_hits: Option<usize>,
 }
 
 impl BatchResult {
@@ -187,430 +190,243 @@ impl BatchResult {
     }
 }
 
-/// Runs one method over a benchmark set with `jobs` worker threads.
+/// Runs `method` over `benchmarks` with `jobs` workers along `route`,
+/// optionally warm-started from a persistent `store`.
 ///
 /// Each worker claims whole benchmarks from a shared cursor, so lifts
 /// share no mutable state and each is deterministic given its query.
-/// Per-benchmark verified/failed outcomes therefore match `jobs = 1`
-/// as long as wall-clock search budgets are not the binding constraint:
-/// oversubscribing cores inflates each lift's elapsed time, and a
-/// benchmark that solves close to its `time_limit` alone can tip into
+/// Results come back in input order, and per-benchmark outcomes match
+/// `jobs = 1` as long as wall-clock budgets are not the binding
+/// constraint: oversubscribed cores inflate each lift's elapsed time,
+/// and a lift that solves close to its `time_limit` alone can tip into
 /// `BudgetExceeded` under contention.
-pub fn run_method_batch(
+///
+/// With a store, benchmarks whose request key (scoped to the method's
+/// own [`gtl::StaggConfig`]) already has a *solved* record are answered from
+/// it with their original numbers and run no lift; every fresh solve
+/// is appended afterwards, so a rerun skips what it has solved.
+/// Failures are never stored, so a budget raise or a better oracle
+/// gets its chance.
+///
+/// # Panics
+///
+/// Panics when a store or the [`Route::Server`] route is used with a
+/// baseline method, and when a wire route loses a lift (an unreachable
+/// endpoint, a rejected request or a dropped stream): those are setup
+/// or serving-layer bugs, not properties of a benchmark.
+pub fn run_batch(
     method: &Method,
     benchmarks: &[Benchmark],
     jobs: usize,
+    route: &Route,
+    store: Option<&LiftStore>,
 ) -> BatchResult {
     let started = Instant::now();
-    let jobs = jobs.clamp(1, benchmarks.len().max(1));
-    let results: Vec<MethodResult> = if jobs <= 1 {
-        benchmarks
-            .iter()
-            .map(|b| method.run(&query_for(b)))
-            .collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<MethodResult>>> =
-            benchmarks.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::SeqCst);
-                    let Some(b) = benchmarks.get(i) else { break };
-                    let result = method.run(&query_for(b));
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every benchmark ran")
-            })
-            .collect()
+    let stagg_config = || {
+        method.config().unwrap_or_else(|| {
+            panic!("{}: stores and the server route need a STAGG method", method.name())
+        })
     };
+    // Warm start: answer stored solves before any lift runs.
+    let mut results: Vec<Option<MethodResult>> = vec![None; benchmarks.len()];
+    let mut keys = vec![0u64; benchmarks.len()];
+    if let Some(store) = store {
+        for ((b, slot), key) in benchmarks.iter().zip(&mut results).zip(&mut keys) {
+            *key = request_key(&query_for(b), stagg_config());
+            *slot = store.get(*key).filter(LiftRecord::solved).map(|record| MethodResult {
+                name: b.name.to_string(),
+                solved: true,
+                seconds: record.seconds,
+                attempts: record.attempts,
+                solution: record.solution,
+                nodes: record.nodes,
+                // A warm hit did no pruning this run.
+                pruned_infeasible: 0,
+                pruned_equivalent: 0,
+                phase_times: PhaseTimes::new(),
+            });
+        }
+    }
+    let cold: Vec<usize> = (0..benchmarks.len()).filter(|&i| results[i].is_none()).collect();
+    let warm_hits = benchmarks.len() - cold.len();
+
+    let server = matches!(route, Route::Server).then(|| {
+        LiftServer::start(ServerConfig {
+            workers: jobs.clamp(1, cold.len().max(1)),
+            queue_capacity: cold.len().max(1),
+            base: stagg_config().clone(),
+            progress_interval: Duration::from_millis(250),
+            default_timeout: None,
+            result_cache_capacity: cold.len().max(1),
+            ..ServerConfig::default()
+        })
+    });
+    let new_worker = || match route {
+        Route::Pipeline => Worker::Pipeline(method),
+        Route::Server => Worker::Server(server.as_ref().expect("server started").handle()),
+        Route::Endpoint {
+            addr,
+            oracle,
+            overrides,
+        } => Worker::Endpoint {
+            client: LiftClient::connect(addr.as_str())
+                .unwrap_or_else(|e| panic!("cannot reach {addr}: {e}")),
+            addr,
+            oracle,
+            overrides,
+        },
+    };
+    let fresh = run_pool(benchmarks, &cold, jobs, new_worker);
+    if let Some(server) = server {
+        server.shutdown();
+    }
+
+    // Persist fresh solves, then merge them back into input order.
+    for (i, result) in cold.into_iter().zip(fresh) {
+        if let (Some(store), true) = (store, result.solved) {
+            let record = LiftRecord {
+                key: keys[i],
+                label: result.name.clone(),
+                solution: result.solution.clone(),
+                reason: None,
+                detail: None,
+                attempts: result.attempts,
+                nodes: result.nodes,
+                seconds: result.seconds,
+            };
+            if let Err(e) = store.append(record) {
+                eprintln!("batch_suite: store append failed for {}: {e}", result.name);
+            }
+        }
+        results[i] = Some(result);
+    }
     BatchResult {
         suite: SuiteResult {
             method: method.name(),
-            results,
+            results: results
+                .into_iter()
+                .map(|r| r.expect("every benchmark has a result"))
+                .collect(),
         },
         wall: started.elapsed(),
-        jobs,
+        // Clamped against the full input set, so a fully warm rerun
+        // reports the same `jobs` as the cold run it repeats.
+        jobs: jobs.clamp(1, benchmarks.len().max(1)),
+        warm_hits: store.map(|_| warm_hits),
     }
 }
 
-/// [`run_method_batch`] warm-started from a persistent [`LiftStore`]:
-/// benchmarks whose request key already has a *solved* record are
-/// answered straight from the store (no lift runs at all), the rest run
-/// normally, and every fresh solved outcome is appended back — so
-/// re-running a suite on the same store skips everything it has already
-/// solved. `config` must be the method's own pipeline configuration (it
-/// feeds the request key, which is how stored outcomes stay scoped to
-/// the exact search/oracle/budget setup that produced them). Failures
-/// are not warm-started: an unsolved benchmark re-runs every time, so a
-/// budget raise or a better oracle gets its chance.
-///
-/// Returns the batch (results in input order, warm hits included with
-/// their original timing/attempt numbers) and the warm-hit count.
-pub fn run_method_batch_stored(
-    method: &Method,
-    config: &StaggConfig,
-    benchmarks: &[Benchmark],
-    jobs: usize,
-    store: &LiftStore,
-) -> (BatchResult, usize) {
-    let started = Instant::now();
-    let keys: Vec<u64> = benchmarks
-        .iter()
-        .map(|b| request_key(&query_for(b), config))
-        .collect();
-    let mut warm: Vec<Option<MethodResult>> = Vec::with_capacity(benchmarks.len());
-    let mut cold: Vec<Benchmark> = Vec::new();
-    let mut cold_keys: Vec<u64> = Vec::new();
-    for (b, key) in benchmarks.iter().zip(&keys) {
-        match store.get(*key) {
-            Some(record) if record.solved() => warm.push(Some(MethodResult {
-                name: b.name.to_string(),
-                solved: true,
-                seconds: record.seconds,
-                attempts: record.attempts,
-                solution: record.solution,
-                nodes: record.nodes,
-                // Store records predate the analysis counters; a warm
-                // hit did no pruning this run anyway.
-                pruned_infeasible: 0,
-                pruned_equivalent: 0,
-                phase_times: PhaseTimes::new(),
-            })),
-            _ => {
-                warm.push(None);
-                cold.push(b.clone());
-                cold_keys.push(*key);
+/// One batch worker, built once per pool thread.
+enum Worker<'a> {
+    Pipeline(&'a Method),
+    Server(ServerHandle),
+    Endpoint {
+        client: LiftClient,
+        addr: &'a str,
+        oracle: &'a Option<String>,
+        overrides: &'a ConfigOverrides,
+    },
+}
+
+impl Worker<'_> {
+    fn lift(&mut self, b: &Benchmark) -> MethodResult {
+        let request = || LiftRequest::benchmark(b.name, b.name);
+        match self {
+            Worker::Pipeline(method) => method.run(&query_for(b)),
+            Worker::Server(handle) => decode(b.name, &handle.lift_blocking(request())),
+            Worker::Endpoint {
+                client,
+                addr,
+                oracle,
+                overrides,
+            } => {
+                let mut request = request();
+                request.oracle = oracle.clone();
+                request.overrides = overrides.clone();
+                let events = client
+                    .lift(request)
+                    .unwrap_or_else(|e| panic!("{}: lift via {addr} failed: {e}", b.name));
+                decode(b.name, &events)
             }
         }
     }
-    let warm_hits = benchmarks.len() - cold.len();
-    let cold_batch = run_method_batch(method, &cold, jobs);
-    for ((result, b), key) in cold_batch.suite.results.iter().zip(&cold).zip(&cold_keys) {
-        if !result.solved {
-            continue;
-        }
-        let record = LiftRecord {
-            key: *key,
-            label: result.name.clone(),
-            solution: result.solution.clone(),
-            reason: None,
-            detail: None,
-            attempts: result.attempts,
-            nodes: result.nodes,
-            seconds: result.seconds,
-        };
-        if let Err(e) = store.append(record) {
-            eprintln!("batch_suite: store append failed for {}: {e}", b.name);
-        }
+}
+
+/// Runs the benchmarks at `indices` on up to `jobs` workers pulling
+/// from one cursor, and returns their results in `indices` order.
+fn run_pool<'a>(
+    benchmarks: &[Benchmark],
+    indices: &[usize],
+    jobs: usize,
+    new_worker: impl Fn() -> Worker<'a> + Sync,
+) -> Vec<MethodResult> {
+    if indices.is_empty() {
+        return Vec::new();
     }
-    // Merge back into input order.
-    let mut fresh = cold_batch.suite.results.into_iter();
-    let results: Vec<MethodResult> = warm
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| fresh.next().expect("one fresh result per cold run")))
-        .collect();
-    (
-        BatchResult {
-            suite: SuiteResult {
-                method: method.name(),
-                results,
-            },
-            wall: started.elapsed(),
-            // Clamp against the full input set, not the cold subset: a
-            // fully-warm rerun must report the same `jobs` as the cold
-            // run so repeat suite JSONs stay comparable.
-            jobs: jobs.clamp(1, benchmarks.len().max(1)),
-        },
-        warm_hits,
-    )
-}
-
-/// Client-driven batch mode: runs a STAGG configuration over a
-/// benchmark set *through the serving layer* instead of calling the
-/// pipeline directly. An in-process [`LiftServer`] is started with
-/// `jobs` workers, every benchmark is submitted as one lift request up
-/// front, and per-benchmark outcomes are collected from the event
-/// streams — exercising exactly the path a remote `lift_client` uses
-/// (bounded queue, worker pool, result cache).
-///
-/// # Panics
-///
-/// Panics if the server rejects a submission or drops a stream — both
-/// indicate a serving-layer bug, not a property of the benchmark.
-pub fn run_batch_via_server(
-    method_name: &str,
-    config: &StaggConfig,
-    benchmarks: &[Benchmark],
-    jobs: usize,
-) -> BatchResult {
-    run_batch_via_server_stored(method_name, config, benchmarks, jobs, None).0
-}
-
-/// [`run_batch_via_server`] with an optional persistent store: the
-/// in-process server prefills its result cache from it and persists
-/// every solved outcome, exactly as `lift_server --store` does.
-///
-/// Stored solves are answered before any request is submitted — with
-/// their *original* timing and attempt numbers, exactly like
-/// [`run_method_batch_stored`] — so warm re-runs report honest
-/// statistics instead of the near-zero `elapsed_ms` a server cache hit
-/// echoes. Returns the batch and the warm-hit count.
-pub fn run_batch_via_server_stored(
-    method_name: &str,
-    config: &StaggConfig,
-    benchmarks: &[Benchmark],
-    jobs: usize,
-    store: Option<Arc<LiftStore>>,
-) -> (BatchResult, usize) {
-    let started = Instant::now();
-    let mut warm: Vec<Option<MethodResult>> = Vec::with_capacity(benchmarks.len());
-    let mut cold: Vec<Benchmark> = Vec::new();
-    for b in benchmarks {
-        let stored = store
-            .as_deref()
-            .and_then(|s| s.get(request_key(&query_for(b), config)))
-            .filter(LiftRecord::solved);
-        match stored {
-            Some(record) => warm.push(Some(MethodResult {
-                name: b.name.to_string(),
-                solved: true,
-                seconds: record.seconds,
-                attempts: record.attempts,
-                solution: record.solution,
-                nodes: record.nodes,
-                pruned_infeasible: 0,
-                pruned_equivalent: 0,
-                phase_times: PhaseTimes::new(),
-            })),
-            None => {
-                warm.push(None);
-                cold.push(b.clone());
-            }
-        }
+    let workers = jobs.clamp(1, indices.len());
+    if workers == 1 {
+        let mut worker = new_worker();
+        return indices.iter().map(|&i| worker.lift(&benchmarks[i])).collect();
     }
-    let warm_hits = benchmarks.len() - cold.len();
-    let jobs = jobs.clamp(1, benchmarks.len().max(1));
-    let server = LiftServer::start(ServerConfig {
-        workers: jobs.clamp(1, cold.len().max(1)),
-        queue_capacity: cold.len().max(1),
-        // The batch's oracle spec rides in the base config; requests
-        // carry no per-lift `oracle` field, so no allowlist concerns.
-        base: config.clone(),
-        progress_interval: Duration::from_millis(250),
-        default_timeout: None,
-        result_cache_capacity: cold.len().max(1),
-        store,
-        ..ServerConfig::default()
-    });
-    let handle = server.handle();
-    let receivers: Vec<_> = cold
-        .iter()
-        .map(|b| {
-            let (tx, rx) = channel::<Event>();
-            let sink: EventSink = Arc::new(move |event: &Event| {
-                let _ = tx.send(event.clone());
-            });
-            handle
-                .submit(LiftRequest::benchmark(b.name, b.name), sink)
-                .unwrap_or_else(|e| panic!("{}: batch submission rejected: {e}", b.name));
-            rx
-        })
-        .collect();
-    let fresh: Vec<MethodResult> = cold
-        .iter()
-        .zip(receivers)
-        .map(|(b, rx)| loop {
-            match rx.recv().unwrap_or_else(|_| {
-                panic!("{}: server dropped the stream mid-lift", b.name)
-            }) {
-                Event::Done {
-                    solution,
-                    attempts,
-                    nodes,
-                    elapsed_ms,
-                    ..
-                } => {
-                    break MethodResult {
-                        name: b.name.to_string(),
-                        solved: true,
-                        seconds: elapsed_ms as f64 / 1000.0,
-                        attempts,
-                        solution: Some(solution),
-                        nodes,
-                        // Wire events carry no analysis counters; the
-                        // server's aggregate `stats` snapshot does.
-                        pruned_infeasible: 0,
-                        pruned_equivalent: 0,
-                        phase_times: PhaseTimes::new(),
-                    }
-                }
-                Event::Failed {
-                    attempts,
-                    nodes,
-                    elapsed_ms,
-                    ..
-                } => {
-                    break MethodResult {
-                        name: b.name.to_string(),
-                        solved: false,
-                        seconds: elapsed_ms as f64 / 1000.0,
-                        attempts,
-                        solution: None,
-                        nodes,
-                        pruned_infeasible: 0,
-                        pruned_equivalent: 0,
-                        phase_times: PhaseTimes::new(),
-                    }
-                }
-                Event::Error { code, message, .. } => {
-                    panic!("{}: request rejected ({}): {message}", b.name, code.wire_name())
-                }
-                _ => continue,
-            }
-        })
-        .collect();
-    server.shutdown();
-    // Merge back into input order.
-    let mut fresh = fresh.into_iter();
-    let results: Vec<MethodResult> = warm
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| fresh.next().expect("one fresh result per cold run")))
-        .collect();
-    (
-        BatchResult {
-            suite: SuiteResult {
-                method: method_name.to_string(),
-                results,
-            },
-            wall: started.elapsed(),
-            jobs,
-        },
-        warm_hits,
-    )
-}
-
-/// Remote batch mode: runs the suite through an already-running wire
-/// endpoint — a `lift_server --listen` or, more usually, a
-/// `lift_router` fronting a replica set — instead of an in-process
-/// server. `jobs` TCP connections pull benchmarks from a shared cursor
-/// and run each as one blocking lift; results come back in input order.
-/// `oracle` and `overrides` ride in the requests, so the endpoint's
-/// base configuration plus these overrides decide what actually runs
-/// (and, through the router, where: the routing key hashes the resolved
-/// configuration).
-///
-/// # Panics
-///
-/// Panics if the endpoint is unreachable, rejects a submission, or
-/// drops a stream — a dead address or a serving-layer bug, not a
-/// property of any benchmark.
-pub fn run_batch_via_router(
-    method_name: &str,
-    benchmarks: &[Benchmark],
-    jobs: usize,
-    addr: &str,
-    oracle: Option<&str>,
-    overrides: &gtl_serve::ConfigOverrides,
-) -> BatchResult {
-    let started = Instant::now();
-    let jobs = jobs.clamp(1, benchmarks.len().max(1));
-    let slots: Mutex<Vec<Option<MethodResult>>> = Mutex::new(vec![None; benchmarks.len()]);
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut client = gtl_serve::LiftClient::connect(addr)
-                    .unwrap_or_else(|e| panic!("cannot reach {addr}: {e}"));
-                loop {
-                    let n = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(b) = benchmarks.get(n) else { break };
-                    let mut request = LiftRequest::benchmark(b.name, b.name);
-                    request.oracle = oracle.map(str::to_string);
-                    request.overrides = overrides.clone();
-                    let events = client
-                        .lift(request)
-                        .unwrap_or_else(|e| panic!("{}: lift via {addr} failed: {e}", b.name));
-                    let result = match events.last() {
-                        Some(Event::Done {
-                            solution,
-                            attempts,
-                            nodes,
-                            elapsed_ms,
-                            ..
-                        }) => MethodResult {
-                            name: b.name.to_string(),
-                            solved: true,
-                            seconds: *elapsed_ms as f64 / 1000.0,
-                            attempts: *attempts,
-                            solution: Some(solution.clone()),
-                            nodes: *nodes,
-                            pruned_infeasible: 0,
-                            pruned_equivalent: 0,
-                            phase_times: PhaseTimes::new(),
-                        },
-                        Some(Event::Failed {
-                            attempts,
-                            nodes,
-                            elapsed_ms,
-                            ..
-                        }) => MethodResult {
-                            name: b.name.to_string(),
-                            solved: false,
-                            seconds: *elapsed_ms as f64 / 1000.0,
-                            attempts: *attempts,
-                            solution: None,
-                            nodes: *nodes,
-                            pruned_infeasible: 0,
-                            pruned_equivalent: 0,
-                            phase_times: PhaseTimes::new(),
-                        },
-                        Some(Event::Error { code, message, .. }) => panic!(
-                            "{}: request rejected ({}): {message}",
-                            b.name,
-                            code.wire_name()
-                        ),
-                        other => panic!("{}: stream ended oddly: {other:?}", b.name),
-                    };
-                    slots.lock().expect("slots poisoned")[n] = Some(result);
-                }
-            });
-        }
+    let mut done: Vec<(usize, MethodResult)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut worker = new_worker();
+                    let mut out = Vec::new();
+                    loop {
+                        let n = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = indices.get(n) else { break out };
+                        out.push((n, worker.lift(&benchmarks[i])));
+                    }
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-    let results: Vec<MethodResult> = slots
-        .into_inner()
-        .expect("slots poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every benchmark produced a result"))
-        .collect();
-    BatchResult {
-        suite: SuiteResult {
-            method: method_name.to_string(),
-            results,
-        },
-        wall: started.elapsed(),
-        jobs,
-    }
+    done.sort_unstable_by_key(|&(n, _)| n);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Optional whole-batch measurements [`batch_json`] records alongside
-/// the per-benchmark rows.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BatchAnnotations {
-    /// Sequential wall / parallel wall, measured by
-    /// `--compare-sequential` — the multi-core speedup a reader can
-    /// take from the JSON without rerunning anything.
-    pub parallel_speedup: Option<f64>,
-    /// Benchmarks answered from a persistent store (`--store`) without
-    /// running a lift.
-    pub warm_hits: Option<usize>,
+/// Turns a wire route's event stream into the benchmark's result: a
+/// terminal `done` or `failed` event carries the outcome. Wire events
+/// carry no analysis counters or phase times (the server's aggregate
+/// `stats` snapshot does), so those read 0.
+fn decode(name: &str, events: &[Event]) -> MethodResult {
+    let (solution, attempts, nodes, elapsed_ms) = match events.last() {
+        Some(Event::Done {
+            solution,
+            attempts,
+            nodes,
+            elapsed_ms,
+            ..
+        }) => (Some(solution.clone()), *attempts, *nodes, *elapsed_ms),
+        Some(Event::Failed {
+            attempts,
+            nodes,
+            elapsed_ms,
+            ..
+        }) => (None, *attempts, *nodes, *elapsed_ms),
+        Some(Event::Error { code, message, .. }) => {
+            panic!("{name}: request rejected ({}): {message}", code.wire_name())
+        }
+        other => panic!("{name}: stream ended without a terminal event: {other:?}"),
+    };
+    MethodResult {
+        name: name.to_string(),
+        solved: solution.is_some(),
+        seconds: elapsed_ms as f64 / 1000.0,
+        attempts,
+        solution,
+        nodes,
+        pruned_infeasible: 0,
+        pruned_equivalent: 0,
+        phase_times: PhaseTimes::new(),
+    }
 }
 
 /// Renders a batch as one JSON document with per-benchmark
@@ -618,14 +434,15 @@ pub struct BatchAnnotations {
 /// tables). `benchmarks` must be the slice the batch ran over, in the
 /// same order (it supplies the suite of each row); `skipped` lists
 /// benchmarks excluded from the run (`--skip`), recorded so a
-/// truncated suite is never mistaken for a full one; `notes` carries
-/// whole-batch measurements (speedup, warm hits) when the flags that
-/// produce them were given.
+/// truncated suite is never mistaken for a full one;
+/// `parallel_speedup` is sequential wall over parallel wall, when
+/// `--compare-sequential` measured it. The warm-hit count is recorded
+/// when the batch ran with a store.
 pub fn batch_json(
     batch: &BatchResult,
     benchmarks: &[Benchmark],
     skipped: &[String],
-    notes: &BatchAnnotations,
+    parallel_speedup: Option<f64>,
 ) -> String {
     assert_eq!(
         batch.suite.results.len(),
@@ -635,24 +452,24 @@ pub fn batch_json(
     let mut out = String::from("{\n");
     let skipped_json = skipped
         .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
+        .map(|s| Json::str(s).to_string())
         .collect::<Vec<_>>()
         .join(", ");
     let pruned_infeasible: u64 = batch.suite.results.iter().map(|r| r.pruned_infeasible).sum();
     let pruned_equivalent: u64 = batch.suite.results.iter().map(|r| r.pruned_equivalent).sum();
     out.push_str(&format!(
-        "  \"method\": \"{}\",\n  \"jobs\": {},\n  \"wall_seconds\": {:.6},\n  \"cpu_seconds\": {:.6},\n  \"solved\": {},\n  \"total\": {},\n  \"pruned_infeasible\": {pruned_infeasible},\n  \"pruned_equivalent\": {pruned_equivalent},\n  \"skipped\": [{skipped_json}],\n",
-        json_escape(&batch.suite.method),
+        "  \"method\": {},\n  \"jobs\": {},\n  \"wall_seconds\": {:.6},\n  \"cpu_seconds\": {:.6},\n  \"solved\": {},\n  \"total\": {},\n  \"pruned_infeasible\": {pruned_infeasible},\n  \"pruned_equivalent\": {pruned_equivalent},\n  \"skipped\": [{skipped_json}],\n",
+        Json::str(&batch.suite.method),
         batch.jobs,
         batch.wall.as_secs_f64(),
         batch.cpu_seconds(),
         batch.suite.solved(),
         batch.suite.results.len(),
     ));
-    if let Some(speedup) = notes.parallel_speedup {
+    if let Some(speedup) = parallel_speedup {
         out.push_str(&format!("  \"parallel_speedup\": {speedup:.6},\n"));
     }
-    if let Some(warm) = notes.warm_hits {
+    if let Some(warm) = batch.warm_hits {
         out.push_str(&format!("  \"warm_hits\": {warm},\n"));
     }
     // Whole-batch per-phase totals, microseconds — where the suite's
@@ -672,8 +489,8 @@ pub fn batch_json(
     for (n, (r, b)) in batch.suite.results.iter().zip(benchmarks).enumerate() {
         let comma = if n + 1 < batch.suite.results.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"suite\": \"{}\", \"solved\": {}, \"seconds\": {:.6}, \"attempts\": {}, \"pops\": {}, \"phase_us\": {}}}{comma}\n",
-            json_escape(&r.name),
+            "    {{\"benchmark\": {}, \"suite\": \"{}\", \"solved\": {}, \"seconds\": {:.6}, \"attempts\": {}, \"pops\": {}, \"phase_us\": {}}}{comma}\n",
+            Json::str(&r.name),
             b.suite.cli_name(),
             r.solved,
             r.seconds,
@@ -684,36 +501,4 @@ pub fn batch_json(
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::json_escape;
-
-    #[test]
-    fn json_escape_covers_all_control_characters() {
-        assert_eq!(json_escape("plain-name_9"), "plain-name_9");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("a\nb\rc\td"), "a\\nb\\rc\\td");
-        assert_eq!(json_escape("x\u{1}y\u{1f}z"), "x\\u0001y\\u001fz");
-        assert_eq!(json_escape("unicode é ✓"), "unicode é ✓");
-    }
 }

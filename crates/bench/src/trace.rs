@@ -1,26 +1,19 @@
 //! The attempt sequence of one search: which complete templates a
 //! STAGG search sends to its checker, in order, on one benchmark.
 //!
-//! [`trace_search`] rebuilds the query's grammar exactly as the
-//! pipeline does (synthetic oracle, dimension prediction, weight
-//! learning) and runs the search with a checker that rejects every
+//! [`trace_search`] builds the query's grammar with the pipeline's own
+//! stage ② ([`gtl::build_search_grammar`] over the synthetic oracle's
+//! candidates) and runs the search with a checker that rejects every
 //! template, so the result is the search's enumeration order alone.
 //! The `trace_search` binary prints it; `tests/search_golden.rs` pins
 //! it.
 
-use gtl::SearchMode;
-use gtl_analysis::analyze_kernel;
+use gtl::{build_search_grammar, template_from_candidate, SearchGrammar, SearchMode, StaggConfig};
 use gtl_benchsuite::Benchmark;
 use gtl_oracle::{Oracle, OracleQuery, SyntheticOracle};
-use gtl_search::{
-    bottom_up_search, top_down_search, CheckOutcome, PenaltyContext, PenaltySettings, SearchBudget,
-};
-use gtl_taco::{parse_program, preprocess_candidate, TacoProgram};
-use gtl_template::{
-    any_const, any_repeated_index, generate_bu_grammar, generate_td_grammar, index_variable_count,
-    learn_weights, overlay_lhs_dimension, predict_dimension_list, templatize, TdSpec, Template,
-    TemplateGrammar,
-};
+use gtl_search::{bottom_up_search, top_down_search, CheckOutcome, SearchBudget};
+use gtl_taco::TacoProgram;
+use gtl_template::{Template, TemplateGrammar};
 
 use crate::runner::query_for;
 
@@ -46,34 +39,16 @@ pub fn trace_search(benchmark: &Benchmark, limit: u64, mode: SearchMode) -> Sear
         c_source: &query.source,
         ground_truth: query.ground_truth.as_ref(),
     });
-    let templates: Vec<Template> = raw
-        .iter()
-        .filter_map(|l| preprocess_candidate(l))
-        .filter_map(|s| parse_program(&s).ok())
-        .filter_map(|p| templatize(&p).ok())
-        .collect();
-    let facts = analyze_kernel(&query.task.func);
-    let dim_list = overlay_lhs_dimension(
-        predict_dimension_list(&templates).unwrap_or_default(),
-        facts.lhs_dim,
-    );
-    let spec = TdSpec {
-        dim_list: dim_list.clone(),
-        n_indices: index_variable_count(&templates).max(1),
-        allow_repeated_index: any_repeated_index(&templates),
-        include_const: any_const(&templates),
+    let pool: Vec<Template> = raw.iter().filter_map(|l| template_from_candidate(l)).collect();
+    let config = match mode {
+        SearchMode::TopDown => StaggConfig::top_down(),
+        SearchMode::BottomUp => StaggConfig::bottom_up(),
     };
-    let mut grammar = match mode {
-        SearchMode::TopDown => generate_td_grammar(&spec),
-        SearchMode::BottomUp => generate_bu_grammar(&spec),
-    };
-    learn_weights(&mut grammar, &templates);
-    let ctx = PenaltyContext {
-        dim_list: dim_list.clone(),
-        grammar_has_const: grammar.nts.constant.is_some(),
-        live_ops: grammar.live_ops(),
-        settings: PenaltySettings::all(),
-    };
+    let SearchGrammar {
+        dim_list,
+        grammar,
+        ctx,
+    } = build_search_grammar(&query.task, &pool, &config);
     let budget = SearchBudget {
         max_attempts: limit,
         ..SearchBudget::default()

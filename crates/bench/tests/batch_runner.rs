@@ -1,12 +1,8 @@
 //! The batch suite runner must be a pure parallelisation: per-benchmark
-//! outcomes identical to the sequential runner, results in input order,
-//! well-formed JSON.
+//! outcomes identical to a sequential run on every route, results in
+//! input order, one warm start shared by the routes, well-formed JSON.
 
-use gtl::StaggConfig;
-use gtl_bench::{
-    batch_json, run_batch_via_server, run_method_batch, run_method_batch_stored, run_method_on,
-    BatchAnnotations, Method,
-};
+use gtl_bench::{batch_json, run_batch, BatchResult, Method, Route};
 use gtl_benchsuite::{by_name, Benchmark};
 use gtl_store::LiftStore;
 
@@ -17,51 +13,60 @@ fn small_set() -> Vec<Benchmark> {
         .collect()
 }
 
-#[test]
-fn batch_outcomes_match_sequential_runner() {
-    let set = small_set();
-    let method = Method::stagg_td();
-    let sequential = run_method_on(&method, &set);
-    let batch = run_method_batch(&method, &set, 4);
-    assert_eq!(batch.jobs.min(set.len()), batch.jobs, "jobs clamped to set size");
-    assert_eq!(batch.suite.results.len(), sequential.results.len());
-    for (p, s) in batch.suite.results.iter().zip(&sequential.results) {
-        assert_eq!(p.name, s.name, "batch must preserve input order");
-        assert_eq!(p.solved, s.solved, "{}: classification diverged", p.name);
-        assert_eq!(p.attempts, s.attempts, "{}: attempts diverged", p.name);
+/// One worker calling the pipeline in input order: the reference every
+/// other shape of batch must match.
+fn sequential(method: &Method, set: &[Benchmark]) -> BatchResult {
+    run_batch(method, set, 1, &Route::Pipeline, None)
+}
+
+fn assert_same_outcomes(got: &BatchResult, want: &BatchResult) {
+    assert_eq!(got.suite.results.len(), want.suite.results.len());
+    for (g, w) in got.suite.results.iter().zip(&want.suite.results) {
+        assert_eq!(g.name, w.name, "batch must preserve input order");
+        assert_eq!(g.solved, w.solved, "{}: classification diverged", g.name);
+        assert_eq!(g.attempts, w.attempts, "{}: attempts diverged", g.name);
     }
 }
 
 #[test]
-fn batch_with_one_job_equals_run_method_on() {
+fn batch_outcomes_match_sequential_runner() {
     let set = small_set();
     let method = Method::stagg_td();
-    let a = run_method_on(&method, &set);
-    let b = run_method_batch(&method, &set, 1);
-    for (x, y) in a.results.iter().zip(&b.suite.results) {
-        assert_eq!(x.name, y.name);
-        assert_eq!(x.solved, y.solved);
-        assert_eq!(x.attempts, y.attempts);
+    let batch = run_batch(&method, &set, 4, &Route::Pipeline, None);
+    assert_eq!(batch.jobs, 4);
+    assert_eq!(batch.warm_hits, None, "no store, no warm-hit count");
+    assert_same_outcomes(&batch, &sequential(&method, &set));
+    let clamped = run_batch(&method, &set[..2], 8, &Route::Pipeline, None);
+    assert_eq!(clamped.jobs, 2, "jobs clamped to set size");
+}
+
+#[test]
+fn batch_with_one_job_equals_sequential_lifts() {
+    let set = small_set();
+    let method = Method::stagg_td();
+    let batch = sequential(&method, &set);
+    for (b, r) in set.iter().zip(&batch.suite.results) {
+        let direct = method.run(&gtl_bench::query_for(b));
+        assert_eq!(r.name, direct.name);
+        assert_eq!(r.solved, direct.solved);
+        assert_eq!(r.attempts, direct.attempts);
+        assert_eq!(r.solution, direct.solution);
     }
 }
 
 #[test]
 fn server_routed_batch_matches_direct_runner() {
-    // The client-driven batch mode goes through the full serving layer
-    // (queue, workers, result cache); outcome
-    // classification and attempt counts must match the direct pipeline.
+    // The server route goes through the full serving layer (queue,
+    // workers, result cache); outcome classification and attempt
+    // counts must match the direct pipeline.
     let set = small_set();
-    let direct = run_method_on(&Method::stagg_td(), &set);
-    let served = run_batch_via_server("STAGG_TD", &StaggConfig::top_down(), &set, 3);
+    let method = Method::stagg_td();
+    let served = run_batch(&method, &set, 3, &Route::Server, None);
     assert_eq!(served.jobs, 3);
-    assert_eq!(served.suite.results.len(), direct.results.len());
-    for (s, d) in served.suite.results.iter().zip(&direct.results) {
-        assert_eq!(s.name, d.name, "served batch must preserve input order");
-        assert_eq!(s.solved, d.solved, "{}: classification diverged", s.name);
-        assert_eq!(s.attempts, d.attempts, "{}: attempts diverged", s.name);
-    }
+    assert_eq!(served.suite.method, "STAGG_TD");
+    assert_same_outcomes(&served, &sequential(&method, &set));
     // The served batch feeds the same JSON emitter.
-    let json = batch_json(&served, &set, &[], &BatchAnnotations::default());
+    let json = batch_json(&served, &set, &[], None);
     assert_eq!(json.matches("\"benchmark\":").count(), set.len());
 }
 
@@ -72,62 +77,52 @@ fn stored_batch_warm_starts_the_second_run() {
     let _ = std::fs::remove_file(&path);
     let set = small_set();
     let method = Method::stagg_td();
-    let config = StaggConfig::top_down();
 
     // Cold run: nothing warm, everything lifted, solved outcomes stored.
     let store = LiftStore::open(&path).unwrap();
-    let (cold, warm_hits) = run_method_batch_stored(&method, &config, &set, 2, &store);
-    assert_eq!(warm_hits, 0);
+    let cold = run_batch(&method, &set, 2, &Route::Pipeline, Some(&store));
+    assert_eq!(cold.warm_hits, Some(0));
     let solved = cold.suite.solved();
     assert!(solved > 0, "the small set has solvable benchmarks");
     assert_eq!(store.len(), solved, "one record per solved benchmark");
     drop(store);
 
-    // Warm run on a *reopened* store (the cross-process shape): every
-    // solved benchmark is answered from the store with identical
-    // numbers, only unsolved ones re-run.
-    let store = LiftStore::open(&path).unwrap();
-    let (warm, warm_hits) = run_method_batch_stored(&method, &config, &set, 2, &store);
-    assert_eq!(warm_hits, solved);
-    for (w, c) in warm.suite.results.iter().zip(&cold.suite.results) {
-        assert_eq!(w.name, c.name, "input order preserved");
-        assert_eq!(w.solved, c.solved);
-        assert_eq!(w.attempts, c.attempts);
-        assert_eq!(w.solution, c.solution);
-        if w.solved {
-            assert_eq!(w.seconds, c.seconds, "{}: warm hit echoes the original", w.name);
+    // Warm runs on a *reopened* store (the cross-process shape), on
+    // both local routes: every solved benchmark is answered from the
+    // store with identical numbers, only unsolved ones re-run.
+    for route in [Route::Pipeline, Route::Server] {
+        let store = LiftStore::open(&path).unwrap();
+        let warm = run_batch(&method, &set, 2, &route, Some(&store));
+        assert_eq!(warm.warm_hits, Some(solved), "{route:?}");
+        assert_eq!(warm.jobs, cold.jobs, "{route:?}: a warm rerun reports the same jobs");
+        for (w, c) in warm.suite.results.iter().zip(&cold.suite.results) {
+            assert_eq!(w.name, c.name, "input order preserved");
+            assert_eq!(w.solved, c.solved);
+            assert_eq!(w.attempts, c.attempts);
+            assert_eq!(w.nodes, c.nodes);
+            assert_eq!(w.solution, c.solution);
+            if w.solved {
+                assert_eq!(w.seconds, c.seconds, "{}: warm hit echoes the original", w.name);
+            }
         }
+        // Replaying an identical suite must not have grown the log.
+        assert_eq!(store.counters().appended, 0, "{route:?}");
     }
-    // Replaying an identical suite must not have grown the log.
-    assert_eq!(store.counters().appended, 0);
 
     // A different configuration shares the file but not the entries.
-    let (_, cross_hits) = run_method_batch_stored(
-        &Method::stagg_bu(),
-        &StaggConfig::bottom_up(),
-        &set,
-        2,
-        &store,
-    );
-    assert_eq!(cross_hits, 0, "keys are config-scoped");
+    let store = LiftStore::open(&path).unwrap();
+    let cross = run_batch(&Method::stagg_bu(), &set, 2, &Route::Pipeline, Some(&store));
+    assert_eq!(cross.warm_hits, Some(0), "keys are config-scoped");
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn batch_json_is_well_formed_and_complete() {
     let set = small_set();
-    let method = Method::stagg_td();
-    let batch = run_method_batch(&method, &set, 2);
-    let json = batch_json(
-        &batch,
-        &set,
-        &["sa_4d_add".to_string()],
-        &BatchAnnotations {
-            parallel_speedup: Some(1.5),
-            warm_hits: Some(2),
-        },
-    );
-    // Structural sanity without a JSON parser: balanced braces/brackets,
+    let mut batch = run_batch(&Method::stagg_td(), &set, 2, &Route::Pipeline, None);
+    batch.warm_hits = Some(2);
+    let json = batch_json(&batch, &set, &["sa_4d_add".to_string()], Some(1.5));
+    // Structural sanity: balanced braces/brackets,
     // one row per benchmark, every name present.
     assert_eq!(
         json.matches('{').count(),
@@ -148,4 +143,6 @@ fn batch_json_is_well_formed_and_complete() {
         json.contains("\"skipped\": [\"sa_4d_add\"]"),
         "skipped benchmarks must be recorded:\n{json}"
     );
+    // And a real parser accepts it.
+    gtl_store::parse(&json).expect("batch JSON parses");
 }

@@ -7,7 +7,7 @@
 //! cannot pass.
 
 use gtl::StaggConfig;
-use gtl_bench::{run_method_on, Method};
+use gtl_bench::{run_batch, Method, Route};
 use gtl_benchsuite::{by_name, Benchmark};
 
 /// Benchmarks whose searches are long enough for both pruning rules to
@@ -26,14 +26,12 @@ fn small_set() -> Vec<Benchmark> {
 #[test]
 fn pruned_run_solves_the_same_set_as_unpruned() {
     let set = small_set();
-    let pruned = run_method_on(
-        &Method::stagg_variant("STAGG_TD", StaggConfig::top_down()),
-        &set,
-    );
-    let unpruned = run_method_on(
-        &Method::stagg_variant("STAGG_TD_noprune", StaggConfig::top_down().with_pruning(false)),
-        &set,
-    );
+    let run = |method: Method| run_batch(&method, &set, 1, &Route::Pipeline, None).suite;
+    let pruned = run(Method::stagg_variant("STAGG_TD", StaggConfig::top_down()));
+    let unpruned = run(Method::stagg_variant(
+        "STAGG_TD_noprune",
+        StaggConfig::top_down().with_pruning(false),
+    ));
     assert_eq!(pruned.results.len(), unpruned.results.len());
     for (p, u) in pruned.results.iter().zip(&unpruned.results) {
         assert_eq!(p.name, u.name);

@@ -28,6 +28,9 @@ const CASES: &[(&str, &str)] = &[
     ("art_3mat_chain", "td"),
     ("blas_gemv", "bu"),
     ("art_3mat_chain", "bu"),
+    // A scalar operand: the dimension list [1, 0, 1, 1] puts a rank-0
+    // slot on the right-hand side, so the grammar carries CONSTANT.
+    ("blas_axpy", "td"),
 ];
 
 /// The committed attempt list of one case.

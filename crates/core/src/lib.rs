@@ -69,5 +69,8 @@ mod report;
 pub use config::{GrammarMode, SearchMode, StaggConfig};
 pub use gtl_oracle::OracleSpec;
 pub use gtl_trace::{Phase, PhaseTimes};
-pub use pipeline::{LiftHooks, LiftObserver, LiftQuery, Stagg};
+pub use pipeline::{
+    build_search_grammar, template_from_candidate, LiftHooks, LiftObserver, LiftQuery,
+    SearchGrammar, Stagg,
+};
 pub use report::{FailureReason, LiftReport, OracleRoundStats};

@@ -191,12 +191,8 @@ impl Stagg {
 
             // Parse and templatise; discard syntactically invalid
             // candidates.
-            let fresh: Vec<Template> = raw
-                .iter()
-                .filter_map(|line| preprocess_candidate(line))
-                .filter_map(|s| parse_program(&s).ok())
-                .filter_map(|p| templatize(&p).ok())
-                .collect();
+            let fresh: Vec<Template> =
+                raw.iter().filter_map(|line| template_from_candidate(line)).collect();
             oracle_span.stop();
             round_stats.parsed = fresh.len();
             report.candidates_parsed += fresh.len();
@@ -308,60 +304,15 @@ impl Stagg {
         hooks: &LiftHooks<'_>,
         phases: &PhaseCollector,
     ) -> (RoundOutcome, Vec<String>) {
-        // ② Dimension prediction: LLM vote + static analysis for the
-        // LHS. The GrammarLearn phase spans analysis, grammar
-        // construction and probability learning.
+        // ② Dimension prediction, grammar construction and probability
+        // learning (the GrammarLearn phase).
         let grammar_span = PhaseSpan::start(Some(phases), Phase::GrammarLearn);
-        let facts = analyze_kernel(&query.task.func);
-        let voted = predict_dimension_list(pool).unwrap_or_default();
-        let dim_list = overlay_lhs_dimension(voted, facts.lhs_dim);
-
-        // Grammar construction + probability learning.
-        let spec = TdSpec {
-            dim_list: dim_list.clone(),
-            n_indices: index_variable_count(pool).max(1),
-            allow_repeated_index: any_repeated_index(pool),
-            include_const: any_const(pool),
-        };
-        let mut grammar: TemplateGrammar = match (self.config.mode, self.config.grammar) {
-            (SearchMode::TopDown, GrammarMode::Refined | GrammarMode::EqualProbability) => {
-                generate_td_grammar(&spec)
-            }
-            (SearchMode::TopDown, GrammarMode::FullGrammar | GrammarMode::LlmGrammar) => {
-                generate_td_full_grammar(
-                    self.config.full_grammar_tensors,
-                    self.config.full_grammar_max_dim,
-                    facts.lhs_dim,
-                )
-            }
-            (SearchMode::BottomUp, GrammarMode::Refined | GrammarMode::EqualProbability) => {
-                generate_bu_grammar(&spec)
-            }
-            (SearchMode::BottomUp, GrammarMode::FullGrammar | GrammarMode::LlmGrammar) => {
-                generate_bu_full_grammar(
-                    self.config.full_grammar_tensors,
-                    self.config.full_grammar_max_dim,
-                    facts.lhs_dim,
-                )
-            }
-        };
-        match self.config.grammar {
-            GrammarMode::Refined | GrammarMode::LlmGrammar => {
-                learn_weights(&mut grammar, pool);
-            }
-            GrammarMode::EqualProbability | GrammarMode::FullGrammar => {
-                grammar.pcfg.equalize_weights();
-            }
-        }
+        let SearchGrammar {
+            dim_list,
+            grammar,
+            ctx,
+        } = build_search_grammar(&query.task, pool, &self.config);
         grammar_span.stop();
-
-        let ctx = PenaltyContext {
-            dim_list: dim_list.clone(),
-            grammar_has_const: grammar.nts.constant.is_some()
-                || grammar.nts.dim_nts.contains_key(&0),
-            live_ops: grammar.live_ops(),
-            settings: self.config.penalties,
-        };
 
         let task = &query.task;
         let verify_cfg = self.config.verify;
@@ -501,6 +452,83 @@ impl Stagg {
             },
             rejected,
         )
+    }
+}
+
+/// Candidate intake: preprocesses, parses and templatises one raw
+/// oracle line, or `None` when any step rejects it.
+pub fn template_from_candidate(line: &str) -> Option<Template> {
+    let program = parse_program(&preprocess_candidate(line)?).ok()?;
+    templatize(&program).ok()
+}
+
+/// What stage ② hands to the search: the predicted dimension list, the
+/// weighted grammar and the penalty context over both.
+#[derive(Debug, Clone)]
+pub struct SearchGrammar {
+    /// The dimension list: the candidates' vote with the LHS dimension
+    /// taken from static analysis of the kernel.
+    pub dim_list: Vec<usize>,
+    /// The grammar for the configured search mode and grammar mode,
+    /// with its weights learned or equalised.
+    pub grammar: TemplateGrammar,
+    /// The penalty context the search scores children with.
+    pub ctx: PenaltyContext,
+}
+
+/// Stage ②: dimension prediction (LLM vote plus static analysis for
+/// the LHS), grammar construction for `config`'s search mode and
+/// grammar mode, probability learning over `pool`, and the penalty
+/// context. The pipeline runs it once per searched oracle round.
+pub fn build_search_grammar(
+    task: &LiftTask,
+    pool: &[Template],
+    config: &StaggConfig,
+) -> SearchGrammar {
+    let facts = analyze_kernel(&task.func);
+    let voted = predict_dimension_list(pool).unwrap_or_default();
+    let dim_list = overlay_lhs_dimension(voted, facts.lhs_dim);
+    let spec = TdSpec {
+        dim_list: dim_list.clone(),
+        n_indices: index_variable_count(pool).max(1),
+        allow_repeated_index: any_repeated_index(pool),
+        include_const: any_const(pool),
+    };
+    let (tensors, max_dim) = (config.full_grammar_tensors, config.full_grammar_max_dim);
+    let mut grammar = match (config.mode, config.grammar) {
+        (SearchMode::TopDown, GrammarMode::Refined | GrammarMode::EqualProbability) => {
+            generate_td_grammar(&spec)
+        }
+        (SearchMode::TopDown, GrammarMode::FullGrammar | GrammarMode::LlmGrammar) => {
+            generate_td_full_grammar(tensors, max_dim, facts.lhs_dim)
+        }
+        (SearchMode::BottomUp, GrammarMode::Refined | GrammarMode::EqualProbability) => {
+            generate_bu_grammar(&spec)
+        }
+        (SearchMode::BottomUp, GrammarMode::FullGrammar | GrammarMode::LlmGrammar) => {
+            generate_bu_full_grammar(tensors, max_dim, facts.lhs_dim)
+        }
+    };
+    match config.grammar {
+        GrammarMode::Refined | GrammarMode::LlmGrammar => {
+            learn_weights(&mut grammar, pool);
+        }
+        GrammarMode::EqualProbability | GrammarMode::FullGrammar => {
+            grammar.pcfg.equalize_weights();
+        }
+    }
+    // A rank-0 operand slot of a bottom-up grammar arms a1's guard
+    // like the CONSTANT non-terminal does.
+    let ctx = PenaltyContext {
+        dim_list: dim_list.clone(),
+        grammar_has_const: grammar.nts.constant.is_some() || grammar.nts.dim_nts.contains_key(&0),
+        live_ops: grammar.live_ops(),
+        settings: config.penalties,
+    };
+    SearchGrammar {
+        dim_list,
+        grammar,
+        ctx,
     }
 }
 

@@ -111,7 +111,7 @@ impl Fixture {
         let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": {");
         for (n, (label, rounds)) in self.entries.iter().enumerate() {
             out.push_str(if n == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!("    {}: [", escape(label)));
+            out.push_str(&format!("    {}: [", Json::str(label)));
             for (r, lines) in rounds.iter().enumerate() {
                 if r > 0 {
                     out.push_str(", ");
@@ -121,7 +121,7 @@ impl Fixture {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    out.push_str(&escape(line));
+                    out.push_str(&Json::str(line).to_string());
                 }
                 out.push(']');
             }
@@ -249,24 +249,6 @@ fn decode_record(record: &Json) -> Result<(String, usize, Vec<String>), FixtureE
         .collect::<Option<Vec<_>>>()
         .ok_or_else(|| err("fixture record: `lines` must be strings"))?;
     Ok((label.to_string(), round, lines))
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 // -- the persistent store and the oracles on top of it ----------------

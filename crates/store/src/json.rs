@@ -535,8 +535,14 @@ mod tests {
         // Surrogate pair: U+1F600.
         let v = parse(r#""\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "😀");
-        // Serializer escapes control characters back out.
+        // Serializer escapes control characters back out, and passes
+        // plain text and non-ASCII through.
         assert_eq!(Json::str("a\nb\u{1}").to_line(), "\"a\\nb\\u0001\"");
+        assert_eq!(Json::str("plain-name_9").to_line(), "\"plain-name_9\"");
+        assert_eq!(Json::str("a\"b\\c").to_line(), "\"a\\\"b\\\\c\"");
+        assert_eq!(Json::str("a\nb\rc\td").to_line(), "\"a\\nb\\rc\\td\"");
+        assert_eq!(Json::str("x\u{1}y\u{1f}z").to_line(), "\"x\\u0001y\\u001fz\"");
+        assert_eq!(Json::str("unicode é ✓").to_line(), "\"unicode é ✓\"");
     }
 
     #[test]
