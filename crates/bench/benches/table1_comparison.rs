@@ -23,12 +23,12 @@ fn main() {
         .map(|r| r.filtered(|name| real_names.iter().any(|n| n == name)))
         .collect();
     println!("-- Real-World ({}) --", real.len());
-    println!("{}", header(&["method", "#", "%", "time(s)", "attempts"], &widths));
+    println!("{}", header(&["method", "#", "%", "time(ms)", "attempts"], &widths));
     for r in &real_results {
         println!("{}", row(&summary_cells(r, true), &widths));
     }
     println!("\n-- Real-World + Artificial (77) --");
-    println!("{}", header(&["method", "#", "%", "time(s)", "attempts"], &widths));
+    println!("{}", header(&["method", "#", "%", "time(ms)", "attempts"], &widths));
     for r in &full_results {
         println!("{}", row(&summary_cells(r, true), &widths));
     }
@@ -37,7 +37,7 @@ fn main() {
         .find(|r| r.method == "C2TACO")
         .expect("C2TACO in lineup");
     println!("\n-- Restricted to benchmarks solved by C2TACO ({}) --", c2.solved());
-    println!("{}", header(&["method", "#", "%", "time(s)", "attempts"], &widths));
+    println!("{}", header(&["method", "#", "%", "time(ms)", "attempts"], &widths));
     for r in &full_results {
         println!("{}", row(&summary_cells(&r.restricted_to(c2), true), &widths));
     }
@@ -46,7 +46,7 @@ fn main() {
         .find(|r| r.method == "Tenspiler")
         .expect("Tenspiler in lineup");
     println!("\n-- Restricted to benchmarks solved by Tenspiler ({}) --", ts.solved());
-    println!("{}", header(&["method", "#", "%", "time(s)", "attempts"], &widths));
+    println!("{}", header(&["method", "#", "%", "time(ms)", "attempts"], &widths));
     for r in &real_results {
         println!("{}", row(&summary_cells(&r.restricted_to(ts), true), &widths));
     }

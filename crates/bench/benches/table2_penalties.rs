@@ -8,7 +8,7 @@ use gtl_benchsuite::all_benchmarks;
 fn main() {
     println!("\nTable 2: impact of penalty rules (77 benchmarks)\n");
     let widths = [22, 4, 8, 9];
-    println!("{}", header(&["method", "#", "%", "time(s)"], &widths));
+    println!("{}", header(&["method", "#", "%", "time(ms)"], &widths));
     for m in Method::penalty_lineup() {
         let r = run_batch(&m, &all_benchmarks(), 1, &Route::Pipeline, None).suite;
         println!("{}", row(&summary_cells(&r, false), &widths));

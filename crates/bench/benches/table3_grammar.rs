@@ -8,7 +8,7 @@ use gtl_benchsuite::all_benchmarks;
 fn main() {
     println!("\nTable 3: grammar configurations and baselines (77 benchmarks)\n");
     let widths = [26, 4, 8, 9, 9];
-    println!("{}", header(&["method", "#", "%", "time(s)", "attempts"], &widths));
+    println!("{}", header(&["method", "#", "%", "time(ms)", "attempts"], &widths));
     let mut methods = Method::grammar_config_lineup();
     methods.push(Method::llm_only());
     methods.push(Method::c2taco());

@@ -25,14 +25,15 @@ pub fn header(cells: &[&str], widths: &[usize]) -> String {
     format!("{head}\n{sep}")
 }
 
-/// Formats the per-method summary cells used by Tables 1 and 3:
-/// `# solved`, `%`, mean time, mean attempts.
+/// Formats the per-method summary cells used by Tables 1–3:
+/// `# solved`, `%`, mean time in milliseconds (lifts take
+/// milliseconds, so seconds would print 0.00), mean attempts.
 pub fn summary_cells(result: &SuiteResult, with_attempts: bool) -> Vec<String> {
     let mut cells = vec![
         result.method.clone(),
         result.solved().to_string(),
         format!("{:.2}%", result.percent()),
-        format!("{:.2}", result.mean_seconds_solved()),
+        format!("{:.2}", result.mean_seconds_solved() * 1e3),
     ];
     if with_attempts {
         cells.push(format!("{:.2}", result.mean_attempts_solved()));
@@ -104,7 +105,7 @@ mod tests {
         let cells = summary_cells(&fake(), true);
         assert_eq!(cells[1], "1");
         assert_eq!(cells[2], "50.00%");
-        assert_eq!(cells[3], "1.00");
+        assert_eq!(cells[3], "1000.00", "milliseconds");
         assert_eq!(cells[4], "3.00");
     }
 

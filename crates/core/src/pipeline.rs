@@ -10,16 +10,19 @@
 //! candidates it already rejected, and the grammar is re-learned over
 //! the accumulated candidate pool.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
 
 use gtl_analysis::analyze_kernel;
 use gtl_oracle::{OracleFeedback, OracleProvider, OracleQuery};
 use gtl_search::{
-    bottom_up_search_hooked, top_down_search_hooked, CheckOutcome, PenaltyContext, SearchHooks,
-    SearchOutcome,
+    bottom_up_search_hooked, top_down_search_hooked, CancelFlag, CheckOutcome, PenaltyContext,
+    SearchHooks, SearchOutcome, TemplateChecker,
 };
-use gtl_taco::{parse_program, preprocess_candidate, CanonEncoder, KeySet, TacoProgram};
+use gtl_taco::{
+    parse_program, preprocess_candidate, CanonEncoder, KeySet, TacoProgram, TemplateRef,
+};
 use gtl_trace::{Phase, PhaseCollector, PhaseSpan, PhaseTimes};
 use gtl_template::{
     any_const, any_repeated_index, generate_bu_full_grammar, generate_bu_grammar,
@@ -28,7 +31,7 @@ use gtl_template::{
     TemplateGrammar,
 };
 use gtl_validate::{generate_examples, IoExample, LiftTask, ValidationStats, Validator};
-use gtl_verify::verify_candidate;
+use gtl_verify::{verify_candidate, VerifyConfig};
 
 use crate::config::{GrammarMode, SearchMode, StaggConfig};
 use crate::report::{FailureReason, LiftReport, OracleRoundStats};
@@ -314,11 +317,6 @@ impl Stagg {
         } = build_search_grammar(&query.task, pool, &self.config);
         grammar_span.stop();
 
-        let task = &query.task;
-        let verify_cfg = self.config.verify;
-        let observer = hooks.observer;
-        let cancel = hooks.search.cancel.clone();
-        let pruning = self.config.pruning;
         // Feasibility fact for every template this round: whether a
         // constant-filled output could even match the examples. A
         // constant-only RHS produces one value everywhere, so any
@@ -330,83 +328,22 @@ impl Stagg {
                 Some(first) => vals.all(|v| v == first),
             }
         };
-        // Canonical keys of templates already validated this round, held
-        // exactly: the one deduplication layer of the lift.
-        let mut canon = CanonEncoder::default();
-        let mut seen_canonical = KeySet::default();
-        // The task's parameters and the examples' tensors, interned once
-        // for every template this round validates.
-        let validator = Validator::new(task, examples);
-        // A bounded sample of rejected candidates, collected only when
-        // a later round could use it as feedback.
-        let collect_rejected = self.config.oracle_rounds.max(1) > 1;
-        let mut rejected: Vec<String> = Vec::new();
-        let mut stats = ValidationStats::default();
-
-        // The checker: validate the template's substitutions on the
-        // examples, verify survivors. A raised external cancel flag
-        // short-circuits the check, so cancellation is prompt even
-        // mid-validation.
-        let mut checker = |template: &TacoProgram| -> CheckOutcome {
-            // Phase accounting: the whole check is Validate time except
-            // the slice spent inside the bounded verifier, which the
-            // callback below measures into `verify_us`.
-            let check_started = Instant::now();
-            let verify_us = std::cell::Cell::new(0u64);
-            let outcome = (|| -> CheckOutcome {
-            if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                return CheckOutcome::Failed;
-            }
-            if pruning {
-                // Feasibility pre-checks, sound per construction: an LHS
-                // index no RHS access mentions fails index analysis for
-                // every substitution, and a constant-only RHS cannot
-                // reproduce non-constant outputs. Either way validation
-                // would reject every substitution — skip it. Pruned
-                // templates fail exactly as validation would, so the
-                // run's outcome (and attempt count) is unchanged.
-                let facts = canon.load(template);
-                if facts.unconstrained_output || (!facts.reads_tensor && !outputs_uniform) {
-                    stats.pruned_infeasible += 1;
-                    return CheckOutcome::Failed;
-                }
-                // Equivalence: templates with equal canonical keys
-                // enumerate identical substitution sets, so re-validating
-                // one is pure waste.
-                if !seen_canonical.insert(canon.key()) {
-                    stats.pruned_equivalent += 1;
-                    return CheckOutcome::Failed;
-                }
-            }
-            match validator.validate(
-                template,
-                |concrete, _sub| {
-                    if let Some(observer) = observer {
-                        observer.validated(concrete);
-                    }
-                    let verify_started = Instant::now();
-                    let equivalent = verify_candidate(task, concrete, &verify_cfg).is_equivalent();
-                    let us = verify_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                    verify_us.set(verify_us.get().saturating_add(us));
-                    equivalent
-                },
-                &mut stats,
-            ) {
-                Some(concrete) => CheckOutcome::Verified(concrete),
-                None => {
-                    if collect_rejected && rejected.len() < FEEDBACK_CANDIDATES {
-                        rejected.push(template.to_string());
-                    }
-                    CheckOutcome::Failed
-                }
-            }
-            })();
-            let check_us = check_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            if verify_us.get() > 0 {
-                phases.add(Phase::Verify, verify_us.get());
-            }
-            phases.add(Phase::Validate, check_us.saturating_sub(verify_us.get()));
-            outcome
+        let mut checker = RoundChecker {
+            task: &query.task,
+            verify: self.config.verify,
+            observer: hooks.observer,
+            cancel: hooks.search.cancel.clone(),
+            pruning: self.config.pruning,
+            outputs_uniform,
+            canon: CanonEncoder::default(),
+            seen: KeySet::default(),
+            validator: Validator::new(&query.task, examples),
+            // Rejected candidates are collected only when a later round
+            // could use them as feedback.
+            collect_rejected: self.config.oracle_rounds.max(1) > 1,
+            rejected: Vec::new(),
+            stats: ValidationStats::default(),
+            phases,
         };
 
         // ③ Search: one best-first loop, in the paper artifact's pop
@@ -437,6 +374,7 @@ impl Stagg {
             .saturating_sub(inner_before);
         let engine_us = outcome.elapsed.as_micros().min(u64::MAX as u128) as u64;
         phases.add(Phase::Search, engine_us.saturating_sub(inner_during));
+        let stats = checker.stats;
         (
             RoundOutcome {
                 attempts: outcome.attempts,
@@ -450,8 +388,150 @@ impl Stagg {
                 solution: outcome.solution,
                 stop: outcome.stop,
             },
-            rejected,
+            checker.rejected,
         )
+    }
+}
+
+/// The pipeline's template checker for one search round: validate the
+/// template's substitutions on the examples, verify survivors. A raised
+/// external cancel flag short-circuits the check, so cancellation is
+/// prompt even mid-validation.
+///
+/// Top-down templates arrive as tokens ([`TemplateChecker::check_ref`]),
+/// bottom-up ones as programs ([`TemplateChecker::check`], which feeds
+/// the program's tokens through the same body). Feasibility, the
+/// canonical key, the seen-set and the zero-substitution test read the
+/// tokens; a program is built only for a template validation evaluates.
+struct RoundChecker<'r> {
+    task: &'r LiftTask,
+    verify: VerifyConfig,
+    observer: Option<&'r dyn LiftObserver>,
+    cancel: Option<Arc<CancelFlag>>,
+    pruning: bool,
+    outputs_uniform: bool,
+    canon: CanonEncoder,
+    /// Canonical keys of templates already validated this round, held
+    /// exactly: the one deduplication layer of the lift.
+    seen: KeySet,
+    /// The task's parameters and the examples' tensors, interned once
+    /// for every template this round validates.
+    validator: Validator<'r>,
+    collect_rejected: bool,
+    /// A bounded sample of rejected candidates, for oracle feedback.
+    rejected: Vec<String>,
+    stats: ValidationStats,
+    phases: &'r PhaseCollector,
+}
+
+impl RoundChecker<'_> {
+    /// Checks one template and records its time: all of it is Validate
+    /// time except the slice spent inside the bounded verifier.
+    fn check_timed<P: Borrow<TacoProgram>>(
+        &mut self,
+        template: TemplateRef<'_>,
+        program: impl FnOnce() -> P,
+    ) -> CheckOutcome {
+        let started = Instant::now();
+        let mut verify_us = 0u64;
+        let outcome = self.check_template(template, program, &mut verify_us);
+        let check_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        if verify_us > 0 {
+            self.phases.add(Phase::Verify, verify_us);
+        }
+        self.phases
+            .add(Phase::Validate, check_us.saturating_sub(verify_us));
+        outcome
+    }
+
+    fn check_template<P: Borrow<TacoProgram>>(
+        &mut self,
+        template: TemplateRef<'_>,
+        program: impl FnOnce() -> P,
+        verify_us: &mut u64,
+    ) -> CheckOutcome {
+        if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+            return CheckOutcome::Failed;
+        }
+        if self.pruning {
+            // Feasibility pre-checks, sound per construction: an LHS
+            // index no RHS access mentions fails index analysis for
+            // every substitution, and a constant-only RHS cannot
+            // reproduce non-constant outputs. Either way validation
+            // would reject every substitution — skip it. Pruned
+            // templates fail exactly as validation would, so the run's
+            // outcome (and attempt count) is unchanged.
+            let facts = self.canon.load_ref(template);
+            if facts.unconstrained_output || (!facts.reads_tensor && !self.outputs_uniform) {
+                self.stats.pruned_infeasible += 1;
+                return CheckOutcome::Failed;
+            }
+            // Equivalence: templates with equal canonical keys
+            // enumerate identical substitution sets, so re-validating
+            // one is pure waste.
+            if !self.seen.insert(self.canon.key()) {
+                self.stats.pruned_equivalent += 1;
+                return CheckOutcome::Failed;
+            }
+        }
+        // Validation of a template without substitutions returns before
+        // evaluating anything and moves no counter: skip building it.
+        if !self.validator.has_substitutions(template) {
+            self.reject(program);
+            return CheckOutcome::Failed;
+        }
+        let program = program();
+        let template = program.borrow();
+        let (task, verify, observer) = (self.task, &self.verify, self.observer);
+        let verified = self.validator.validate(
+            template,
+            |concrete, _sub| {
+                if let Some(observer) = observer {
+                    observer.validated(concrete);
+                }
+                let verify_started = Instant::now();
+                let equivalent = verify_candidate(task, concrete, verify).is_equivalent();
+                let us = verify_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                *verify_us = verify_us.saturating_add(us);
+                equivalent
+            },
+            &mut self.stats,
+        );
+        match verified {
+            Some(concrete) => CheckOutcome::Verified(concrete),
+            None => {
+                self.reject(|| template);
+                CheckOutcome::Failed
+            }
+        }
+    }
+
+    /// Keeps a rejected template's text for feedback, building it only
+    /// if the sample has room.
+    fn reject<P: Borrow<TacoProgram>>(&mut self, program: impl FnOnce() -> P) {
+        if self.collect_rejected && self.rejected.len() < FEEDBACK_CANDIDATES {
+            self.rejected.push(program().borrow().to_string());
+        }
+    }
+}
+
+impl TemplateChecker for RoundChecker<'_> {
+    fn check(&mut self, template: &TacoProgram) -> CheckOutcome {
+        let mut rhs = Vec::new();
+        template.rhs.push_tokens(&mut rhs);
+        let tokens = TemplateRef {
+            lhs: &template.lhs,
+            rhs: &rhs,
+        };
+        self.check_timed(tokens, || template)
+    }
+
+    fn check_ref(
+        &mut self,
+        template: TemplateRef<'_>,
+        program: &dyn Fn() -> TacoProgram,
+    ) -> CheckOutcome {
+        self.check_timed(template, program)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Algorithm 2: bottom-up A\* over the tail grammar (§5.2).
 
-use gtl_taco::TacoProgram;
+use gtl_taco::RhsTok;
 use gtl_template::{GrammarShape, TemplateGrammar};
 
 use crate::driver::{SearchBudget, SearchHooks, SearchOutcome, TemplateChecker};
-use crate::frontier::{run_search, Child, Expand};
+use crate::frontier::{run_search, Candidate, Child, Expand};
 use crate::node::{Derivation, Rules};
 use crate::penalty::{bu_penalty, PenaltyContext};
 
@@ -129,7 +129,11 @@ impl Expand for BuExpand<'_> {
     // validated, which is why the bottom-up variant leans entirely on
     // dimension prediction. Without a prediction (full grammar) every
     // strippable prefix is validated instead.
-    fn candidate(&self, d: &Derivation) -> Option<TacoProgram> {
+    fn candidate<'r>(
+        &'r self,
+        d: &Derivation,
+        _toks: &mut Vec<RhsTok<'r>>,
+    ) -> Option<Candidate<'r>> {
         let ready = match self.predicted_rhs {
             Some(n) => d.facts().rhs_operand_slots as usize >= n,
             None => true,
@@ -138,6 +142,7 @@ impl Expand for BuExpand<'_> {
             return None;
         }
         d.bu_program(&self.rules, &self.grammar.nts.tails)
+            .map(Candidate::Program)
     }
 
     // Line 12: expand the leftmost nonterminal.

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gtl_taco::TacoProgram;
+use gtl_taco::{TacoProgram, TemplateRef};
 
 /// The downstream validation + verification stage (§6 and §7), invoked on
 /// every complete template the search produces. Implementations try all
@@ -17,6 +17,21 @@ pub trait TemplateChecker {
     /// Checks one complete template; on success returns the concrete
     /// program (template with the winning substitution applied).
     fn check(&mut self, template: &TacoProgram) -> CheckOutcome;
+
+    /// Checks one complete template handed over as borrowed tokens;
+    /// `program` builds its [`TacoProgram`], for a checker that needs
+    /// one. The top-down search calls this instead of
+    /// [`TemplateChecker::check`], so a checker that prunes most
+    /// templates from their tokens builds few programs. The default
+    /// builds the program and calls `check`.
+    fn check_ref(
+        &mut self,
+        template: TemplateRef<'_>,
+        program: &dyn Fn() -> TacoProgram,
+    ) -> CheckOutcome {
+        let _ = template;
+        self.check(&program())
+    }
 }
 
 /// Result of checking one template.

@@ -14,9 +14,11 @@
 //! sequence number that breaks priority ties. A popped entry is replayed
 //! into one reusable [`Derivation`], which rewinds to the prefix it
 //! shares with the previous pop and applies only the rest; children are
-//! scored from it and pushed as arena slots, and only a popped complete
-//! derivation becomes a [`TacoProgram`]. A finished search clears the
-//! two vectors and, if they grew large, keeps them for the next one.
+//! scored from it and pushed as arena slots. A popped complete top-down
+//! derivation goes to the checker as tokens in one reused buffer, and
+//! becomes a [`TacoProgram`] only if the checker asks for it or it
+//! wins. A finished search clears the two vectors and, if they grew
+//! large, keeps them for the next one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -24,7 +26,7 @@ use std::ops::RangeInclusive;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gtl_grammar::RuleId;
-use gtl_taco::TacoProgram;
+use gtl_taco::{Access, RhsTok, TacoProgram, TemplateRef};
 
 use crate::driver::{
     CheckOutcome, Priority, RunState, SearchBudget, SearchHooks, SearchOutcome,
@@ -42,6 +44,15 @@ pub(crate) struct Child {
     pub f: f64,
 }
 
+/// A complete template found at a popped node.
+pub(crate) enum Candidate<'r> {
+    /// A top-down derivation: its LHS, with its right-hand side in the
+    /// token buffer passed to [`Expand::candidate`].
+    Tokens(&'r Access),
+    /// A bottom-up chain with its open tail removed.
+    Program(TacoProgram),
+}
+
 /// Algorithm-specific judgement of a dequeued derivation.
 ///
 /// Implementations are read-only views of the grammar and penalty
@@ -55,8 +66,13 @@ pub(crate) trait Expand {
     /// but neither checked nor expanded) — the top-down depth limit.
     fn skip(&self, d: &Derivation) -> bool;
 
-    /// The complete template to send to the checker at this node, if any.
-    fn candidate(&self, d: &Derivation) -> Option<TacoProgram>;
+    /// The complete template to send to the checker at this node, if
+    /// any. A top-down template is written into `toks`.
+    fn candidate<'r>(
+        &'r self,
+        d: &Derivation,
+        toks: &mut Vec<RhsTok<'r>>,
+    ) -> Option<Candidate<'r>>;
 
     /// Appends the prioritised successors of the node (none for a
     /// complete derivation) to `out`, in push order.
@@ -158,6 +174,7 @@ fn best_first(
     let mut state = RunState::new(budget);
     arena.push(Node::ROOT);
     let mut derivation = Derivation::default();
+    let mut toks = Vec::new();
     let mut children = Vec::new();
     queue.push(QEntry {
         f: Priority(0.0),
@@ -177,10 +194,24 @@ fn best_first(
         if exp.skip(&derivation) {
             continue;
         }
-        if let Some(template) = exp.candidate(&derivation) {
+        if let Some(candidate) = exp.candidate(&derivation, &mut toks) {
             state.attempts += 1;
-            if let CheckOutcome::Verified(concrete) = checker.check(&template) {
-                return state.outcome(Some((template, concrete)), false);
+            let solution = match candidate {
+                Candidate::Program(template) => match checker.check(&template) {
+                    CheckOutcome::Verified(concrete) => Some((template, concrete)),
+                    CheckOutcome::Failed => None,
+                },
+                Candidate::Tokens(lhs) => {
+                    let template = TemplateRef { lhs, rhs: &toks };
+                    let program = || materialise(&derivation, exp.rules());
+                    match checker.check_ref(template, &program) {
+                        CheckOutcome::Verified(concrete) => Some((program(), concrete)),
+                        CheckOutcome::Failed => None,
+                    }
+                }
+            };
+            if solution.is_some() {
+                return state.outcome(solution, false);
             }
         }
         children.clear();
@@ -204,9 +235,22 @@ fn best_first(
     state.outcome(None, true)
 }
 
+/// The program of a complete top-down derivation the checker handled
+/// as tokens.
+fn materialise(d: &Derivation, rules: &Rules) -> TacoProgram {
+    #[cfg(test)]
+    tests::MATERIALISED.with(|n| n.set(n.get() + 1));
+    d.td_program(rules)
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Programs [`materialise`] built on this thread.
+        pub(crate) static MATERIALISED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     /// The frontier's memory is its entries plus the arena: a new field in
     /// either must be a deliberate choice, not a silent growth.

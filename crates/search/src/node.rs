@@ -26,8 +26,11 @@
 //!   ([`Derivation::child`], [`Derivation::child_remaining_cost`]): no
 //!   child is built unless it is pushed, and pushing one costs an arena
 //!   slot.
-//! - A [`TacoProgram`] is built only for a popped derivation
-//!   ([`Derivation::td_program`], [`Derivation::bu_program`]).
+//! - A popped complete top-down derivation reaches the checker as
+//!   borrowed tokens ([`Derivation::td_tokens`]); its [`TacoProgram`]
+//!   is built only when the checker asks for it or the search returns
+//!   it ([`Derivation::td_program`]). A bottom-up candidate is built as
+//!   a program ([`Derivation::bu_program`]).
 //!
 //! Every quantity is computed as the tree-shaped state this replaced
 //! computed it — the same holes summed in the same left-to-right order,
@@ -37,7 +40,7 @@
 use std::ops::Range;
 
 use gtl_grammar::{NtId, RuleId, Sym, TemplateTok};
-use gtl_taco::{Access, BinOp, Expr, TacoProgram};
+use gtl_taco::{Access, BinOp, Expr, RhsTok, TacoProgram};
 use gtl_template::{build_chain_expr, TemplateGrammar};
 
 /// One pushed search state: the arena index of its parent and the rule
@@ -412,7 +415,9 @@ impl Derivation {
             self.apply(rules, arena[at as usize].rule);
             self.path.push(at);
         }
-        if self.holes.len() == 1 {
+        // a4 concerns `+`, `-` and `/` nodes only: with none placed,
+        // `prepare_a4` finds nothing.
+        if self.holes.len() == 1 && self.facts.ops & A4_OPS != 0 {
             self.prepare_a4(rules);
         }
     }
@@ -598,6 +603,40 @@ impl Derivation {
         }
     }
 
+    /// The template of a complete top-down derivation as tokens: fills
+    /// `out` with its right-hand side and returns its LHS. The tokens
+    /// follow the derivation, as [`Derivation::td_program`]'s AST does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the derivation is incomplete.
+    pub(crate) fn td_tokens<'r>(&self, rules: &'r Rules, out: &mut Vec<RhsTok<'r>>) -> &'r Access {
+        assert!(
+            self.holes.is_empty(),
+            "only a complete derivation is a template"
+        );
+        out.clear();
+        let mut consts = 0;
+        // `PROGRAM → TENSOR1 "=" EXPR`, then `TENSOR1 → <lhs access>`,
+        // then the derivation of EXPR.
+        for &rule in &self.rules[2..] {
+            let info = rules.info(rule);
+            out.push(match &info.leaf {
+                Leaf::Access { access, .. } => RhsTok::Access(access),
+                Leaf::Const => {
+                    consts += 1;
+                    RhsTok::ConstSym(consts - 1)
+                }
+                Leaf::Op(op) => RhsTok::Op(*op),
+                Leaf::Nothing if info.binary => RhsTok::Binary,
+                // A unit rule such as `EXPR → TENSOR`.
+                Leaf::Nothing if info.rhs.len() == 1 => continue,
+                other => panic!("rule {rule:?} ({other:?}) cannot derive a top-down expression"),
+            });
+        }
+        rules.access(self.rules[1])
+    }
+
     /// The template of a complete top-down derivation. The AST follows
     /// the derivation, so `(b + c) * d` and `b + c * d` stay distinct.
     ///
@@ -652,14 +691,17 @@ impl Derivation {
 }
 
 /// The bit of `op` in [`Facts::ops`] (its position in [`BinOp::ALL`]).
-fn op_bit(op: BinOp) -> u8 {
+const fn op_bit(op: BinOp) -> u8 {
     1 << op as u8
 }
+
+/// The [`Facts::ops`] bits of the operators a4 inspects.
+const A4_OPS: u8 = op_bit(BinOp::Add) | op_bit(BinOp::Sub) | op_bit(BinOp::Div);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtl_taco::parse_program;
+    use gtl_taco::{parse_program, CanonEncoder, TemplateRef};
     use gtl_template::{
         bu_derivation, generate_bu_grammar, generate_td_grammar, td_derivation, GrammarShape,
         TdSpec, Template,
@@ -717,13 +759,7 @@ mod tests {
     /// the state of a replay from the root.
     #[test]
     fn incremental_replay_equals_replay_from_the_root() {
-        let mut td = generate_td_grammar(&TdSpec {
-            include_const: true,
-            ..spec(vec![1, 1, 1], 1)
-        });
-        td.pcfg.equalize_weights();
-        let bu = generate_bu_grammar(&spec(vec![1, 1, 1, 1], 1));
-        for g in [&td, &bu] {
+        for g in &exhaustive_grammars() {
             let table = Rules::new(g);
             let (arena, lens) = exhaustive_arena(g, &table, 6000);
             let mut order: Vec<usize> = (0..arena.len()).collect();
@@ -755,6 +791,70 @@ mod tests {
                 assert!(a4_nodes > 0, "no a4 state in {} nodes", arena.len());
             }
         }
+    }
+
+    /// The exhaustive arenas: a top-down grammar with `CONSTANT` and all
+    /// four operators, and a bottom-up one.
+    fn exhaustive_grammars() -> [TemplateGrammar; 2] {
+        let mut td = generate_td_grammar(&TdSpec {
+            include_const: true,
+            ..spec(vec![1, 1, 1], 1)
+        });
+        td.pcfg.equalize_weights();
+        [td, generate_bu_grammar(&spec(vec![1, 1, 1, 1], 1))]
+    }
+
+    /// Where the replay guard skips `prepare_a4` (no `+`, `-` or `/`
+    /// placed), running it anyway finds nothing.
+    #[test]
+    fn a4_guard_skips_only_empty_preparations() {
+        for g in &exhaustive_grammars() {
+            let table = Rules::new(g);
+            let (arena, lens) = exhaustive_arena(g, &table, 6000);
+            let mut skipped = 0;
+            for (n, &len) in lens.iter().enumerate() {
+                let mut d = Derivation::default();
+                d.replay(&table, &arena, n as u32, len);
+                if d.holes.len() != 1 || d.facts.ops & A4_OPS != 0 {
+                    continue;
+                }
+                skipped += 1;
+                d.prepare_a4(&table);
+                assert!(!d.a4_closed && d.a4_completing.is_empty(), "node {n}");
+            }
+            assert!(skipped > 0, "the guard never skipped");
+        }
+    }
+
+    /// Every complete derivation of the exhaustive top-down arena loads
+    /// from its tokens exactly as from its program: equal facts and
+    /// byte-equal canonical keys.
+    #[test]
+    fn tokens_load_like_the_program() {
+        let [td, _] = exhaustive_grammars();
+        let table = Rules::new(&td);
+        let (arena, lens) = exhaustive_arena(&td, &table, 20_000);
+        let (mut by_tokens, mut by_program) = (CanonEncoder::default(), CanonEncoder::default());
+        let mut toks = Vec::new();
+        let (mut complete, mut ops, mut consts) = (0, 0u8, 0);
+        let mut d = Derivation::default();
+        for (n, &len) in lens.iter().enumerate() {
+            d.replay(&table, &arena, n as u32, len);
+            if !d.holes.is_empty() {
+                continue;
+            }
+            complete += 1;
+            ops |= d.facts.ops;
+            consts += usize::from(d.facts.has_const);
+            let lhs = d.td_tokens(&table, &mut toks);
+            let program = d.td_program(&table);
+            let facts = by_tokens.load_ref(TemplateRef { lhs, rhs: &toks });
+            assert_eq!(facts, by_program.load(&program), "facts of {program}");
+            assert_eq!(by_tokens.key(), by_program.key(), "key of {program}");
+        }
+        assert!(complete > 500, "{complete} complete derivations");
+        assert_eq!(ops, 0b1111, "every operator placed");
+        assert!(consts > 0, "a constant placed");
     }
 
     fn template(src: &str) -> Template {

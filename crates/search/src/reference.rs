@@ -753,7 +753,7 @@ mod tests {
 mod differential {
     use super::*;
     use crate::bottomup::BuExpand;
-    use crate::frontier::{Child, Expand};
+    use crate::frontier::{Candidate, Child, Expand};
     use crate::node::{Derivation, Node};
     use crate::penalty::PenaltySettings;
     use crate::topdown::TdExpand;
@@ -832,7 +832,19 @@ mod differential {
         if top_down && tree.is_complete() {
             assert!(want.is_some(), "a complete derivation converts, {at}");
         }
-        assert_eq!(flat.candidate(d), want, "candidate, {at}");
+        let mut toks = Vec::new();
+        let got = match flat.candidate(d, &mut toks) {
+            Some(Candidate::Tokens(lhs)) => {
+                let program = d.td_program(flat.rules());
+                let mut rhs = Vec::new();
+                program.rhs.push_tokens(&mut rhs);
+                assert_eq!((lhs, &toks), (&program.lhs, &rhs), "tokens, {at}");
+                Some(program)
+            }
+            Some(Candidate::Program(program)) => Some(program),
+            None => None,
+        };
+        assert_eq!(got, want, "candidate, {at}");
         if top_down {
             if let Some(nt) = tree.leftmost_hole() {
                 for rule in g.pcfg.rules_of(nt) {

@@ -1,10 +1,10 @@
 //! Algorithm 1: top-down weighted A\* with penalties (§5.1).
 
-use gtl_taco::TacoProgram;
+use gtl_taco::RhsTok;
 use gtl_template::{GrammarShape, TemplateGrammar};
 
 use crate::driver::{SearchBudget, SearchHooks, SearchOutcome, TemplateChecker};
-use crate::frontier::{run_search, Child, Expand};
+use crate::frontier::{run_search, Candidate, Child, Expand};
 use crate::node::{Derivation, Rules};
 use crate::penalty::{td_penalty, PenaltyContext};
 
@@ -53,8 +53,14 @@ impl Expand for TdExpand<'_> {
     }
 
     // Lines 7–11: complete derivations become checker candidates.
-    fn candidate(&self, d: &Derivation) -> Option<TacoProgram> {
-        d.facts().complete.then(|| d.td_program(&self.rules))
+    fn candidate<'r>(
+        &'r self,
+        d: &Derivation,
+        toks: &mut Vec<RhsTok<'r>>,
+    ) -> Option<Candidate<'r>> {
+        d.facts()
+            .complete
+            .then(|| Candidate::Tokens(d.td_tokens(&self.rules, toks)))
     }
 
     // Line 12: expand the leftmost nonterminal with every rule.
@@ -133,7 +139,7 @@ mod tests {
     use super::*;
     use crate::driver::CheckOutcome;
     use crate::driver::StopReason;
-    use gtl_taco::{parse_program, TacoProgram};
+    use gtl_taco::{parse_program, TacoProgram, TemplateRef};
     use gtl_template::{generate_td_grammar, learn_weights, templatize, TdSpec};
 
     fn grammar_with(cands: &[&str], dims: Vec<usize>, n_indices: usize) -> TemplateGrammar {
@@ -259,6 +265,70 @@ mod tests {
             &mut never,
         );
         assert!(out.attempts <= 4);
+    }
+
+    /// Overrides `check_ref`: asks for every third template's program,
+    /// and verifies the target from its tokens alone.
+    struct Asking {
+        want: TacoProgram,
+        seen: u64,
+        asked: u64,
+    }
+
+    impl TemplateChecker for Asking {
+        fn check(&mut self, _template: &TacoProgram) -> CheckOutcome {
+            panic!("a top-down search hands templates over as tokens");
+        }
+
+        fn check_ref(
+            &mut self,
+            template: TemplateRef<'_>,
+            program: &dyn Fn() -> TacoProgram,
+        ) -> CheckOutcome {
+            self.seen += 1;
+            let mut want = Vec::new();
+            self.want.rhs.push_tokens(&mut want);
+            if *template.lhs == self.want.lhs && template.rhs == want.as_slice() {
+                return CheckOutcome::Verified(self.want.clone());
+            }
+            if self.seen.is_multiple_of(3) {
+                self.asked += 1;
+                let p = program();
+                let mut rhs = Vec::new();
+                p.rhs.push_tokens(&mut rhs);
+                assert_eq!((&p.lhs, rhs.as_slice()), (template.lhs, template.rhs));
+            }
+            CheckOutcome::Failed
+        }
+    }
+
+    #[test]
+    fn programs_are_built_only_when_asked_and_for_the_winner() {
+        use crate::frontier::tests::MATERIALISED;
+
+        let g = grammar_with(&["r(i) = m(j,i) * v(i)"], vec![1, 2, 1], 2);
+        let ctx = ctx_for(&g);
+        for (target, solves) in [("a(i) = b(i,j) * c(j)", true), ("a(i) = b(i)", false)] {
+            let mut checker = Asking {
+                want: parse_program(target).unwrap(),
+                seen: 0,
+                asked: 0,
+            };
+            let before = MATERIALISED.with(|n| n.get());
+            let budget = SearchBudget {
+                max_attempts: 200,
+                ..SearchBudget::default()
+            };
+            let out = top_down_search(&g, &ctx, budget, &mut checker);
+            let built = MATERIALISED.with(|n| n.get()) - before;
+            assert_eq!(out.solved(), solves, "{target}");
+            assert_eq!(out.attempts, checker.seen, "{target}");
+            assert!(checker.asked > 0, "{target}: {} attempts", out.attempts);
+            assert_eq!(built, checker.asked + u64::from(solves), "{target}");
+            if solves {
+                assert_eq!(out.template, Some(checker.want));
+            }
+        }
     }
 
     #[test]

@@ -293,6 +293,78 @@ impl Expr {
             Expr::Binary { lhs, rhs, .. } => lhs.has_const_sym() || rhs.has_const_sym(),
         }
     }
+
+    /// Appends the expression's [`RhsTok`]s to `out`, in derivation
+    /// order.
+    pub fn push_tokens<'a>(&'a self, out: &mut Vec<RhsTok<'a>>) {
+        match self {
+            Expr::Access(a) => out.push(RhsTok::Access(a)),
+            Expr::Const(c) => out.push(RhsTok::Const(*c)),
+            Expr::ConstSym(s) => out.push(RhsTok::ConstSym(*s)),
+            Expr::Neg(e) => {
+                out.push(RhsTok::Neg);
+                e.push_tokens(out);
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                out.push(RhsTok::Binary);
+                lhs.push_tokens(out);
+                out.push(RhsTok::Op(*op));
+                rhs.push_tokens(out);
+            }
+        }
+    }
+}
+
+/// One token of a borrowed right-hand side. An expression is its tokens
+/// in derivation order: a leaf is one token, `Neg` precedes its operand,
+/// and a binary node is `Binary`, its left operand, `Op`, its right
+/// operand — the order in which a leftmost derivation places them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RhsTok<'a> {
+    /// A tensor access.
+    Access(&'a Access),
+    /// An integer literal constant.
+    Const(i64),
+    /// A symbolic constant placeholder.
+    ConstSym(u32),
+    /// Unary negation of the expression that follows.
+    Neg,
+    /// A binary node; its left operand, [`RhsTok::Op`] and right operand
+    /// follow.
+    Binary,
+    /// The operator of the enclosing [`RhsTok::Binary`].
+    Op(BinOp),
+}
+
+/// A template borrowed as tokens: what the checker reads of a complete
+/// derivation without building its [`TacoProgram`].
+///
+/// ```
+/// use gtl_taco::{parse_program, RhsTok, TemplateRef};
+///
+/// let p = parse_program("a(i) = b(i,j) * c(j)").unwrap();
+/// let mut rhs = Vec::new();
+/// p.rhs.push_tokens(&mut rhs);
+/// let t = TemplateRef { lhs: &p.lhs, rhs: &rhs };
+/// assert_eq!(t.rhs.len(), 4);
+/// assert!(matches!(t.rhs[0], RhsTok::Binary));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct TemplateRef<'a> {
+    /// The output access.
+    pub lhs: &'a Access,
+    /// The right-hand side, one complete expression in derivation order.
+    pub rhs: &'a [RhsTok<'a>],
+}
+
+impl<'a> TemplateRef<'a> {
+    /// The right-hand side's tensor accesses, left to right.
+    pub fn accesses(&self) -> impl Iterator<Item = &'a Access> + Clone {
+        self.rhs.iter().filter_map(|tok| match *tok {
+            RhsTok::Access(a) => Some(a),
+            _ => None,
+        })
+    }
 }
 
 /// A reference to a single operand slot of an expression.

@@ -34,8 +34,9 @@
 //! never changes what the search can verify.
 //!
 //! The encoder interns names into small ids in one walk over the
-//! template, which also yields the feasibility [`Facts`] the pipeline
-//! checks first. Canonicalization then runs over a reusable node arena,
+//! template's tokens ([`TemplateRef`], which the search hands over
+//! without building a program), which also yields the feasibility
+//! [`Facts`] the pipeline checks first. Canonicalization then runs over a reusable node arena,
 //! and the key is written with the renaming applied: no `String`, no
 //! renamed tree and no name maps per call. Chain operands still sort by
 //! the byte order of their printed keys (names erased first, then in
@@ -62,11 +63,12 @@ use std::hash::{BuildHasher, Hasher};
 use std::io::Write as _;
 use std::ops::Range;
 
-use crate::ast::{Access, BinOp, Expr, TacoProgram};
+use crate::ast::{Access, BinOp, Expr, RhsTok, TacoProgram, TemplateRef};
 
 pub mod reference;
 
-/// Feasibility facts about a template, learned by [`CanonEncoder::load`].
+/// Feasibility facts about a template, learned by [`CanonEncoder::load`]
+/// and [`CanonEncoder::load_ref`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Facts {
     /// Whether the RHS reads any tensor.
@@ -157,8 +159,25 @@ pub struct CanonEncoder {
 
 impl CanonEncoder {
     /// Interns `program` for [`CanonEncoder::key`] and returns its
-    /// feasibility facts.
+    /// feasibility facts: [`CanonEncoder::load_ref`] over the program's
+    /// tokens.
     pub fn load(&mut self, program: &TacoProgram) -> Facts {
+        let mut rhs = Vec::new();
+        program.rhs.push_tokens(&mut rhs);
+        self.load_ref(TemplateRef {
+            lhs: &program.lhs,
+            rhs: &rhs,
+        })
+    }
+
+    /// Interns a borrowed template for [`CanonEncoder::key`] and returns
+    /// its feasibility facts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `template.rhs` is not exactly one expression in
+    /// derivation order.
+    pub fn load_ref(&mut self, template: TemplateRef<'_>) -> Facts {
         self.names.clear();
         self.tensors.clear();
         self.indices.clear();
@@ -169,24 +188,27 @@ impl CanonEncoder {
         intern(
             &mut self.names,
             &mut self.tensors,
-            program.lhs.tensor.as_str(),
+            template.lhs.tensor.as_str(),
         );
-        for ix in &program.lhs.indices {
+        for ix in &template.lhs.indices {
             let id = intern(&mut self.names, &mut self.indices, ix.as_str());
             self.lhs.push(id);
         }
         self.covered.clear();
         self.covered.resize(self.indices.len(), false);
-        self.root = self.load_expr(&program.rhs);
+        let mut toks = template.rhs.iter();
+        self.root = self.load_expr(&mut toks);
+        assert!(toks.next().is_none(), "tokens after a complete expression");
         Facts {
             reads_tensor: !self.accesses.is_empty(),
             unconstrained_output: self.covered.contains(&false),
         }
     }
 
-    fn load_expr(&mut self, expr: &Expr) -> u32 {
-        let node = match expr {
-            Expr::Access(a) => {
+    /// Interns the expression at the front of `toks`, which it consumes.
+    fn load_expr(&mut self, toks: &mut std::slice::Iter<'_, RhsTok<'_>>) -> u32 {
+        let node = match *toks.next().expect("a complete expression") {
+            RhsTok::Access(a) => {
                 let tensor = intern(&mut self.names, &mut self.tensors, a.tensor.as_str());
                 let start = self.access_indices.len() as u32;
                 for ix in &a.indices {
@@ -203,14 +225,18 @@ impl CanonEncoder {
                 });
                 Node::Access(self.accesses.len() as u32 - 1)
             }
-            Expr::Const(c) => Node::Const(*c),
-            Expr::ConstSym(id) => Node::Sym(*id),
-            Expr::Neg(inner) => Node::Neg(self.load_expr(inner)),
-            Expr::Binary { op, lhs, rhs } => {
-                let l = self.load_expr(lhs);
-                let r = self.load_expr(rhs);
-                Node::Bin(*op, l, r)
+            RhsTok::Const(c) => Node::Const(c),
+            RhsTok::ConstSym(id) => Node::Sym(id),
+            RhsTok::Neg => Node::Neg(self.load_expr(toks)),
+            RhsTok::Binary => {
+                let l = self.load_expr(toks);
+                let Some(&RhsTok::Op(op)) = toks.next() else {
+                    panic!("a binary node without its operator");
+                };
+                let r = self.load_expr(toks);
+                Node::Bin(op, l, r)
             }
+            RhsTok::Op(op) => panic!("operator `{op}` outside a binary node"),
         };
         self.push(node)
     }

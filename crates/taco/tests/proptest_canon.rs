@@ -14,11 +14,16 @@
 //! form it replaced ([`mod@reference`]): two templates get equal keys
 //! exactly when their reference `canonical_key`s are equal, and
 //! [`canonicalize`] builds the reference's tree.
+//!
+//! Third, a template's tokens ([`RhsTok`]) must encode it faithfully:
+//! they decode back to the same expression, and loading them with
+//! [`CanonEncoder::load_ref`] gives the facts and key of loading the
+//! program.
 
 use gtl_taco::canon::reference;
 use gtl_taco::{
-    canonical_fingerprint, canonicalize, evaluate, Access, BinOp, CanonEncoder, Expr, TacoProgram,
-    TensorEnv,
+    canonical_fingerprint, canonicalize, evaluate, Access, BinOp, CanonEncoder, Expr, RhsTok,
+    TacoProgram, TemplateRef, TensorEnv,
 };
 use gtl_tensor::{Shape, TensorGen};
 use proptest::prelude::*;
@@ -277,6 +282,48 @@ proptest! {
                     a, b, reference_keys[i], reference_keys[j]
                 );
             }
+        }
+    }
+}
+
+/// Rebuilds the expression at the front of `toks`: the token grammar
+/// written out independently of the encoder's loader.
+fn decode(toks: &mut std::slice::Iter<'_, RhsTok<'_>>) -> Option<Expr> {
+    Some(match *toks.next()? {
+        RhsTok::Access(a) => Expr::Access(a.clone()),
+        RhsTok::Const(c) => Expr::Const(c),
+        RhsTok::ConstSym(s) => Expr::ConstSym(s),
+        RhsTok::Neg => Expr::Neg(Box::new(decode(toks)?)),
+        RhsTok::Binary => {
+            let lhs = decode(toks)?;
+            let RhsTok::Op(op) = *toks.next()? else {
+                return None;
+            };
+            Expr::binary(op, lhs, decode(toks)?)
+        }
+        RhsTok::Op(_) => return None,
+    })
+}
+
+proptest! {
+    /// Program → tokens is lossless, and the key and facts of the
+    /// tokens are those of the program, for templates with every
+    /// operator, `Neg`, literal constants and shared `Const` slots.
+    #[test]
+    fn tokens_encode_the_program_and_its_key(
+        template in arb_template(),
+        program in arb_program(),
+    ) {
+        let (mut by_tokens, mut by_program) = (CanonEncoder::default(), CanonEncoder::default());
+        for t in [&template, &program] {
+            let mut rhs = Vec::new();
+            t.rhs.push_tokens(&mut rhs);
+            let mut toks = rhs.iter();
+            prop_assert_eq!(decode(&mut toks).as_ref(), Some(&t.rhs), "decode {}", t);
+            prop_assert!(toks.next().is_none(), "trailing tokens for {}", t);
+            let facts = by_tokens.load_ref(TemplateRef { lhs: &t.lhs, rhs: &rhs });
+            prop_assert_eq!(facts, by_program.load(t), "facts of {}", t);
+            prop_assert_eq!(by_tokens.key(), by_program.key(), "key of {}", t);
         }
     }
 }

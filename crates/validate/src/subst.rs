@@ -82,6 +82,37 @@ pub fn apply_substitution(template: &TacoProgram, sub: &Substitution, output: &s
     }
 }
 
+/// Hands `push` the candidate parameter ids of every tensor slot, in
+/// slot order, and returns whether the substitution space is non-empty.
+/// It is empty when a symbol is read at two ranks, when no parameter has
+/// a slot's rank, or when the template has a `Const` slot but the
+/// constant pool is empty. This is the one place that rule lives: the
+/// enumeration and [`crate::Validator::has_substitutions`] both use it.
+///
+/// `slots` yields each tensor symbol once, in first-use order, with the
+/// rank all its accesses agree on (`None` when they disagree). The LHS
+/// symbol `a` reused on the RHS binds the output, whatever its rank.
+pub(crate) fn slot_candidates<'a, 's>(
+    slots: impl Iterator<Item = (&'s str, Option<usize>)>,
+    has_const: bool,
+    by_rank: &'a [Vec<u32>],
+    output: &'a [u32; 1],
+    pool: &'a [i64],
+    mut push: impl FnMut(&'a [u32]),
+) -> bool {
+    for (name, rank) in slots {
+        if name == "a" {
+            push(&output[..]);
+            continue;
+        }
+        match rank.and_then(|r| by_rank.get(r)) {
+            Some(ids) if !ids.is_empty() => push(ids),
+            _ => return false,
+        }
+    }
+    !(has_const && pool.is_empty())
+}
+
 /// The dimensionally-sound substitutions of one template over an
 /// interned task (Fig. 8's filtered set), enumerated in a deterministic
 /// order as a lexicographic odometer.
@@ -104,8 +135,7 @@ pub(crate) struct Substitutions<'a> {
 
 impl<'a> Substitutions<'a> {
     /// The substitution space of `kernel`'s template; `None` when it is
-    /// empty (a symbol used at two ranks, a rank no parameter has, or a
-    /// constant slot with an empty pool).
+    /// empty (see [`slot_candidates`]).
     ///
     /// `by_rank[r]` lists the parameter ids of logical rank r; `output`
     /// holds the output parameter's id.
@@ -116,20 +146,15 @@ impl<'a> Substitutions<'a> {
         pool: &'a [i64],
     ) -> Option<Substitutions<'a>> {
         let mut cands = Vec::with_capacity(kernel.tensor_slots().len());
-        for (slot, name) in kernel.tensor_slots().iter().enumerate() {
-            if name == "a" {
-                // LHS symbol reused on the RHS: it binds the output.
-                cands.push(&output[..]);
-                continue;
-            }
-            let rank = kernel.slot_rank(slot)?;
-            match by_rank.get(rank) {
-                Some(ids) if !ids.is_empty() => cands.push(&ids[..]),
-                _ => return None,
-            }
-        }
+        let slots = kernel
+            .tensor_slots()
+            .iter()
+            .enumerate()
+            .map(|(slot, name)| (name.as_str(), kernel.slot_rank(slot)));
         let n_consts = kernel.const_slots().len();
-        if n_consts > 0 && pool.is_empty() {
+        if !slot_candidates(slots, n_consts > 0, by_rank, output, pool, |c| {
+            cands.push(c)
+        }) {
             return None;
         }
         Some(Substitutions {
@@ -313,7 +338,7 @@ mod tests {
     use crate::validator::{
         generate_examples, validate_template, ExampleConfig, IoExample, ValidationStats, Validator,
     };
-    use gtl_taco::{evaluate_interpreted, parse_program, BinOp};
+    use gtl_taco::{evaluate_interpreted, parse_program, BinOp, TemplateRef};
     use proptest::prelude::*;
 
     fn subs(src: &str, task: &LiftTask) -> Vec<Substitution> {
@@ -487,6 +512,41 @@ mod tests {
                 validate_reference(template, &task, &examples, accept_nth(accept), &mut want_stats);
             prop_assert_eq!(got, want, "validation of {}", template);
             prop_assert_eq!(got_stats, want_stats, "counters of {}", template);
+            }
+        }
+    }
+
+    proptest! {
+        /// The token-side emptiness test agrees with the enumeration it
+        /// skips: a template has substitutions exactly when
+        /// `Substitutions::new` opens a space for its kernel.
+        #[test]
+        fn has_substitutions_agrees_with_the_enumeration(
+            templates in prop::collection::vec(arb_template(), 16..17),
+            gemv in prop::sample::select(vec![false, true]),
+            empty_pool in prop::sample::select(vec![false, true]),
+        ) {
+            let mut task = if gemv { gemv_task() } else { dot_task() };
+            if empty_pool {
+                task.constants.clear();
+            }
+            let validator = Validator::new(&task, &[]);
+            for template in &templates {
+                let kernel = BatchKernel::new(template);
+                let space = Substitutions::new(
+                    &kernel,
+                    &validator.by_rank,
+                    &validator.output,
+                    &task.constants,
+                );
+                let mut rhs = Vec::new();
+                template.rhs.push_tokens(&mut rhs);
+                let tokens = TemplateRef { lhs: &template.lhs, rhs: &rhs };
+                prop_assert_eq!(
+                    validator.has_substitutions(tokens),
+                    space.is_some(),
+                    "{}", template
+                );
             }
         }
     }

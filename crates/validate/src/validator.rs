@@ -1,10 +1,10 @@
 //! The template validator (§6): I/O example generation plus the
 //! validate-then-verify loop over substitutions.
 
-use gtl_taco::{BatchKernel, EvalCache, Lane, LaneEnv, TacoProgram};
+use gtl_taco::{BatchKernel, EvalCache, Lane, LaneEnv, RhsTok, TacoProgram, TemplateRef};
 use gtl_tensor::{Tensor, TensorGen};
 
-use crate::subst::{apply_substitution, Substitution, Substitutions};
+use crate::subst::{apply_substitution, slot_candidates, Substitution, Substitutions};
 use crate::task::{LiftTask, TaskInstance, ValueMode};
 
 /// How many substitutions one batched evaluation sweep carries. Large
@@ -115,9 +115,9 @@ impl ValidationStats {
 pub struct Validator<'t> {
     task: &'t LiftTask,
     /// Per logical rank, the ids of the parameters of that rank.
-    by_rank: Vec<Vec<u32>>,
+    pub(crate) by_rank: Vec<Vec<u32>>,
     /// The output parameter's id.
-    output: [u32; 1],
+    pub(crate) output: [u32; 1],
     /// Per example: its tensors by parameter id, and the expected output.
     examples: Vec<(LaneEnv<'t>, &'t Tensor)>,
 }
@@ -238,6 +238,36 @@ impl<'t> Validator<'t> {
             sub.constants.insert(slot, value);
         }
         sub
+    }
+
+    /// Whether `template` has any substitution to evaluate, read from its
+    /// tokens. [`Validator::validate`] of a template without one returns
+    /// `None` before evaluating anything and without moving a counter.
+    pub fn has_substitutions(&self, template: TemplateRef<'_>) -> bool {
+        let accesses = template.accesses();
+        // Each symbol at its first use, with the rank every use agrees on.
+        let slots = accesses
+            .clone()
+            .enumerate()
+            .filter(|&(k, a)| !accesses.clone().take(k).any(|b| b.tensor == a.tensor))
+            .map(|(_, a)| {
+                let agree = accesses
+                    .clone()
+                    .all(|b| b.tensor != a.tensor || b.rank() == a.rank());
+                (a.tensor.as_str(), agree.then_some(a.rank()))
+            });
+        let has_const = template
+            .rhs
+            .iter()
+            .any(|tok| matches!(tok, RhsTok::ConstSym(_)));
+        slot_candidates(
+            slots,
+            has_const,
+            &self.by_rank,
+            &self.output,
+            &self.task.constants,
+            |_| {},
+        )
     }
 
     /// Every substitution of `template`, in enumeration order.
