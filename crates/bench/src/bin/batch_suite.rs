@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! batch_suite [--jobs N] [--suites simple,artificial | --all | --real]
-//!             [--only name,name] [--skip name[,name]] [--method td|bu]
+//!             [--only name,name] [--skip name[,name]] [--method td|bu|NAME]
 //!             [--oracle SPEC] [--json PATH]
 //!             [--compare-sequential] [--via-server] [--store PATH]
 //!             [--no-prune]
@@ -14,7 +14,11 @@
 //! parallel axis); each lift runs the one sequential search. `--only`
 //! restricts the run to named benchmarks; `--skip` excludes named
 //! benchmarks (e.g. the known-unsolved `sa_4d_add` budget-burner) and
-//! records them in the suite JSON's `skipped` field. `--oracle` selects the guidance
+//! records them in the suite JSON's `skipped` field. `--method` takes
+//! `td`, `bu` or the name of any configuration in
+//! `Method::penalty_lineup()` or `Method::grammar_config_lineup()`
+//! (`STAGG_TD.Drop(a1)`, `STAGG_BU.FullGrammar`, …), the paper's
+//! Table 2 and Figs. 11–12 variants. `--oracle` selects the guidance
 //! source by spec (`synthetic`, `synthetic:SEED`, `replay:PATH`,
 //! `record:PATH[:INNER]`), so whole suites can be recorded to a
 //! fixture and replayed offline. `--compare-sequential` reruns the
@@ -35,7 +39,7 @@
 
 use std::collections::BTreeMap;
 
-use gtl::{OracleSpec, StaggConfig};
+use gtl::OracleSpec;
 use gtl_bench::{batch_json, run_batch, Method, Route};
 use gtl_benchsuite::{all_benchmarks, real_world_benchmarks, suite_from_name, Benchmark};
 use gtl_store::LiftStore;
@@ -57,7 +61,7 @@ struct Args {
 }
 
 const USAGE: &str = "usage: batch_suite [--jobs N] [--suites simple,artificial | --all | --real] \
-[--only name,name] [--skip name[,name]] [--method td|bu] [--oracle SPEC] \
+[--only name,name] [--skip name[,name]] [--method td|bu|NAME] [--oracle SPEC] \
 [--json PATH] [--compare-sequential] [--via-server] [--via-router ADDR] [--store PATH] \
 [--no-prune]";
 
@@ -135,6 +139,10 @@ fn parse_args() -> Args {
         if args.store.is_some() {
             usage_error("--via-router: stores live on the replicas (use lift_server --store)");
         }
+        if !matches!(args.method.as_str(), "td" | "bu") {
+            // The request overrides carry the search mode only.
+            usage_error("--via-router runs --method td or bu");
+        }
         if args.compare_sequential {
             usage_error(
                 "--compare-sequential measures local cores and cannot run through --via-router",
@@ -187,18 +195,36 @@ fn selected_benchmarks(args: &Args) -> (Vec<Benchmark>, Vec<String>) {
     (selected, skipped)
 }
 
+/// The STAGG method `--method` names: `td`, `bu`, or a configuration
+/// of the paper's penalty or grammar lineup by its display name.
+fn lineup_method(name: &str) -> Method {
+    match name {
+        "td" => Method::stagg_td(),
+        "bu" => Method::stagg_bu(),
+        _ => Method::penalty_lineup()
+            .into_iter()
+            .chain(Method::grammar_config_lineup())
+            .find(|m| m.name() == name)
+            .unwrap_or_else(|| {
+                usage_error(&format!(
+                    "unknown method `{name}` (td, bu, or a penalty or grammar lineup name)"
+                ))
+            }),
+    }
+}
+
 fn main() {
     let args = parse_args();
     let (benchmarks, skipped) = selected_benchmarks(&args);
     if benchmarks.is_empty() {
         usage_error("the selected benchmark set is empty");
     }
-    let mut config = match args.method.as_str() {
-        "bu" => StaggConfig::bottom_up(),
-        "td" => StaggConfig::top_down(),
-        other => usage_error(&format!("unknown method `{other}` (td|bu)")),
-    }
-    .with_pruning(!args.no_prune);
+    let named = lineup_method(&args.method);
+    let mut config = named
+        .config()
+        .expect("every lineup method is a STAGG configuration")
+        .clone()
+        .with_pruning(!args.no_prune);
     if let Some(raw) = &args.oracle {
         let spec = OracleSpec::from_cli_name(raw)
             .unwrap_or_else(|| usage_error(&format!("unparseable --oracle spec `{raw}`")));
@@ -209,10 +235,7 @@ fn main() {
         }
         config = config.with_oracle(spec);
     }
-    let method = Method::stagg_variant(
-        &format!("STAGG_{}", args.method.to_uppercase()),
-        config.clone(),
-    );
+    let method = Method::stagg_variant(&named.name(), config.clone());
 
     let store = args.store.as_ref().map(|path| {
         let store = LiftStore::open(path)
