@@ -12,7 +12,7 @@
 
 use std::borrow::Borrow;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gtl_analysis::analyze_kernel;
 use gtl_oracle::{OracleFeedback, OracleProvider, OracleQuery};
@@ -343,15 +343,15 @@ impl Stagg {
             collect_rejected: self.config.oracle_rounds.max(1) > 1,
             rejected: Vec::new(),
             stats: ValidationStats::default(),
-            phases,
+            check_time: Duration::ZERO,
+            verify_time: Duration::ZERO,
         };
 
         // ③ Search: one best-first loop, in the paper artifact's pop
         // order, honouring the caller's cancellation/progress hooks.
-        // Search time is the loop's wall clock minus whatever the
-        // checker attributed to validation/verification meanwhile.
-        let inner_before =
-            phases.micros(Phase::Validate).saturating_add(phases.micros(Phase::Verify));
+        // Search time is the loop's wall clock minus the time the
+        // checker spent meanwhile, which it splits into validation and
+        // verification.
         let outcome: SearchOutcome = match self.config.mode {
             SearchMode::TopDown => top_down_search_hooked(
                 &grammar,
@@ -368,12 +368,17 @@ impl Stagg {
                 &mut checker,
             ),
         };
-        let inner_during = phases
-            .micros(Phase::Validate)
-            .saturating_add(phases.micros(Phase::Verify))
-            .saturating_sub(inner_before);
-        let engine_us = outcome.elapsed.as_micros().min(u64::MAX as u128) as u64;
-        phases.add(Phase::Search, engine_us.saturating_sub(inner_during));
+        if !checker.verify_time.is_zero() {
+            phases.add(Phase::Verify, micros(checker.verify_time));
+        }
+        phases.add(
+            Phase::Validate,
+            micros(checker.check_time.saturating_sub(checker.verify_time)),
+        );
+        phases.add(
+            Phase::Search,
+            micros(outcome.elapsed.saturating_sub(checker.check_time)),
+        );
         let stats = checker.stats;
         (
             RoundOutcome {
@@ -421,26 +426,28 @@ struct RoundChecker<'r> {
     /// A bounded sample of rejected candidates, for oracle feedback.
     rejected: Vec<String>,
     stats: ValidationStats,
-    phases: &'r PhaseCollector,
+    /// Wall time inside [`RoundChecker::check_timed`] this round. It is
+    /// summed exactly and rounded to microseconds once, when the round
+    /// reports it: most checks take well under a microsecond.
+    check_time: Duration,
+    /// The part of `check_time` spent inside the bounded verifier.
+    verify_time: Duration,
 }
 
 impl RoundChecker<'_> {
-    /// Checks one template and records its time: all of it is Validate
-    /// time except the slice spent inside the bounded verifier.
+    /// Checks one template and adds its time to the round's totals: all
+    /// of it is check time, and the slice spent inside the bounded
+    /// verifier is verify time too.
     fn check_timed<P: Borrow<TacoProgram>>(
         &mut self,
         template: TemplateRef<'_>,
         program: impl FnOnce() -> P,
     ) -> CheckOutcome {
         let started = Instant::now();
-        let mut verify_us = 0u64;
-        let outcome = self.check_template(template, program, &mut verify_us);
-        let check_us = started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        if verify_us > 0 {
-            self.phases.add(Phase::Verify, verify_us);
-        }
-        self.phases
-            .add(Phase::Validate, check_us.saturating_sub(verify_us));
+        let mut verify_time = Duration::ZERO;
+        let outcome = self.check_template(template, program, &mut verify_time);
+        self.check_time += started.elapsed();
+        self.verify_time += verify_time;
         outcome
     }
 
@@ -448,7 +455,7 @@ impl RoundChecker<'_> {
         &mut self,
         template: TemplateRef<'_>,
         program: impl FnOnce() -> P,
-        verify_us: &mut u64,
+        verify_time: &mut Duration,
     ) -> CheckOutcome {
         if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
             return CheckOutcome::Failed;
@@ -491,8 +498,7 @@ impl RoundChecker<'_> {
                 }
                 let verify_started = Instant::now();
                 let equivalent = verify_candidate(task, concrete, verify).is_equivalent();
-                let us = verify_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                *verify_us = verify_us.saturating_add(us);
+                *verify_time += verify_started.elapsed();
                 equivalent
             },
             &mut self.stats,
@@ -533,6 +539,11 @@ impl TemplateChecker for RoundChecker<'_> {
     ) -> CheckOutcome {
         self.check_timed(template, program)
     }
+}
+
+/// Whole microseconds in `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Candidate intake: preprocesses, parses and templatises one raw
@@ -966,6 +977,25 @@ mod tests {
             "phases account for <90% of the lift: {} of {wall_us} us",
             times.total_us()
         );
+    }
+
+    #[test]
+    fn pruned_checks_count_as_validate_time() {
+        // A constant-only candidate teaches a grammar whose every
+        // template has a constant-only RHS, which Fig. 2's non-uniform
+        // outputs refute: every check is a sub-microsecond feasibility
+        // prune. Their sum must still reach the Validate phase.
+        let query = figure2_query();
+        let provider: Arc<dyn OracleProvider> =
+            Arc::new(ScriptedOracle::new().script("figure2", &["r(i) = 7"]));
+        let mut config = StaggConfig::top_down();
+        config.budget.max_attempts = 2_000;
+        let report = Stagg::new(provider, config).lift(&query);
+        assert!(!report.solved());
+        assert_eq!(report.attempts, 2_000, "the lift exhausts its budget");
+        assert_eq!(report.pruned_infeasible, 2_000, "every check is pruned");
+        assert_eq!(report.substitutions_tried, 0);
+        assert!(report.phase_times.get(Phase::Validate) > 0);
     }
 
     #[test]
