@@ -276,38 +276,9 @@ impl RunState {
     }
 }
 
-/// An `f64` ordered totally for use as a priority (lower first).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Priority(pub f64);
-
-impl Eq for Priority {}
-
-impl PartialOrd for Priority {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Priority {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want min-f first.
-        other.0.total_cmp(&self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn priority_orders_min_first() {
-        let mut heap = std::collections::BinaryHeap::new();
-        heap.push((Priority(3.0), "c"));
-        heap.push((Priority(1.0), "a"));
-        heap.push((Priority(2.0), "b"));
-        assert_eq!(heap.pop().unwrap().1, "a");
-        assert_eq!(heap.pop().unwrap().1, "b");
-    }
 
     #[test]
     fn budget_limits() {

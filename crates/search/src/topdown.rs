@@ -135,14 +135,18 @@ pub fn top_down_search_hooked(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::driver::CheckOutcome;
     use crate::driver::StopReason;
     use gtl_taco::{parse_program, TacoProgram, TemplateRef};
     use gtl_template::{generate_td_grammar, learn_weights, templatize, TdSpec};
 
-    fn grammar_with(cands: &[&str], dims: Vec<usize>, n_indices: usize) -> TemplateGrammar {
+    pub(crate) fn grammar_with(
+        cands: &[&str],
+        dims: Vec<usize>,
+        n_indices: usize,
+    ) -> TemplateGrammar {
         let templates: Vec<_> = cands
             .iter()
             .map(|s| templatize(&parse_program(s).unwrap()).unwrap())
@@ -157,7 +161,7 @@ mod tests {
         g
     }
 
-    fn ctx_for(g: &TemplateGrammar) -> PenaltyContext {
+    pub(crate) fn ctx_for(g: &TemplateGrammar) -> PenaltyContext {
         PenaltyContext {
             dim_list: g.dim_list.clone(),
             grammar_has_const: g.nts.constant.is_some(),
