@@ -98,11 +98,11 @@ static SPARE: Mutex<(Vec<Node>, LevelQueue)> = Mutex::new((Vec::new(), LevelQueu
 
 /// A queued state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Entry {
+struct Entry {
     /// The arena index of the state.
-    pub(crate) node: u32,
+    node: u32,
     /// The number of rules in its derivation.
-    pub(crate) len: u32,
+    len: u32,
 }
 
 /// Entries per pool chunk.
@@ -113,7 +113,6 @@ const NIL: u32 = u32::MAX;
 
 /// One live priority level: a LIFO stack of the entries queued at one
 /// `f`, held as a chain of pool chunks, the top chunk first. Never empty.
-#[derive(Debug)]
 struct Level {
     f: f64,
     /// The chunk holding the top of the stack.
@@ -123,7 +122,6 @@ struct Level {
 }
 
 /// Fixed-size chunks of entries shared by every level, with a free list.
-#[derive(Debug)]
 struct Chunks {
     /// Chunk `c` is `pool[c * CHUNK..][..CHUNK]`.
     pool: Vec<Entry>,
@@ -168,8 +166,7 @@ impl Chunks {
 /// the order of a binary heap on `(f, node)`, ties included, with `f`
 /// compared by [`f64::total_cmp`] (so −0.0 and +0.0, and adjacent ulps,
 /// are distinct levels).
-#[derive(Debug)]
-pub(crate) struct LevelQueue {
+struct LevelQueue {
     /// The live levels, highest `f` first, so the lowest is last.
     levels: Vec<Level>,
     chunks: Chunks,
@@ -186,7 +183,7 @@ impl Default for LevelQueue {
 
 impl LevelQueue {
     /// An empty queue that owns no memory.
-    pub(crate) const fn new() -> LevelQueue {
+    const fn new() -> LevelQueue {
         LevelQueue {
             levels: Vec::new(),
             chunks: Chunks {
@@ -199,7 +196,7 @@ impl LevelQueue {
     }
 
     /// Queues `entry` at priority `f`.
-    pub(crate) fn push(&mut self, f: f64, entry: Entry) {
+    fn push(&mut self, f: f64, entry: Entry) {
         let i = match self.levels.get(self.hint) {
             Some(level) if level.f.to_bits() == f.to_bits() => self.hint,
             _ => match self.levels.binary_search_by(|level| f.total_cmp(&level.f)) {
@@ -222,7 +219,7 @@ impl LevelQueue {
     }
 
     /// Takes the youngest entry of the lowest level.
-    pub(crate) fn pop(&mut self) -> Option<Entry> {
+    fn pop(&mut self) -> Option<Entry> {
         let level = self.levels.last_mut()?;
         level.fill -= 1;
         let entry = *self.chunks.slot(level.top, level.fill);
@@ -241,12 +238,12 @@ impl LevelQueue {
     }
 
     /// Whether no entry is queued.
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.levels.is_empty()
     }
 
     /// Empties the queue, keeping its memory.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.levels.clear();
         self.chunks.pool.clear();
         self.chunks.below.clear();
@@ -255,7 +252,7 @@ impl LevelQueue {
     }
 
     /// The pool's capacity, in entries.
-    pub(crate) fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.chunks.pool.capacity()
     }
 }
@@ -476,6 +473,13 @@ pub(crate) mod tests {
         prop::collection::vec((0u8..6, 0usize..10, 0u32..40), 1..600)
     }
 
+    fn pop_reference(heap: &mut BinaryHeap<QEntry>) -> Option<Entry> {
+        heap.pop().map(|e| Entry {
+            node: e.node,
+            len: e.len,
+        })
+    }
+
     /// Pushes and pops both queues in lockstep, with arena-like indices
     /// (one more per push); returns how many pushes went below the
     /// queue's minimum.
@@ -502,25 +506,12 @@ pub(crate) mod tests {
                     queue.push(f, Entry { node: next, len });
                     next += 1;
                 }
-                3 | 4 => {
-                    let want = heap.pop().map(|e| Entry {
-                        node: e.node,
-                        len: e.len,
-                    });
-                    assert_eq!(queue.pop(), want);
-                }
+                3 | 4 => assert_eq!(queue.pop(), pop_reference(heap)),
                 _ => {
-                    while let Some(e) = heap.pop() {
-                        assert_eq!(
-                            queue.pop(),
-                            Some(Entry {
-                                node: e.node,
-                                len: e.len
-                            })
-                        );
+                    while !heap.is_empty() {
+                        assert_eq!(queue.pop(), pop_reference(heap));
                     }
                     assert_eq!(queue.pop(), None);
-                    assert!(queue.is_empty());
                 }
             }
             assert_eq!(queue.is_empty(), heap.is_empty());
@@ -538,10 +529,7 @@ pub(crate) mod tests {
             queue.clear();
             heap.clear();
             run_both(&ops, &mut heap, &mut queue);
-            while let Some(e) = heap.pop() {
-                prop_assert_eq!(queue.pop(), Some(Entry { node: e.node, len: e.len }));
-            }
-            prop_assert_eq!(queue.pop(), None);
+            run_both(&[(5, 0, 0)], &mut heap, &mut queue);
         }
     }
 
