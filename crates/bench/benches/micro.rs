@@ -1,13 +1,16 @@
 //! Criterion micro-benchmarks for the pipeline's hot components: TACO
-//! parsing, einsum evaluation, C interpretation, grammar learning and
-//! template search.
+//! parsing, einsum evaluation, C interpretation, grammar learning,
+//! template search and the check front end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use gtl::SearchMode;
 use gtl_cfront::{run_kernel, ArgValue};
 use gtl_oracle::{Oracle, OracleQuery, SyntheticOracle};
 use gtl_search::{top_down_search, CheckOutcome, PenaltyContext, PenaltySettings, SearchBudget};
-use gtl_taco::{evaluate, parse_program, TensorEnv};
+use gtl_taco::{
+    evaluate, parse_program, CanonEncoder, KeySet, NameTable, TacoProgram, TemplateRef, TensorEnv,
+};
 use gtl_tensor::{Rat, Shape, Tensor, TensorGen};
 
 fn bench_taco_parse(c: &mut Criterion) {
@@ -108,6 +111,61 @@ fn bench_search(c: &mut Criterion) {
     });
 }
 
+/// The front end of every top-down check, over the 30,000 complete
+/// templates a budget-exhausting search of `sa_4d_add` attempts: load
+/// the tokens (names interned once, as the search interns its grammar's),
+/// compute the canonical key of each feasible template, insert it into
+/// a fresh seen-set. The three rows time the stages cumulatively, so
+/// their differences split the front end by stage.
+fn bench_check_front_end(c: &mut Criterion) {
+    let bench = gtl_benchsuite::by_name("sa_4d_add").unwrap();
+    let trace = gtl_bench::trace_search(&bench, 30_000, SearchMode::TopDown);
+    let programs: Vec<TacoProgram> = trace
+        .attempts
+        .iter()
+        .map(|s| parse_program(s).unwrap())
+        .collect();
+    let names = NameTable::new(programs.iter().flat_map(|p| {
+        let mut accesses = p.rhs.accesses();
+        accesses.push(&p.lhs);
+        accesses
+    }));
+    let mut ids = vec![Vec::new(); programs.len()];
+    let mut rhs: Vec<Vec<_>> = (0..programs.len()).map(|_| Vec::new()).collect();
+    let templates: Vec<TemplateRef<'_>> = programs
+        .iter()
+        .zip(&mut ids)
+        .zip(&mut rhs)
+        .map(|((p, ids), rhs)| p.template_ref_in(&names, ids, rhs))
+        .collect();
+    let mut enc = CanonEncoder::default();
+    let stages = ["load", "load_key", "load_key_insert"];
+    for (depth, stage) in stages.into_iter().enumerate() {
+        let name = format!("check_front_end_{stage}_sa_4d_add_{}", templates.len());
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                let mut seen = KeySet::default();
+                let mut kept = 0usize;
+                for &t in &templates {
+                    // The pipeline's feasibility test, for a task whose
+                    // outputs are not uniform.
+                    let facts = enc.load_ref(t);
+                    if depth == 0 || facts.unconstrained_output || !facts.reads_tensor {
+                        continue;
+                    }
+                    let key = enc.key();
+                    kept += if depth == 1 {
+                        key.len()
+                    } else {
+                        usize::from(seen.insert(key))
+                    };
+                }
+                kept
+            })
+        });
+    }
+}
+
 fn bench_rat(c: &mut Criterion) {
     let xs: Vec<Rat> = (1..=64).map(|n| Rat::new(n, n + 1)).collect();
     c.bench_function("rat_sum_64", |b| {
@@ -134,4 +192,5 @@ criterion_group!(
     bench_search,
     bench_rat
 );
-criterion_main!(micro);
+criterion_group!(check_front_end, bench_check_front_end);
+criterion_main!(micro, check_front_end);

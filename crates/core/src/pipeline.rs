@@ -523,13 +523,8 @@ impl RoundChecker<'_> {
 
 impl TemplateChecker for RoundChecker<'_> {
     fn check(&mut self, template: &TacoProgram) -> CheckOutcome {
-        let mut rhs = Vec::new();
-        template.rhs.push_tokens(&mut rhs);
-        let tokens = TemplateRef {
-            lhs: &template.lhs,
-            rhs: &rhs,
-        };
-        self.check_timed(tokens, || template)
+        let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+        self.check_timed(template.template_ref(&mut ids, &mut rhs), || template)
     }
 
     fn check_ref(

@@ -29,7 +29,7 @@ use std::ops::RangeInclusive;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gtl_grammar::RuleId;
-use gtl_taco::{Access, RhsTok, TacoProgram, TemplateRef};
+use gtl_taco::{AccessRef, RhsTok, TacoProgram, TemplateRef};
 
 use crate::driver::{
     CheckOutcome, RunState, SearchBudget, SearchHooks, SearchOutcome, TemplateChecker,
@@ -50,7 +50,7 @@ pub(crate) struct Child {
 pub(crate) enum Candidate<'r> {
     /// A top-down derivation: its LHS, with its right-hand side in the
     /// token buffer passed to [`Expand::candidate`].
-    Tokens(&'r Access),
+    Tokens(AccessRef<'r>),
     /// A bottom-up chain with its open tail removed.
     Program(TacoProgram),
 }

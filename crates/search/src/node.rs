@@ -40,7 +40,7 @@
 use std::ops::Range;
 
 use gtl_grammar::{NtId, RuleId, Sym, TemplateTok};
-use gtl_taco::{Access, BinOp, Expr, RhsTok, TacoProgram};
+use gtl_taco::{Access, AccessRef, BinOp, Expr, NameTable, RhsTok, TacoProgram};
 use gtl_template::{build_chain_expr, TemplateGrammar};
 
 /// One pushed search state: the arena index of its parent and the rule
@@ -70,6 +70,9 @@ enum Leaf {
     /// A tensor access.
     Access {
         access: Access,
+        /// Where its ids start in [`Rules::ids`]: the tensor's, then
+        /// each index's.
+        ids_at: u32,
         /// `Some(n)` when the tensor symbol is the `n`-th letter of the
         /// alphabet (`a` is 0): a3/b1 compare first appearances to it.
         letter: Option<u8>,
@@ -123,6 +126,9 @@ struct RuleInfo {
 pub(crate) struct Rules {
     info: Vec<RuleInfo>,
     rhs: Vec<RhsNt>,
+    /// The names of every access the grammar places, interned once per
+    /// search: the ids its tokens carry to the checker.
+    ids: Vec<u32>,
     start: Hole,
 }
 
@@ -147,12 +153,24 @@ impl Rules {
             operand: nt != op_nt && !grammar.nts.tails.contains(&nt),
             op: nt == op_nt,
         };
+        let names = NameTable::new(pcfg.rules().iter().filter_map(
+            |rule| match rule.rhs.as_slice() {
+                [Sym::T(TemplateTok::Access(a))] => Some(a),
+                _ => None,
+            },
+        ));
+        let mut ids = Vec::new();
         let mut rhs = Vec::new();
         let mut info = Vec::with_capacity(pcfg.rules().len());
         for (id, rule) in pcfg.iter_rules() {
             let leaf = match rule.rhs.as_slice() {
                 [Sym::T(TemplateTok::Access(a))] => Leaf::Access {
                     access: a.clone(),
+                    ids_at: {
+                        let at = ids.len() as u32;
+                        names.push_ids(a, &mut ids);
+                        at
+                    },
                     letter: match a.tensor.as_str().as_bytes() {
                         [c @ b'a'..=b'z'] => Some(c - b'a'),
                         _ => None,
@@ -193,6 +211,7 @@ impl Rules {
         Rules {
             info,
             rhs,
+            ids,
             start: Hole {
                 nt: root.nt,
                 h: root.h,
@@ -214,9 +233,24 @@ impl Rules {
     }
 
     fn access(&self, rule: RuleId) -> &Access {
+        self.access_ref(rule).access
+    }
+
+    /// The access `rule` places, with its interned names.
+    fn access_ref(&self, rule: RuleId) -> AccessRef<'_> {
         match &self.info(rule).leaf {
-            Leaf::Access { access, .. } => access,
+            Leaf::Access { access, ids_at, .. } => self.interned(access, *ids_at),
             other => panic!("rule {rule:?} places {other:?}, not an access"),
+        }
+    }
+
+    /// `access` with the ids interned for it at `ids_at`.
+    fn interned<'r>(&'r self, access: &'r Access, ids_at: u32) -> AccessRef<'r> {
+        let at = ids_at as usize;
+        AccessRef {
+            access,
+            tensor: self.ids[at],
+            indices: &self.ids[at + 1..at + 1 + access.rank()],
         }
     }
 
@@ -605,12 +639,17 @@ impl Derivation {
 
     /// The template of a complete top-down derivation as tokens: fills
     /// `out` with its right-hand side and returns its LHS. The tokens
-    /// follow the derivation, as [`Derivation::td_program`]'s AST does.
+    /// follow the derivation, as [`Derivation::td_program`]'s AST does,
+    /// and carry the names the search interned in [`Rules`].
     ///
     /// # Panics
     ///
     /// Panics if the derivation is incomplete.
-    pub(crate) fn td_tokens<'r>(&self, rules: &'r Rules, out: &mut Vec<RhsTok<'r>>) -> &'r Access {
+    pub(crate) fn td_tokens<'r>(
+        &self,
+        rules: &'r Rules,
+        out: &mut Vec<RhsTok<'r>>,
+    ) -> AccessRef<'r> {
         assert!(
             self.holes.is_empty(),
             "only a complete derivation is a template"
@@ -622,7 +661,9 @@ impl Derivation {
         for &rule in &self.rules[2..] {
             let info = rules.info(rule);
             out.push(match &info.leaf {
-                Leaf::Access { access, .. } => RhsTok::Access(access),
+                Leaf::Access { access, ids_at, .. } => {
+                    RhsTok::Access(rules.interned(access, *ids_at))
+                }
                 Leaf::Const => {
                     consts += 1;
                     RhsTok::ConstSym(consts - 1)
@@ -634,7 +675,7 @@ impl Derivation {
                 other => panic!("rule {rule:?} ({other:?}) cannot derive a top-down expression"),
             });
         }
-        rules.access(self.rules[1])
+        rules.access_ref(self.rules[1])
     }
 
     /// The template of a complete top-down derivation. The AST follows
@@ -698,6 +739,32 @@ const fn op_bit(op: BinOp) -> u8 {
 /// The [`Facts::ops`] bits of the operators a4 inspects.
 const A4_OPS: u8 = op_bit(BinOp::Add) | op_bit(BinOp::Sub) | op_bit(BinOp::Div);
 
+/// The program a template's tokens spell, whichever table interned its
+/// names: what tests compare tokens by.
+#[cfg(test)]
+pub(crate) fn spelled(lhs: AccessRef<'_>, rhs: &[RhsTok<'_>]) -> TacoProgram {
+    fn expr(toks: &mut std::slice::Iter<'_, RhsTok<'_>>) -> Expr {
+        match *toks.next().expect("a complete expression") {
+            RhsTok::Access(a) => Expr::Access(a.access.clone()),
+            RhsTok::Const(c) => Expr::Const(c),
+            RhsTok::ConstSym(s) => Expr::ConstSym(s),
+            RhsTok::Neg => Expr::Neg(Box::new(expr(toks))),
+            RhsTok::Binary => {
+                let l = expr(toks);
+                let Some(&RhsTok::Op(op)) = toks.next() else {
+                    panic!("a binary node without its operator");
+                };
+                Expr::binary(op, l, expr(toks))
+            }
+            RhsTok::Op(op) => panic!("operator `{op}` outside a binary node"),
+        }
+    }
+    let mut toks = rhs.iter();
+    let program = TacoProgram::new(lhs.access.clone(), expr(&mut toks));
+    assert!(toks.next().is_none(), "tokens after a complete expression");
+    program
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,6 +773,7 @@ mod tests {
         bu_derivation, generate_bu_grammar, generate_td_grammar, td_derivation, GrammarShape,
         TdSpec, Template,
     };
+    use std::collections::HashMap;
 
     fn spec(dims: Vec<usize>, n_indices: usize) -> TdSpec {
         TdSpec {
@@ -855,6 +923,52 @@ mod tests {
         assert!(complete > 500, "{complete} complete derivations");
         assert_eq!(ops, 0b1111, "every operator placed");
         assert!(consts > 0, "a constant placed");
+    }
+
+    /// Over every complete derivation of the exhaustive top-down arenas,
+    /// checking from tokens whose names the search interned once gives
+    /// the facts of loading the built program, and groups templates into
+    /// exactly the classes that program keys do: the seen-set prunes the
+    /// same templates either way.
+    #[test]
+    fn interned_tokens_partition_like_program_keys() {
+        let [td, _] = exhaustive_grammars();
+        let mut wide = generate_td_grammar(&TdSpec {
+            include_const: true,
+            ..spec(vec![2, 1, 2], 2)
+        });
+        wide.pcfg.equalize_weights();
+        for g in [td, wide] {
+            let table = Rules::new(&g);
+            let (arena, lens) = exhaustive_arena(&g, &table, 20_000);
+            let mut enc = CanonEncoder::default();
+            let mut toks = Vec::new();
+            // Per complete derivation: the first derivation with its key,
+            // by tokens and by program.
+            let (mut by_tokens, mut by_program) = (HashMap::new(), HashMap::new());
+            let (mut classes_tok, mut classes_prog) = (Vec::new(), Vec::new());
+            let mut d = Derivation::default();
+            for (n, &len) in lens.iter().enumerate() {
+                d.replay(&table, &arena, n as u32, len);
+                if !d.holes.is_empty() {
+                    continue;
+                }
+                let lhs = d.td_tokens(&table, &mut toks);
+                let program = d.td_program(&table);
+                let facts = enc.load_ref(TemplateRef { lhs, rhs: &toks });
+                let first = classes_tok.len();
+                classes_tok.push(*by_tokens.entry(enc.key().to_vec()).or_insert(first));
+                assert_eq!(facts, enc.load(&program), "facts of {program}");
+                classes_prog.push(*by_program.entry(enc.key().to_vec()).or_insert(first));
+            }
+            assert_eq!(classes_tok, classes_prog);
+            let complete = classes_tok.len();
+            assert!(
+                complete > 500 && 4 * by_tokens.len() < 3 * complete,
+                "{complete} complete derivations in {} classes",
+                by_tokens.len()
+            );
+        }
     }
 
     fn template(src: &str) -> Template {

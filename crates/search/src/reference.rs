@@ -754,7 +754,7 @@ mod differential {
     use super::*;
     use crate::bottomup::BuExpand;
     use crate::frontier::{Candidate, Child, Expand};
-    use crate::node::{Derivation, Node};
+    use crate::node::{spelled, Derivation, Node};
     use crate::penalty::PenaltySettings;
     use crate::topdown::TdExpand;
     use gtl_taco::parse_program;
@@ -836,9 +836,7 @@ mod differential {
         let got = match flat.candidate(d, &mut toks) {
             Some(Candidate::Tokens(lhs)) => {
                 let program = d.td_program(flat.rules());
-                let mut rhs = Vec::new();
-                program.rhs.push_tokens(&mut rhs);
-                assert_eq!((lhs, &toks), (&program.lhs, &rhs), "tokens, {at}");
+                assert_eq!(spelled(lhs, &toks), program, "tokens, {at}");
                 Some(program)
             }
             Some(Candidate::Program(program)) => Some(program),

@@ -139,6 +139,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::driver::CheckOutcome;
     use crate::driver::StopReason;
+    use crate::node::spelled;
     use gtl_taco::{parse_program, TacoProgram, TemplateRef};
     use gtl_template::{generate_td_grammar, learn_weights, templatize, TdSpec};
 
@@ -290,17 +291,12 @@ pub(crate) mod tests {
             program: &dyn Fn() -> TacoProgram,
         ) -> CheckOutcome {
             self.seen += 1;
-            let mut want = Vec::new();
-            self.want.rhs.push_tokens(&mut want);
-            if *template.lhs == self.want.lhs && template.rhs == want.as_slice() {
+            if spelled(template.lhs, template.rhs) == self.want {
                 return CheckOutcome::Verified(self.want.clone());
             }
             if self.seen.is_multiple_of(3) {
                 self.asked += 1;
-                let p = program();
-                let mut rhs = Vec::new();
-                p.rhs.push_tokens(&mut rhs);
-                assert_eq!((&p.lhs, rhs.as_slice()), (template.lhs, template.rhs));
+                assert_eq!(program(), spelled(template.lhs, template.rhs));
             }
             CheckOutcome::Failed
         }

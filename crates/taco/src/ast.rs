@@ -221,13 +221,18 @@ impl Expr {
     }
 
     fn collect_accesses<'a>(&'a self, out: &mut Vec<&'a Access>) {
+        self.for_each_access(&mut |a| out.push(a));
+    }
+
+    /// Calls `f` on every tensor access, left to right.
+    fn for_each_access<'a>(&'a self, f: &mut impl FnMut(&'a Access)) {
         match self {
-            Expr::Access(a) => out.push(a),
+            Expr::Access(a) => f(a),
             Expr::Const(_) | Expr::ConstSym(_) => {}
-            Expr::Neg(e) => e.collect_accesses(out),
+            Expr::Neg(e) => e.for_each_access(f),
             Expr::Binary { lhs, rhs, .. } => {
-                lhs.collect_accesses(out);
-                rhs.collect_accesses(out);
+                lhs.for_each_access(f);
+                rhs.for_each_access(f);
             }
         }
     }
@@ -295,24 +300,117 @@ impl Expr {
     }
 
     /// Appends the expression's [`RhsTok`]s to `out`, in derivation
-    /// order.
-    pub fn push_tokens<'a>(&'a self, out: &mut Vec<RhsTok<'a>>) {
+    /// order; `access` gives each access its interned ids, left to right.
+    fn push_tokens<'a>(
+        &'a self,
+        access: &mut impl FnMut(&'a Access) -> AccessRef<'a>,
+        out: &mut Vec<RhsTok<'a>>,
+    ) {
         match self {
-            Expr::Access(a) => out.push(RhsTok::Access(a)),
+            Expr::Access(a) => out.push(RhsTok::Access(access(a))),
             Expr::Const(c) => out.push(RhsTok::Const(*c)),
             Expr::ConstSym(s) => out.push(RhsTok::ConstSym(*s)),
             Expr::Neg(e) => {
                 out.push(RhsTok::Neg);
-                e.push_tokens(out);
+                e.push_tokens(access, out);
             }
             Expr::Binary { op, lhs, rhs } => {
                 out.push(RhsTok::Binary);
-                lhs.push_tokens(out);
+                lhs.push_tokens(access, out);
                 out.push(RhsTok::Op(*op));
-                rhs.push_tokens(out);
+                rhs.push_tokens(access, out);
             }
         }
     }
+}
+
+/// The tensor and index names of a set of accesses, each kind numbered
+/// in the byte order of its names: the ids a template's tokens carry
+/// ([`AccessRef`]).
+///
+/// Every name the parser and the template generators produce is an
+/// identifier, whose bytes all sort after the `(`, `,` and `)` that
+/// follow a name in a printed access. So comparing two accesses' ids —
+/// the tensor's, then the index lists lexicographically — orders them as
+/// their printed text does, which is what lets the canonical encoder
+/// sort chain operands without printing them.
+///
+/// ```
+/// use gtl_taco::{Access, NameTable};
+///
+/// let (bc, b) = (Access::new("bc", &["i", "ii"]), Access::new("b", &["i1"]));
+/// let table = NameTable::new([&bc, &b]);
+/// let mut ids = Vec::new();
+/// table.push_ids(&bc, &mut ids);
+/// table.push_ids(&b, &mut ids);
+/// // Tensors b < bc, indices i < i1 < ii.
+/// assert_eq!(ids, [1, 0, 2, 0, 1]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct NameTable<'a> {
+    /// The distinct tensor names, sorted, then the distinct index names,
+    /// sorted.
+    names: Vec<&'a str>,
+    /// How many of `names` are tensor names.
+    tensors: usize,
+}
+
+impl<'a> NameTable<'a> {
+    /// The table of every name in `accesses`.
+    pub fn new(accesses: impl IntoIterator<Item = &'a Access>) -> NameTable<'a> {
+        let mut table = NameTable::default();
+        for a in accesses {
+            table.add(a);
+        }
+        table
+    }
+
+    /// Adds the names of `access`. The table stays sorted and distinct
+    /// as it fills: a template has a handful of names, each met often.
+    fn add(&mut self, access: &'a Access) {
+        let name = access.tensor.as_str();
+        if let Err(at) = self.names[..self.tensors].binary_search(&name) {
+            self.names.insert(at, name);
+            self.tensors += 1;
+        }
+        for ix in &access.indices {
+            let name = ix.as_str();
+            if let Err(at) = self.names[self.tensors..].binary_search(&name) {
+                self.names.insert(self.tensors + at, name);
+            }
+        }
+    }
+
+    /// Appends the id of `access`'s tensor, then the id of each of its
+    /// indices, to `ids`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name of `access` is not in the table.
+    pub fn push_ids(&self, access: &Access, ids: &mut Vec<u32>) {
+        let id = |names: &[&str], name: &str| -> u32 {
+            let id = names
+                .binary_search(&name)
+                .unwrap_or_else(|_| panic!("`{name}` is not in the name table"));
+            id as u32
+        };
+        let (tensors, indices) = self.names.split_at(self.tensors);
+        ids.push(id(tensors, access.tensor.as_str()));
+        ids.extend(access.indices.iter().map(|ix| id(indices, ix.as_str())));
+    }
+}
+
+/// A tensor access of a borrowed template with its names interned: the
+/// ids one [`NameTable`] gives them. All accesses of one template carry
+/// ids from the same table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessRef<'a> {
+    /// The access itself.
+    pub access: &'a Access,
+    /// The id of its tensor name.
+    pub tensor: u32,
+    /// The id of each of its index names.
+    pub indices: &'a [u32],
 }
 
 /// One token of a borrowed right-hand side. An expression is its tokens
@@ -321,8 +419,8 @@ impl Expr {
 /// operand — the order in which a leftmost derivation places them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RhsTok<'a> {
-    /// A tensor access.
-    Access(&'a Access),
+    /// A tensor access, with its interned names.
+    Access(AccessRef<'a>),
     /// An integer literal constant.
     Const(i64),
     /// A symbolic constant placeholder.
@@ -340,26 +438,27 @@ pub enum RhsTok<'a> {
 /// derivation without building its [`TacoProgram`].
 ///
 /// ```
-/// use gtl_taco::{parse_program, RhsTok, TemplateRef};
+/// use gtl_taco::{parse_program, RhsTok};
 ///
 /// let p = parse_program("a(i) = b(i,j) * c(j)").unwrap();
-/// let mut rhs = Vec::new();
-/// p.rhs.push_tokens(&mut rhs);
-/// let t = TemplateRef { lhs: &p.lhs, rhs: &rhs };
+/// let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+/// let t = p.template_ref(&mut ids, &mut rhs);
 /// assert_eq!(t.rhs.len(), 4);
 /// assert!(matches!(t.rhs[0], RhsTok::Binary));
+/// // `b` and `c` are tensors 1 and 2 of `a`, `b`, `c`.
+/// assert_eq!(t.accesses().map(|a| a.tensor).collect::<Vec<_>>(), [1, 2]);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct TemplateRef<'a> {
     /// The output access.
-    pub lhs: &'a Access,
+    pub lhs: AccessRef<'a>,
     /// The right-hand side, one complete expression in derivation order.
     pub rhs: &'a [RhsTok<'a>],
 }
 
 impl<'a> TemplateRef<'a> {
     /// The right-hand side's tensor accesses, left to right.
-    pub fn accesses(&self) -> impl Iterator<Item = &'a Access> + Clone {
+    pub fn accesses(&self) -> impl Iterator<Item = AccessRef<'a>> + Clone {
         self.rhs.iter().filter_map(|tok| match *tok {
             RhsTok::Access(a) => Some(a),
             _ => None,
@@ -391,6 +490,56 @@ impl TacoProgram {
     /// Creates a program from its two halves.
     pub fn new(lhs: Access, rhs: Expr) -> TacoProgram {
         TacoProgram { lhs, rhs }
+    }
+
+    /// The program as a borrowed template: its names interned by a
+    /// [`NameTable`] of its own into `ids`, and its right-hand side's
+    /// tokens written into `rhs`.
+    pub fn template_ref<'a, 't>(
+        &'a self,
+        ids: &'a mut Vec<u32>,
+        rhs: &'t mut Vec<RhsTok<'a>>,
+    ) -> TemplateRef<'t> {
+        let mut names = NameTable::default();
+        names.add(&self.lhs);
+        self.rhs.for_each_access(&mut |a| names.add(a));
+        self.template_ref_in(&names, ids, rhs)
+    }
+
+    /// [`TacoProgram::template_ref`] with the names interned by `names`,
+    /// a table that holds at least this program's names: the ids a
+    /// search that interned `names` once would hand over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name of the program is not in `names`.
+    pub fn template_ref_in<'a, 't>(
+        &'a self,
+        names: &NameTable<'_>,
+        ids: &'a mut Vec<u32>,
+        rhs: &'t mut Vec<RhsTok<'a>>,
+    ) -> TemplateRef<'t> {
+        ids.clear();
+        names.push_ids(&self.lhs, ids);
+        self.rhs.for_each_access(&mut |a| names.push_ids(a, ids));
+        // `ids` holds each access's tensor id, then its index ids, in
+        // the order the walk below meets the accesses.
+        let ids: &'a [u32] = ids;
+        let mut at = 0;
+        let mut interned = |access: &'a Access| {
+            let end = at + 1 + access.rank();
+            let a = AccessRef {
+                access,
+                tensor: ids[at],
+                indices: &ids[at + 1..end],
+            };
+            at = end;
+            a
+        };
+        let lhs = interned(&self.lhs);
+        rhs.clear();
+        self.rhs.push_tokens(&mut interned, rhs);
+        TemplateRef { lhs, rhs }
     }
 
     /// Index variables of the LHS (the *free*/output indices).

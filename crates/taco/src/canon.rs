@@ -33,15 +33,20 @@
 //! *identical* sets of concrete candidate programs: pruning one of them
 //! never changes what the search can verify.
 //!
-//! The encoder interns names into small ids in one walk over the
-//! template's tokens ([`TemplateRef`], which the search hands over
-//! without building a program), which also yields the feasibility
-//! [`Facts`] the pipeline checks first. Canonicalization then runs over a reusable node arena,
-//! and the key is written with the renaming applied: no `String`, no
-//! renamed tree and no name maps per call. Chain operands still sort by
-//! the byte order of their printed keys (names erased first, then in
-//! full), so pop order and pruning are exactly those of the string form
-//! kept in [`mod@reference`].
+//! The encoder reads a template as tokens ([`TemplateRef`], which the
+//! search hands over without building a program) whose names arrive as
+//! ids: a search interns its grammar's names once ([`NameTable`]), a
+//! program its own ([`TacoProgram::template_ref`]). One walk over the
+//! tokens builds a reusable node arena and yields the feasibility
+//! [`Facts`] the pipeline checks first; no name is compared as text.
+//! Canonicalization runs over the arena, and the key is written with
+//! the renaming applied: no `String`, no renamed tree and no name maps
+//! per call. Chain operands sort in the byte order of their printed
+//! keys (names erased first, then in full) without printing them, since
+//! ids order like names ([`NameTable`]), so pop order and pruning are
+//! exactly those of the string form kept in [`mod@reference`].
+//!
+//! [`NameTable`]: crate::NameTable
 //!
 //! The pipeline's seen-set holds these keys exactly, in one byte arena
 //! per search round ([`KeySet`]): a hash collision can never prune a
@@ -58,9 +63,9 @@
 //! [Fig. 8]: crate::batch
 
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::hash::{BuildHasher, Hasher};
-use std::io::Write as _;
 use std::ops::Range;
 
 use crate::ast::{Access, BinOp, Expr, RhsTok, TacoProgram, TemplateRef};
@@ -82,7 +87,8 @@ pub struct Facts {
 /// canonical results share subtrees freely.
 #[derive(Debug, Clone, Copy)]
 enum Node {
-    /// A tensor access, by its position in the RHS's access order.
+    /// A tensor access, by its position in the RHS's accesses counted
+    /// from the right.
     Access(u32),
     Const(i64),
     Sym(u32),
@@ -90,7 +96,8 @@ enum Node {
     Bin(BinOp, u32, u32),
 }
 
-/// An interned access: tensor name id and its index name ids.
+/// A loaded access: its tensor id and its index ids. Accesses are
+/// numbered right to left, the order the loader meets them.
 #[derive(Debug, Clone, Copy)]
 struct AccessRec {
     tensor: u32,
@@ -126,119 +133,159 @@ const UNNAMED: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Default)]
 pub struct CanonEncoder {
-    /// Name bytes of every interned tensor and index name.
-    names: Vec<u8>,
-    /// Tensor names as ranges of `names`; id 0 is the LHS tensor.
-    tensors: Vec<(u32, u32)>,
-    /// Index names as ranges of `names`; the LHS's come first.
-    indices: Vec<(u32, u32)>,
-    /// The LHS index ids, per position.
-    lhs: Vec<u32>,
+    /// The LHS tensor's id.
+    lhs_tensor: u32,
+    /// The distinct LHS index ids, in order of first appearance.
+    lhs_indices: Vec<u32>,
     /// Per distinct LHS index: whether an RHS access mentions it.
     covered: Vec<bool>,
     accesses: Vec<AccessRec>,
     access_indices: Vec<u32>,
+    /// One more than the largest tensor id and index id loaded.
+    tensor_ids: u32,
+    index_ids: u32,
     nodes: Vec<Node>,
     /// The loaded RHS.
     root: u32,
-    /// Chain operands of the chains being canonicalized, innermost last.
+    /// Chain operands of the chains being canonicalized, innermost last;
+    /// while loading, the nodes built and not yet used.
     stack: Vec<u32>,
-    /// Sort keys of one chain's operands: erased start, full start, full
-    /// end (ranges of `keys`), node.
-    sort: Vec<[u32; 4]>,
-    keys: Vec<u8>,
-    /// α-renaming while encoding: per tensor id and per index id, the
-    /// assigned number (`UNNAMED` until first seen), and per `Const` id.
+    /// While loading: the operators of the binary nodes being built,
+    /// each with the depth of `stack` when it was met.
+    pending_ops: Vec<(BinOp, usize)>,
+    /// Packed sort keys and nodes of one chain's operands.
+    words: Vec<(u64, u32)>,
+    /// α-renaming while encoding: per tensor id, its number (`UNNAMED`
+    /// until first seen); per index id, its code (`UNCODED` until first
+    /// seen); per `Const` id, its number.
     tensor_numbers: Vec<u32>,
-    index_numbers: Vec<u32>,
+    index_codes: Vec<u64>,
     sym_numbers: Vec<(u32, u32)>,
     named_tensors: u32,
     named_indices: u32,
+    /// The key: its LHS part, written by the load, then its RHS.
     out: Vec<u8>,
+    lhs_key_len: usize,
+    /// [`CanonEncoder::load`]'s buffers for a program's name ids and
+    /// tokens, kept across calls.
+    program_ids: Vec<u32>,
+    program_tokens: Vec<RhsTok<'static>>,
 }
+
+/// `tokens` emptied, as a buffer for tokens of any lifetime. Collecting
+/// the empty vector in place keeps its allocation.
+fn recycle<'b>(mut tokens: Vec<RhsTok<'_>>) -> Vec<RhsTok<'b>> {
+    tokens.clear();
+    tokens
+        .into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+/// An index id not yet coded by the α-renaming.
+const UNCODED: u64 = u64::MAX;
 
 impl CanonEncoder {
     /// Interns `program` for [`CanonEncoder::key`] and returns its
     /// feasibility facts: [`CanonEncoder::load_ref`] over the program's
-    /// tokens.
+    /// tokens ([`TacoProgram::template_ref`]).
     pub fn load(&mut self, program: &TacoProgram) -> Facts {
-        let mut rhs = Vec::new();
-        program.rhs.push_tokens(&mut rhs);
-        self.load_ref(TemplateRef {
-            lhs: &program.lhs,
-            rhs: &rhs,
-        })
+        let mut ids = std::mem::take(&mut self.program_ids);
+        let mut rhs = recycle(std::mem::take(&mut self.program_tokens));
+        let facts = self.load_ref(program.template_ref(&mut ids, &mut rhs));
+        self.program_tokens = recycle(rhs);
+        self.program_ids = ids;
+        facts
     }
 
-    /// Interns a borrowed template for [`CanonEncoder::key`] and returns
-    /// its feasibility facts.
+    /// Loads a borrowed template for [`CanonEncoder::key`] and returns
+    /// its feasibility facts. Names are read as the ids the tokens
+    /// carry; only the LHS's are read as text, for the key.
     ///
     /// # Panics
     ///
     /// Panics if `template.rhs` is not exactly one expression in
     /// derivation order.
     pub fn load_ref(&mut self, template: TemplateRef<'_>) -> Facts {
-        self.names.clear();
-        self.tensors.clear();
-        self.indices.clear();
-        self.lhs.clear();
         self.accesses.clear();
         self.access_indices.clear();
         self.nodes.clear();
-        intern(
-            &mut self.names,
-            &mut self.tensors,
-            template.lhs.tensor.as_str(),
-        );
-        for ix in &template.lhs.indices {
-            let id = intern(&mut self.names, &mut self.indices, ix.as_str());
-            self.lhs.push(id);
+        let lhs = template.lhs;
+        self.lhs_tensor = lhs.tensor;
+        self.tensor_ids = lhs.tensor + 1;
+        self.index_ids = 0;
+        self.lhs_indices.clear();
+        self.out.clear();
+        put_bytes(&mut self.out, lhs.access.tensor.as_str().as_bytes());
+        put_varint(&mut self.out, lhs.indices.len() as u64);
+        for (ix, &id) in lhs.access.indices.iter().zip(lhs.indices) {
+            if !self.lhs_indices.contains(&id) {
+                self.lhs_indices.push(id);
+            }
+            self.index_ids = self.index_ids.max(id + 1);
+            put_bytes(&mut self.out, ix.as_str().as_bytes());
         }
+        self.lhs_key_len = self.out.len();
         self.covered.clear();
-        self.covered.resize(self.indices.len(), false);
-        let mut toks = template.rhs.iter();
-        self.root = self.load_expr(&mut toks);
-        assert!(toks.next().is_none(), "tokens after a complete expression");
+        self.covered.resize(self.lhs_indices.len(), false);
+        // The tokens are the RHS in prefix order; read right to left,
+        // every node's operands are built before the node itself.
+        self.stack.clear();
+        self.pending_ops.clear();
+        for tok in template.rhs.iter().rev() {
+            let node = match *tok {
+                RhsTok::Access(a) => {
+                    self.tensor_ids = self.tensor_ids.max(a.tensor + 1);
+                    self.accesses.push(AccessRec {
+                        tensor: a.tensor,
+                        start: self.access_indices.len() as u32,
+                        rank: a.indices.len() as u32,
+                    });
+                    for &id in a.indices {
+                        if let Some(p) = self.lhs_indices.iter().position(|&l| l == id) {
+                            self.covered[p] = true;
+                        }
+                        self.index_ids = self.index_ids.max(id + 1);
+                        self.access_indices.push(id);
+                    }
+                    Node::Access(self.accesses.len() as u32 - 1)
+                }
+                RhsTok::Const(c) => Node::Const(c),
+                RhsTok::ConstSym(id) => Node::Sym(id),
+                RhsTok::Op(op) => {
+                    self.pending_ops.push((op, self.stack.len()));
+                    continue;
+                }
+                RhsTok::Neg => Node::Neg(self.stack.pop().expect("a negated expression")),
+                RhsTok::Binary => {
+                    // The operator sits between the operands: one node
+                    // (the left operand) was built since it was met.
+                    let (op, depth) = self
+                        .pending_ops
+                        .pop()
+                        .expect("a binary node with its operator");
+                    assert_eq!(
+                        self.stack.len(),
+                        depth + 1,
+                        "an operator between two operands"
+                    );
+                    let l = self.stack.pop().expect("a left operand");
+                    let r = self.stack.pop().expect("a right operand");
+                    Node::Bin(op, l, r)
+                }
+            };
+            let n = self.push(node);
+            self.stack.push(n);
+        }
+        assert!(
+            self.stack.len() == 1 && self.pending_ops.is_empty(),
+            "not exactly one expression in derivation order"
+        );
+        self.root = self.stack.pop().expect("one expression");
         Facts {
             reads_tensor: !self.accesses.is_empty(),
             unconstrained_output: self.covered.contains(&false),
         }
-    }
-
-    /// Interns the expression at the front of `toks`, which it consumes.
-    fn load_expr(&mut self, toks: &mut std::slice::Iter<'_, RhsTok<'_>>) -> u32 {
-        let node = match *toks.next().expect("a complete expression") {
-            RhsTok::Access(a) => {
-                let tensor = intern(&mut self.names, &mut self.tensors, a.tensor.as_str());
-                let start = self.access_indices.len() as u32;
-                for ix in &a.indices {
-                    let id = intern(&mut self.names, &mut self.indices, ix.as_str());
-                    if let Some(covered) = self.covered.get_mut(id as usize) {
-                        *covered = true;
-                    }
-                    self.access_indices.push(id);
-                }
-                self.accesses.push(AccessRec {
-                    tensor,
-                    start,
-                    rank: a.indices.len() as u32,
-                });
-                Node::Access(self.accesses.len() as u32 - 1)
-            }
-            RhsTok::Const(c) => Node::Const(c),
-            RhsTok::ConstSym(id) => Node::Sym(id),
-            RhsTok::Neg => Node::Neg(self.load_expr(toks)),
-            RhsTok::Binary => {
-                let l = self.load_expr(toks);
-                let Some(&RhsTok::Op(op)) = toks.next() else {
-                    panic!("a binary node without its operator");
-                };
-                let r = self.load_expr(toks);
-                Node::Bin(op, l, r)
-            }
-            RhsTok::Op(op) => panic!("operator `{op}` outside a binary node"),
-        };
-        self.push(node)
     }
 
     /// The canonical key of the last loaded program. Two programs get
@@ -307,45 +354,45 @@ impl CanonEncoder {
     /// left-associated.
     fn chain(&mut self, op: BinOp, n: u32) -> u32 {
         let base = self.stack.len();
-        self.flatten(op, n);
-        let raw_end = self.stack.len();
-        // Canonicalizing an operand can surface a nested same-op chain
-        // (e.g. after `--(b + c) → b + c`); re-flatten so it merges.
-        for k in base..raw_end {
-            let c = self.canon(self.stack[k]);
-            self.flatten(op, c);
-        }
+        let mut special = false;
+        self.gather(op, n, &mut special);
         let ops_end = self.stack.len();
 
         // Fold every constant leaf into one coefficient; abort the fold
         // on i64 overflow (the constants then stay as ordinary operands).
         let identity: i64 = if op == BinOp::Add { 0 } else { 1 };
         let mut folded = Some(identity);
-        for k in raw_end..ops_end {
-            if let Node::Const(c) = self.nodes[self.stack[k] as usize] {
-                folded = folded.and_then(|acc| {
-                    if op == BinOp::Add {
-                        acc.checked_add(c)
-                    } else {
-                        acc.checked_mul(c)
-                    }
-                });
-            }
-        }
         let mut neg_parity = false;
-        for k in raw_end..ops_end {
-            let e = self.stack[k];
-            match self.nodes[e as usize] {
-                Node::Const(_) if folded.is_some() => {}
-                // Pull factor signs into the coefficient: (-x)·y = -(x·y).
-                Node::Neg(inner) if op == BinOp::Mul => {
-                    neg_parity = !neg_parity;
-                    self.stack.push(inner);
+        // Without a constant or a factor sign, the operands stay as they
+        // are.
+        let rest = if special {
+            for k in base..ops_end {
+                if let Node::Const(c) = self.nodes[self.stack[k] as usize] {
+                    folded = folded.and_then(|acc| {
+                        if op == BinOp::Add {
+                            acc.checked_add(c)
+                        } else {
+                            acc.checked_mul(c)
+                        }
+                    });
                 }
-                _ => self.stack.push(e),
             }
-        }
-        let rest = ops_end..self.stack.len();
+            for k in base..ops_end {
+                let e = self.stack[k];
+                match self.nodes[e as usize] {
+                    Node::Const(_) if folded.is_some() => {}
+                    // Pull factor signs into the coefficient: (-x)·y = -(x·y).
+                    Node::Neg(inner) if op == BinOp::Mul => {
+                        neg_parity = !neg_parity;
+                        self.stack.push(inner);
+                    }
+                    _ => self.stack.push(e),
+                }
+            }
+            ops_end..self.stack.len()
+        } else {
+            base..ops_end
+        };
         self.sort_operands(rest.clone());
 
         let mut coeff = folded;
@@ -387,189 +434,158 @@ impl CanonEncoder {
         }
     }
 
-    /// Pushes the leaves of the maximal `op` subtree at `n` onto the stack.
-    fn flatten(&mut self, op: BinOp, n: u32) {
+    /// Pushes the operands of the `op` chain at `n` onto the stack,
+    /// canonicalized, left to right. Canonicalizing an operand can
+    /// surface a nested same-op chain (e.g. `--(b + c) → b + c`), whose
+    /// operands merge into this chain. Sets `special` on an operand that
+    /// is a constant, or a negation under `*`.
+    fn gather(&mut self, op: BinOp, n: u32, special: &mut bool) {
         match self.nodes[n as usize] {
             Node::Bin(o, l, r) if o == op => {
-                self.flatten(op, l);
-                self.flatten(op, r);
+                self.gather(op, l, special);
+                self.gather(op, r, special);
             }
-            _ => self.stack.push(n),
+            // Leaves are canonical.
+            Node::Access(_) | Node::Sym(_) => self.stack.push(n),
+            _ => {
+                let c = self.canon(n);
+                self.flatten(op, c, special);
+            }
         }
     }
 
-    /// Sorts `stack[range]` by (erased key, full key), compared as bytes.
-    /// The erased key blanks names, so α-equivalent operands sort into the
-    /// same chain position before renaming; the full key breaks ties.
+    /// Pushes the leaves of the maximal `op` subtree at `n` onto the
+    /// stack; sets `special` as [`CanonEncoder::gather`] does.
+    fn flatten(&mut self, op: BinOp, n: u32, special: &mut bool) {
+        match self.nodes[n as usize] {
+            Node::Bin(o, l, r) if o == op => {
+                self.flatten(op, l, special);
+                self.flatten(op, r, special);
+            }
+            node => {
+                *special |= matches!(node, Node::Const(_))
+                    || (op == BinOp::Mul && matches!(node, Node::Neg(_)));
+                self.stack.push(n);
+            }
+        }
+    }
+
+    /// Sorts `stack[range]` stably by (erased key, full key), compared as
+    /// bytes ([`Tree::order`] computes that order without printing the
+    /// keys). The erased key blanks names, so α-equivalent operands sort
+    /// into the same chain position before renaming; the full key breaks
+    /// ties.
     fn sort_operands(&mut self, range: Range<usize>) {
         if range.len() < 2 {
             return;
         }
-        self.keys.clear();
-        self.sort.clear();
-        for k in range.clone() {
-            let e = self.stack[k];
-            let erased = self.keys.len() as u32;
-            self.write_key(e, true);
-            let full = self.keys.len() as u32;
-            self.write_key(e, false);
-            self.sort.push([erased, full, self.keys.len() as u32, e]);
-        }
-        let keys = &self.keys;
-        let span = |a: u32, b: u32| &keys[a as usize..b as usize];
-        self.sort.sort_by(|x, y| {
-            (span(x[0], x[1]), span(x[1], x[2])).cmp(&(span(y[0], y[1]), span(y[1], y[2])))
-        });
-        for (k, entry) in range.zip(&self.sort) {
-            self.stack[k] = entry[3];
-        }
-    }
-
-    /// Writes the printed sort key of node `n`: `name(i,j)`, `#c`, `$id`,
-    /// `(- e)`, `(op l r)`; with `erase`, names and `Const` ids print as
-    /// `?`.
-    fn write_key(&mut self, n: u32, erase: bool) {
-        match self.nodes[n as usize] {
-            Node::Access(a) => {
-                let rec = self.accesses[a as usize];
-                if erase {
-                    self.keys.push(b'?');
-                } else {
-                    let (s, e) = self.tensors[rec.tensor as usize];
-                    self.keys
-                        .extend_from_slice(&self.names[s as usize..e as usize]);
-                }
-                self.keys.push(b'(');
-                for p in 0..rec.rank {
-                    if p > 0 {
-                        self.keys.push(b',');
-                    }
-                    if erase {
-                        self.keys.push(b'?');
-                    } else {
-                        let id = self.access_indices[(rec.start + p) as usize];
-                        let (s, e) = self.indices[id as usize];
-                        self.keys
-                            .extend_from_slice(&self.names[s as usize..e as usize]);
-                    }
-                }
-                self.keys.push(b')');
+        let tree = Tree {
+            nodes: &self.nodes,
+            accesses: &self.accesses,
+            indices: &self.access_indices,
+        };
+        let operands = &mut self.stack[range];
+        // Most chains are of small accesses and `Const` slots, whose
+        // order packs into one word each.
+        self.words.clear();
+        self.words
+            .extend(operands.iter().map_while(|&n| Some((tree.word(n)?, n))));
+        if self.words.len() == operands.len() {
+            // Equal words are equal printed keys: which goes first
+            // cannot change the tree.
+            self.words.sort_unstable();
+            for (slot, &(_, n)) in operands.iter_mut().zip(&self.words) {
+                *slot = n;
             }
-            Node::Const(c) => {
-                let _ = write!(self.keys, "#{c}");
-            }
-            Node::Sym(id) => {
-                if erase {
-                    self.keys.extend_from_slice(b"$?");
-                } else {
-                    let _ = write!(self.keys, "${id}");
-                }
-            }
-            Node::Neg(inner) => {
-                self.keys.extend_from_slice(b"(- ");
-                self.write_key(inner, erase);
-                self.keys.push(b')');
-            }
-            Node::Bin(op, l, r) => {
-                self.keys.push(b'(');
-                self.keys.extend_from_slice(op.symbol().as_bytes());
-                self.keys.push(b' ');
-                self.write_key(l, erase);
-                self.keys.push(b' ');
-                self.write_key(r, erase);
-                self.keys.push(b')');
-            }
+        } else {
+            operands.sort_by(|&x, &y| tree.order(x, y, true).then_with(|| tree.order(x, y, false)));
         }
     }
 
-    /// Writes the key of canonical node `root` into `out`: the LHS as
-    /// written, then the RHS in prefix order with the α-renaming applied.
+    /// Writes the key of canonical node `root` into `out` after the LHS
+    /// the load wrote: the RHS in prefix order with the α-renaming
+    /// applied.
     fn encode(&mut self, root: u32) {
-        self.out.clear();
+        self.out.truncate(self.lhs_key_len);
         self.tensor_numbers.clear();
-        self.tensor_numbers.resize(self.tensors.len(), UNNAMED);
-        self.index_numbers.clear();
-        self.index_numbers.resize(self.indices.len(), UNNAMED);
+        self.tensor_numbers
+            .resize(self.tensor_ids as usize, UNNAMED);
+        // LHS indices keep their identity (even codes, by first
+        // appearance in the LHS); summation indices are numbered (odd
+        // codes) as the encoding meets them.
+        self.index_codes.clear();
+        self.index_codes.resize(self.index_ids as usize, UNCODED);
+        for (p, &id) in self.lhs_indices.iter().enumerate() {
+            self.index_codes[id as usize] = 2 * p as u64;
+        }
         self.sym_numbers.clear();
         self.named_tensors = 0;
         self.named_indices = 0;
-        let (s, e) = self.tensors[0];
-        put_bytes(&mut self.out, &self.names[s as usize..e as usize]);
-        put_varint(&mut self.out, self.lhs.len() as u64);
-        for &id in &self.lhs {
-            let (s, e) = self.indices[id as usize];
-            put_bytes(&mut self.out, &self.names[s as usize..e as usize]);
-        }
-        self.encode_node(root);
-    }
-
-    fn encode_node(&mut self, n: u32) {
-        match self.nodes[n as usize] {
-            Node::Access(a) => {
-                let rec = self.accesses[a as usize];
-                if rec.rank < u32::from(RANK_ESCAPE) {
-                    self.out.push(TAG_ACCESS | rec.rank as u8);
-                } else {
-                    self.out.push(TAG_ACCESS | RANK_ESCAPE);
-                    put_varint(&mut self.out, u64::from(rec.rank));
-                }
-                // The LHS symbol on the RHS binds the output — not a free
-                // slot, so it keeps its identity (code 0).
-                let code = if rec.tensor == 0 {
-                    0
-                } else {
-                    1 + number(
-                        &mut self.tensor_numbers[rec.tensor as usize],
-                        &mut self.named_tensors,
-                    )
-                };
-                put_varint(&mut self.out, u64::from(code));
-                for p in 0..rec.rank {
-                    let id = self.access_indices[(rec.start + p) as usize];
-                    // LHS indices keep their identity (even codes);
-                    // summation indices are numbered (odd codes).
-                    let code = if (id as usize) < self.covered.len() {
-                        2 * u64::from(id)
+        // Prefix order: a node, then its operands left to right.
+        self.stack.push(root);
+        while let Some(n) = self.stack.pop() {
+            match self.nodes[n as usize] {
+                Node::Access(a) => {
+                    let rec = self.accesses[a as usize];
+                    if rec.rank < u32::from(RANK_ESCAPE) {
+                        self.out.push(TAG_ACCESS | rec.rank as u8);
                     } else {
-                        let k = number(
-                            &mut self.index_numbers[id as usize],
-                            &mut self.named_indices,
-                        );
-                        2 * u64::from(k) + 1
-                    };
-                    put_varint(&mut self.out, code);
-                }
-            }
-            Node::Const(c) => {
-                self.out.push(TAG_CONST);
-                put_varint(&mut self.out, ((c << 1) ^ (c >> 63)) as u64);
-            }
-            Node::Sym(id) => {
-                let k = match self.sym_numbers.iter().find(|(s, _)| *s == id) {
-                    Some(&(_, k)) => k,
-                    None => {
-                        let k = self.sym_numbers.len() as u32;
-                        self.sym_numbers.push((id, k));
-                        k
+                        self.out.push(TAG_ACCESS | RANK_ESCAPE);
+                        put_varint(&mut self.out, u64::from(rec.rank));
                     }
-                };
-                self.out.push(TAG_SYM);
-                put_varint(&mut self.out, u64::from(k));
-            }
-            Node::Neg(inner) => {
-                self.out.push(TAG_NEG);
-                self.encode_node(inner);
-            }
-            Node::Bin(op, l, r) => {
-                let code = match op {
-                    BinOp::Add => 0,
-                    BinOp::Sub => 1,
-                    BinOp::Mul => 2,
-                    BinOp::Div => 3,
-                };
-                self.out.push(TAG_BIN | code);
-                self.encode_node(l);
-                self.encode_node(r);
+                    // The LHS symbol on the RHS binds the output — not a
+                    // free slot, so it keeps its identity (code 0).
+                    let code = if rec.tensor == self.lhs_tensor {
+                        0
+                    } else {
+                        1 + number(
+                            &mut self.tensor_numbers[rec.tensor as usize],
+                            &mut self.named_tensors,
+                        )
+                    };
+                    put_varint(&mut self.out, u64::from(code));
+                    let ids =
+                        &self.access_indices[rec.start as usize..(rec.start + rec.rank) as usize];
+                    for &id in ids {
+                        let code = &mut self.index_codes[id as usize];
+                        if *code == UNCODED {
+                            *code = 2 * u64::from(self.named_indices) + 1;
+                            self.named_indices += 1;
+                        }
+                        put_varint(&mut self.out, *code);
+                    }
+                }
+                Node::Const(c) => {
+                    self.out.push(TAG_CONST);
+                    put_varint(&mut self.out, ((c << 1) ^ (c >> 63)) as u64);
+                }
+                Node::Sym(id) => {
+                    let k = match self.sym_numbers.iter().find(|(s, _)| *s == id) {
+                        Some(&(_, k)) => k,
+                        None => {
+                            let k = self.sym_numbers.len() as u32;
+                            self.sym_numbers.push((id, k));
+                            k
+                        }
+                    };
+                    self.out.push(TAG_SYM);
+                    put_varint(&mut self.out, u64::from(k));
+                }
+                Node::Neg(inner) => {
+                    self.out.push(TAG_NEG);
+                    self.stack.push(inner);
+                }
+                Node::Bin(op, l, r) => {
+                    let code = match op {
+                        BinOp::Add => 0,
+                        BinOp::Sub => 1,
+                        BinOp::Mul => 2,
+                        BinOp::Div => 3,
+                    };
+                    self.out.push(TAG_BIN | code);
+                    self.stack.push(r);
+                    self.stack.push(l);
+                }
             }
         }
     }
@@ -578,7 +594,7 @@ impl CanonEncoder {
     /// program's RHS access list.
     fn to_expr(&self, n: u32, accesses: &[&Access]) -> Expr {
         match self.nodes[n as usize] {
-            Node::Access(a) => Expr::Access(accesses[a as usize].clone()),
+            Node::Access(a) => Expr::Access(accesses[accesses.len() - 1 - a as usize].clone()),
             Node::Const(c) => Expr::Const(c),
             Node::Sym(id) => Expr::ConstSym(id),
             Node::Neg(inner) => Expr::Neg(Box::new(self.to_expr(inner, accesses))),
@@ -589,20 +605,151 @@ impl CanonEncoder {
     }
 }
 
-/// The id of `name` in `table`, interning its bytes on first sight.
-/// Tables hold a handful of names, so a linear scan wins.
-fn intern(names: &mut Vec<u8>, table: &mut Vec<(u32, u32)>, name: &str) -> u32 {
-    let bytes = name.as_bytes();
-    if let Some(id) = table
-        .iter()
-        .position(|&(s, e)| &names[s as usize..e as usize] == bytes)
-    {
-        return id as u32;
+/// The encoder's nodes, read-only, for ordering chain operands.
+struct Tree<'a> {
+    nodes: &'a [Node],
+    accesses: &'a [AccessRec],
+    indices: &'a [u32],
+}
+
+impl Tree<'_> {
+    /// Compares nodes `x` and `y` as the bytes of their printed sort keys
+    /// compare, without printing them. The printed key of a node is
+    ///
+    /// - an access `name(i,j)`, erased `?(?,?)`;
+    /// - a constant `#c`, a `Const` slot `$id` (erased `$?`);
+    /// - a negation `(- e)`, a binary node `(op l r)`.
+    ///
+    /// The first byte orders the kinds: `#` < `$` < `(` < `?` and every
+    /// name byte. Two keys of one kind first differ inside a part both
+    /// print, so the parts are compared in turn:
+    ///
+    /// - A key other than a number is never a proper prefix of another
+    ///   key, since its parentheses close at its last byte. So once a
+    ///   part orders before another, the bytes after it cannot overturn
+    ///   that.
+    /// - A number can be a prefix of another (`#1`, `#12`), but the byte
+    ///   after a part is ` `, `)` or the end, each below every digit. So
+    ///   the shorter number still orders first, as it does alone.
+    /// - Names are identifiers (see [`NameTable`]): their bytes sort
+    ///   after the `(`, `,` or `)` that follows a name. So printed
+    ///   accesses order as (tensor id, index ids) do, a shorter index
+    ///   list first, and erased ones by rank.
+    /// - `(- x)` against `(- l r)`: with `x` and `l` equal, ` ` sorts
+    ///   before `)`, so the subtraction orders first.
+    ///
+    /// [`NameTable`]: crate::NameTable
+    fn order(&self, x: u32, y: u32, erase: bool) -> Ordering {
+        if x == y {
+            return Ordering::Equal;
+        }
+        match (self.nodes[x as usize], self.nodes[y as usize]) {
+            (Node::Const(a), Node::Const(b)) => decimal_order(a, b),
+            (Node::Sym(_), Node::Sym(_)) if erase => Ordering::Equal,
+            (Node::Sym(a), Node::Sym(b)) => decimal_order(a.into(), b.into()),
+            (Node::Access(a), Node::Access(b)) => {
+                let (a, b) = (self.accesses[a as usize], self.accesses[b as usize]);
+                if erase {
+                    a.rank.cmp(&b.rank)
+                } else {
+                    a.tensor
+                        .cmp(&b.tensor)
+                        .then_with(|| self.index_ids(a).cmp(self.index_ids(b)))
+                }
+            }
+            (Node::Neg(a), Node::Neg(b)) => self.order(a, b, erase),
+            (Node::Bin(o, l, r), Node::Bin(p, m, s)) => op_byte(o)
+                .cmp(&op_byte(p))
+                .then_with(|| self.order(l, m, erase))
+                .then_with(|| self.order(r, s, erase)),
+            (Node::Neg(a), Node::Bin(o, l, _)) => b'-'
+                .cmp(&op_byte(o))
+                .then_with(|| self.order(a, l, erase))
+                .then(Ordering::Greater),
+            (Node::Bin(o, l, _), Node::Neg(a)) => op_byte(o)
+                .cmp(&b'-')
+                .then_with(|| self.order(l, a, erase))
+                .then(Ordering::Less),
+            (a, b) => kind_rank(a).cmp(&kind_rank(b)),
+        }
     }
-    let start = names.len() as u32;
-    names.extend_from_slice(bytes);
-    table.push((start, names.len() as u32));
-    table.len() as u32 - 1
+
+    /// Node `n`'s place in [`Tree::order`] by erased then full key,
+    /// packed into one word, for an access of rank at most 7 over
+    /// tensor ids below 256 and index ids below 63, or a `Const` slot id
+    /// below 10 (whose decimal order is its numeric order). The kind
+    /// rank leads, then the rank (erased key), then the tensor id and
+    /// each index id plus one (full key: a shorter list, padded with
+    /// zeros, orders first).
+    fn word(&self, n: u32) -> Option<u64> {
+        match self.nodes[n as usize] {
+            Node::Access(a) => {
+                let a = self.accesses[a as usize];
+                if a.rank > 7 || a.tensor > 255 {
+                    return None;
+                }
+                let mut word = (3 << 62) | u64::from(a.rank) << 58 | u64::from(a.tensor) << 50;
+                for (k, &id) in self.index_ids(a).iter().enumerate() {
+                    if id >= 63 {
+                        return None;
+                    }
+                    word |= u64::from(id + 1) << (44 - 6 * k);
+                }
+                Some(word)
+            }
+            Node::Sym(id) if id < 10 => Some(1 << 62 | u64::from(id)),
+            _ => None,
+        }
+    }
+
+    fn index_ids(&self, a: AccessRec) -> &[u32] {
+        &self.indices[a.start as usize..(a.start + a.rank) as usize]
+    }
+}
+
+/// The printed operator of a binary node, `(op l r)`.
+fn op_byte(op: BinOp) -> u8 {
+    op.symbol().as_bytes()[0]
+}
+
+/// The rank of a node kind's first printed byte: `#`, `$`, `(`, then a
+/// name or `?`.
+fn kind_rank(node: Node) -> u8 {
+    match node {
+        Node::Const(_) => 0,
+        Node::Sym(_) => 1,
+        Node::Neg(_) | Node::Bin(..) => 2,
+        Node::Access(_) => 3,
+    }
+}
+
+/// Compares `a` and `b` as the bytes of their decimal forms compare
+/// (`-1` < `-12` < `100` < `12` < `3`).
+fn decimal_order(a: i64, b: i64) -> Ordering {
+    if a == b {
+        return Ordering::Equal;
+    }
+    let (mut da, mut db) = ([0u8; 20], [0u8; 20]);
+    decimal(a, &mut da).cmp(decimal(b, &mut db))
+}
+
+/// The decimal form of `v`, written at the end of `buf`.
+fn decimal(v: i64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut n = v.unsigned_abs();
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    &buf[at..]
 }
 
 /// The α-number of a name: assigned from `next` on first sight.
@@ -883,6 +1030,77 @@ mod tests {
                     "{a} vs {b}"
                 );
             }
+        }
+    }
+
+    /// Operand order without printing equals the byte order of the
+    /// reference's printed sort keys, for every pair of nodes an encoder
+    /// holds after canonicalizing: names that prefix one another, numbers
+    /// whose bytes and values disagree, and `(- x)` beside `(- x y)`.
+    #[test]
+    fn operand_order_is_printed_byte_order() {
+        let cases = [
+            "a(i) = b(i,ii) + bc(i) + b1(i1) + b(i) + b(i,i1) + b(ii) + b + bc",
+            "a(i) = b(i) * -1 * c(i) * 12 * Const * d(i) * 3 + -12 + 100",
+            "a(i) = -(b(i) - c(i)) + -b(i) + (b(i) - c(i)) + (b(i) / c(i)) + -(b(i) * c(i))",
+            "a(i) = (b(i) - 1) + (b(i) - 12) + (b(i) - -1) + (12 - b(i)) + (1 - b(i))",
+            "a(ii,i1) = a(i1,ii) + b1(ii,i) * bc(i,i1) + -(b(i) / bc(ii))",
+        ];
+        let mut enc = CanonEncoder::default();
+        for src in cases {
+            let p = parse_program(src).unwrap();
+            enc.load(&p);
+            enc.canon(enc.root);
+            let accesses = p.rhs.accesses();
+            let printed: Vec<[String; 2]> = (0..enc.nodes.len() as u32)
+                .map(|n| {
+                    let e = enc.to_expr(n, &accesses);
+                    [reference::erased_key(&e), reference::expr_key(&e)]
+                })
+                .collect();
+            let tree = Tree {
+                nodes: &enc.nodes,
+                accesses: &enc.accesses,
+                indices: &enc.access_indices,
+            };
+            for (x, px) in printed.iter().enumerate() {
+                for (y, py) in printed.iter().enumerate() {
+                    for (k, erase) in [true, false].into_iter().enumerate() {
+                        assert_eq!(
+                            tree.order(x as u32, y as u32, erase),
+                            px[k].as_bytes().cmp(py[k].as_bytes()),
+                            "{} vs {}",
+                            px[k],
+                            py[k]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_tokens_panic() {
+        let p = parse_program("a(i) = b(i) * c(i)").unwrap();
+        let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+        let t = p.template_ref(&mut ids, &mut rhs);
+        let &[bin, b, op, c] = t.rhs else {
+            panic!("{:?}", t.rhs)
+        };
+        for bad in [
+            vec![bin, b, c, op],
+            vec![bin, op, b, c],
+            vec![b, c],
+            vec![bin, b, op],
+            vec![op],
+        ] {
+            let loaded = std::panic::catch_unwind(|| {
+                CanonEncoder::default().load_ref(TemplateRef {
+                    lhs: t.lhs,
+                    rhs: &bad,
+                })
+            });
+            assert!(loaded.is_err(), "{bad:?} loaded");
         }
     }
 

@@ -174,7 +174,7 @@ fn flatten_owned(op: BinOp, expr: Expr, out: &mut Vec<Expr>) {
 /// the fingerprint payload. Unlike `Display`, it keeps `Const` slot
 /// ids (`Const` erases them), so templates that constrain two slots to
 /// the same constant never collide with templates that keep them free.
-fn expr_key(expr: &Expr) -> String {
+pub(crate) fn expr_key(expr: &Expr) -> String {
     let mut s = String::new();
     write_key_impl(expr, &mut s, false);
     s
@@ -183,7 +183,7 @@ fn expr_key(expr: &Expr) -> String {
 /// Like [`expr_key`] but with tensor names, index names, and `Const`
 /// slot ids blanked out — two α-equivalent operands get equal erased
 /// keys, so they sort into the same chain position before renaming.
-fn erased_key(expr: &Expr) -> String {
+pub(crate) fn erased_key(expr: &Expr) -> String {
     let mut s = String::new();
     write_key_impl(expr, &mut s, true);
     s

@@ -53,8 +53,8 @@ mod printer;
 pub mod semantics;
 
 pub use ast::{
-    canonical_tensor_name, Access, BinOp, Expr, Ident, IndexVar, Operand, RhsTok, TacoProgram,
-    TemplateRef, CANONICAL_INDICES,
+    canonical_tensor_name, Access, AccessRef, BinOp, Expr, Ident, IndexVar, NameTable, Operand,
+    RhsTok, TacoProgram, TemplateRef, CANONICAL_INDICES,
 };
 pub use batch::{BatchKernel, Lane, LaneEnv};
 pub use canon::{canonical_fingerprint, canonicalize, CanonEncoder, Facts, KeySet};

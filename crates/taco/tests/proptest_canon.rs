@@ -18,12 +18,13 @@
 //! Third, a template's tokens ([`RhsTok`]) must encode it faithfully:
 //! they decode back to the same expression, and loading them with
 //! [`CanonEncoder::load_ref`] gives the facts and key of loading the
-//! program.
+//! program, also when their names were interned in a wider
+//! [`NameTable`], as a search interns every name of its grammar.
 
 use gtl_taco::canon::reference;
 use gtl_taco::{
-    canonical_fingerprint, canonicalize, evaluate, Access, BinOp, CanonEncoder, Expr, RhsTok,
-    TacoProgram, TemplateRef, TensorEnv,
+    canonical_fingerprint, canonicalize, evaluate, Access, BinOp, CanonEncoder, Expr, NameTable,
+    RhsTok, TacoProgram, TensorEnv,
 };
 use gtl_tensor::{Shape, TensorGen};
 use proptest::prelude::*;
@@ -142,14 +143,17 @@ proptest! {
 }
 
 /// Template leaves: accesses over `a` (the LHS symbol, reused on the
-/// RHS), `b` and `c` with repeated indices allowed; `Const` slots drawn
-/// from a small id pool, so slots are both shared and free; and
-/// constants whose printed order disagrees with their value order
-/// (`#-1` < `#-12` < `#100` < `#12` < `#3` as bytes).
+/// RHS), `b`, `bc`, `b1` and `c` with repeated indices allowed, whose
+/// names include prefixes of one another (`b` of `bc` and `b1`, `i` of
+/// `ii` and `i1`), so names order as their printed accesses do only if
+/// a shorter name orders first; `Const` slots drawn from a small id
+/// pool, so slots are both shared and free; and constants whose printed
+/// order disagrees with their value order (`#-1` < `#-12` < `#100` <
+/// `#12` < `#3` as bytes).
 fn arb_template_leaf() -> BoxedStrategy<Expr> {
     let access = (
-        prop::sample::select(vec!["a", "b", "c"]),
-        prop::collection::vec(prop::sample::select(vec!["i", "j", "k"]), 0..4),
+        prop::sample::select(vec!["a", "b", "bc", "b1", "c"]),
+        prop::collection::vec(prop::sample::select(vec!["i", "ii", "i1", "j", "k"]), 0..4),
     )
         .prop_map(|(name, indices)| Expr::access(name, &indices));
     prop_oneof![
@@ -290,7 +294,7 @@ proptest! {
 /// written out independently of the encoder's loader.
 fn decode(toks: &mut std::slice::Iter<'_, RhsTok<'_>>) -> Option<Expr> {
     Some(match *toks.next()? {
-        RhsTok::Access(a) => Expr::Access(a.clone()),
+        RhsTok::Access(a) => Expr::Access(a.access.clone()),
         RhsTok::Const(c) => Expr::Const(c),
         RhsTok::ConstSym(s) => Expr::ConstSym(s),
         RhsTok::Neg => Expr::Neg(Box::new(decode(toks)?)),
@@ -308,22 +312,43 @@ fn decode(toks: &mut std::slice::Iter<'_, RhsTok<'_>>) -> Option<Expr> {
 proptest! {
     /// Program → tokens is lossless, and the key and facts of the
     /// tokens are those of the program, for templates with every
-    /// operator, `Neg`, literal constants and shared `Const` slots.
+    /// operator, `Neg`, literal constants and shared `Const` slots —
+    /// whether the names are interned per template or in a table that
+    /// also holds names the template lacks.
     #[test]
     fn tokens_encode_the_program_and_its_key(
         template in arb_template(),
         program in arb_program(),
     ) {
         let (mut by_tokens, mut by_program) = (CanonEncoder::default(), CanonEncoder::default());
+        // Names around and between the generated ones.
+        let extra = [
+            Access::new("B", &["h", "i0", "iz"]),
+            Access::new("b0", &["jj", "z"]),
+            Access::new("bb", &["_"]),
+            Access::new("t", &["Z"]),
+        ];
         for t in [&template, &program] {
-            let mut rhs = Vec::new();
-            t.rhs.push_tokens(&mut rhs);
-            let mut toks = rhs.iter();
+            let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+            let own = t.template_ref(&mut ids, &mut rhs);
+            let mut toks = own.rhs.iter();
             prop_assert_eq!(decode(&mut toks).as_ref(), Some(&t.rhs), "decode {}", t);
             prop_assert!(toks.next().is_none(), "trailing tokens for {}", t);
-            let facts = by_tokens.load_ref(TemplateRef { lhs: &t.lhs, rhs: &rhs });
-            prop_assert_eq!(facts, by_program.load(t), "facts of {}", t);
-            prop_assert_eq!(by_tokens.key(), by_program.key(), "key of {}", t);
+            let facts = by_program.load(t);
+            let key = by_program.key().to_vec();
+            prop_assert_eq!(by_tokens.load_ref(own), facts, "facts of {}", t);
+            prop_assert_eq!(by_tokens.key(), key.as_slice(), "key of {}", t);
+
+            let accesses = t.rhs.accesses();
+            let wide = NameTable::new(
+                std::iter::once(&t.lhs).chain(accesses.iter().copied()).chain(&extra),
+            );
+            let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+            let tokens = t.template_ref_in(&wide, &mut ids, &mut rhs);
+            let mut toks = tokens.rhs.iter();
+            prop_assert_eq!(decode(&mut toks).as_ref(), Some(&t.rhs), "decode {} (wide)", t);
+            prop_assert_eq!(by_tokens.load_ref(tokens), facts, "facts of {} (wide)", t);
+            prop_assert_eq!(by_tokens.key(), key.as_slice(), "key of {} (wide)", t);
         }
     }
 }

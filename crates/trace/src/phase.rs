@@ -22,8 +22,12 @@ pub enum Phase {
     /// the time attributed to validation and verification subtracted,
     /// so the phases partition the round instead of double-counting.
     Search,
-    /// Checking candidate substitutions against the I/O examples
-    /// (including generating the examples themselves).
+    /// Checking each template the search hands over, verification
+    /// excepted: the feasibility test, the canonical key and seen-set,
+    /// the zero-substitution test, building the program and evaluating
+    /// its substitutions on the I/O examples (plus generating the
+    /// examples themselves). A lift whose templates are all pruned or
+    /// have no substitution still spends time here.
     Validate,
     /// Bounded verification of candidates that passed every example.
     Verify,

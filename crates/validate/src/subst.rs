@@ -338,7 +338,7 @@ mod tests {
     use crate::validator::{
         generate_examples, validate_template, ExampleConfig, IoExample, ValidationStats, Validator,
     };
-    use gtl_taco::{evaluate_interpreted, parse_program, BinOp, TemplateRef};
+    use gtl_taco::{evaluate_interpreted, parse_program, BinOp};
     use proptest::prelude::*;
 
     fn subs(src: &str, task: &LiftTask) -> Vec<Substitution> {
@@ -539,9 +539,8 @@ mod tests {
                     &validator.output,
                     &task.constants,
                 );
-                let mut rhs = Vec::new();
-                template.rhs.push_tokens(&mut rhs);
-                let tokens = TemplateRef { lhs: &template.lhs, rhs: &rhs };
+                let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+                let tokens = template.template_ref(&mut ids, &mut rhs);
                 prop_assert_eq!(
                     validator.has_substitutions(tokens),
                     space.is_some(),

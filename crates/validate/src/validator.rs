@@ -251,10 +251,11 @@ impl<'t> Validator<'t> {
             .enumerate()
             .filter(|&(k, a)| !accesses.clone().take(k).any(|b| b.tensor == a.tensor))
             .map(|(_, a)| {
+                let rank = a.indices.len();
                 let agree = accesses
                     .clone()
-                    .all(|b| b.tensor != a.tensor || b.rank() == a.rank());
-                (a.tensor.as_str(), agree.then_some(a.rank()))
+                    .all(|b| b.tensor != a.tensor || b.indices.len() == rank);
+                (a.access.tensor.as_str(), agree.then_some(rank))
             });
         let has_const = template
             .rhs
