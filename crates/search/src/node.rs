@@ -27,7 +27,8 @@
 //!   child is built unless it is pushed, and pushing one costs an arena
 //!   slot.
 //! - A popped complete top-down derivation reaches the checker as
-//!   borrowed tokens ([`Derivation::td_tokens`]); its [`TacoProgram`]
+//!   borrowed tokens ([`Derivation::td_tokens`]) whose tensor and index
+//!   names carry ids [`Rules`] interned once per search; its [`TacoProgram`]
 //!   is built only when the checker asks for it or the search returns
 //!   it ([`Derivation::td_program`]). A bottom-up candidate is built as
 //!   a program ([`Derivation::bu_program`]).
