@@ -676,11 +676,10 @@ impl Tree<'_> {
 
     /// Node `n`'s place in [`Tree::order`] by erased then full key,
     /// packed into one word, for an access of rank at most 7 over
-    /// tensor ids below 256 and index ids below 63, or a `Const` slot id
+    /// tensor ids below 256 and index ids below 64, or a `Const` slot id
     /// below 10 (whose decimal order is its numeric order). The kind
     /// rank leads, then the rank (erased key), then the tensor id and
-    /// each index id plus one (full key: a shorter list, padded with
-    /// zeros, orders first).
+    /// each index id (full key; equal ranks make equally long lists).
     fn word(&self, n: u32) -> Option<u64> {
         match self.nodes[n as usize] {
             Node::Access(a) => {
@@ -690,10 +689,10 @@ impl Tree<'_> {
                 }
                 let mut word = (3 << 62) | u64::from(a.rank) << 58 | u64::from(a.tensor) << 50;
                 for (k, &id) in self.index_ids(a).iter().enumerate() {
-                    if id >= 63 {
+                    if id >= 64 {
                         return None;
                     }
-                    word |= u64::from(id + 1) << (44 - 6 * k);
+                    word |= u64::from(id) << (44 - 6 * k);
                 }
                 Some(word)
             }
