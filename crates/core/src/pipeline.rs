@@ -21,7 +21,7 @@ use gtl_search::{
     SearchHooks, SearchOutcome, TemplateChecker,
 };
 use gtl_taco::{
-    parse_program, preprocess_candidate, CanonEncoder, KeySet, TacoProgram, TemplateRef,
+    parse_program, preprocess_candidate, CanonEncoder, KeySet, RhsTok, TacoProgram, TemplateRef,
 };
 use gtl_trace::{Phase, PhaseCollector, PhaseSpan, PhaseTimes};
 use gtl_template::{
@@ -345,13 +345,16 @@ impl Stagg {
             stats: ValidationStats::default(),
             check_time: Duration::ZERO,
             verify_time: Duration::ZERO,
+            program_ids: Vec::new(),
+            program_tokens: Vec::new(),
         };
 
         // ③ Search: one best-first loop, in the paper artifact's pop
         // order, honouring the caller's cancellation/progress hooks.
         // Search time is the loop's wall clock minus the time the
         // checker spent meanwhile, which it splits into validation and
-        // verification.
+        // verification: the search time the lift waited for, also once
+        // a long search overlaps its frontier with the checker.
         let outcome: SearchOutcome = match self.config.mode {
             SearchMode::TopDown => top_down_search_hooked(
                 &grammar,
@@ -432,6 +435,10 @@ struct RoundChecker<'r> {
     check_time: Duration,
     /// The part of `check_time` spent inside the bounded verifier.
     verify_time: Duration,
+    /// [`TemplateChecker::check`]'s buffers for a program's name ids and
+    /// tokens, kept across calls.
+    program_ids: Vec<u32>,
+    program_tokens: Vec<RhsTok<'static>>,
 }
 
 impl RoundChecker<'_> {
@@ -523,8 +530,12 @@ impl RoundChecker<'_> {
 
 impl TemplateChecker for RoundChecker<'_> {
     fn check(&mut self, template: &TacoProgram) -> CheckOutcome {
-        let (mut ids, mut rhs) = (Vec::new(), Vec::new());
-        self.check_timed(template.template_ref(&mut ids, &mut rhs), || template)
+        let mut ids = std::mem::take(&mut self.program_ids);
+        let mut rhs = recycle(std::mem::take(&mut self.program_tokens));
+        let outcome = self.check_timed(template.template_ref(&mut ids, &mut rhs), || template);
+        self.program_tokens = recycle(rhs);
+        self.program_ids = ids;
+        outcome
     }
 
     fn check_ref(
@@ -534,6 +545,16 @@ impl TemplateChecker for RoundChecker<'_> {
     ) -> CheckOutcome {
         self.check_timed(template, program)
     }
+}
+
+/// `tokens` emptied, as a buffer for tokens of any lifetime. Collecting
+/// the empty vector in place keeps its allocation.
+fn recycle<'b>(mut tokens: Vec<RhsTok<'_>>) -> Vec<RhsTok<'b>> {
+    tokens.clear();
+    tokens
+        .into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 /// Whole microseconds in `d`, saturating.
@@ -962,6 +983,38 @@ mod tests {
         assert!(times.get(Phase::Search) > 0, "search must be attributed");
         assert!(times.get(Phase::Validate) > 0, "validation must be attributed");
         assert_eq!(times.get(Phase::StoreAppend), 0, "no store below the serving tier");
+        assert!(
+            times.total_us() <= wall_us,
+            "phases over-count: {} us attributed, {wall_us} us measured",
+            times.total_us()
+        );
+        assert!(
+            times.total_us() * 10 >= wall_us * 9,
+            "phases account for <90% of the lift: {} of {wall_us} us",
+            times.total_us()
+        );
+    }
+
+    #[test]
+    fn phase_times_partition_a_lift_past_the_pipeline_switch() {
+        // A candidate of three vectors cannot reach Fig. 2's
+        // matrix-vector solution, so the lift checks 3,000 templates:
+        // past the point where a search with a second core overlaps its
+        // frontier with the checker. The phases still partition the
+        // wall clock.
+        let query = figure2_query();
+        let provider: Arc<dyn OracleProvider> =
+            Arc::new(ScriptedOracle::new().script("figure2", &["r(i) = m(i) + v(i) + w(i)"]));
+        let mut config = StaggConfig::top_down();
+        config.budget.max_attempts = 3_000;
+        let report = Stagg::new(provider, config).lift(&query);
+        assert!(!report.solved());
+        assert_eq!(report.attempts, 3_000, "the lift exhausts its budget");
+        assert!(report.substitutions_tried > 0, "templates are validated");
+        let wall_us = report.elapsed.as_micros() as u64;
+        let times = &report.phase_times;
+        assert!(times.get(Phase::Search) > 0, "search must be attributed");
+        assert!(times.get(Phase::Validate) > 0, "validation must be attributed");
         assert!(
             times.total_us() <= wall_us,
             "phases over-count: {} us attributed, {wall_us} us measured",

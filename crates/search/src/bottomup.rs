@@ -1,6 +1,5 @@
 //! Algorithm 2: bottom-up A\* over the tail grammar (§5.2).
 
-use gtl_taco::RhsTok;
 use gtl_template::{GrammarShape, TemplateGrammar};
 
 use crate::driver::{SearchBudget, SearchHooks, SearchOutcome, TemplateChecker};
@@ -129,11 +128,7 @@ impl Expand for BuExpand<'_> {
     // validated, which is why the bottom-up variant leans entirely on
     // dimension prediction. Without a prediction (full grammar) every
     // strippable prefix is validated instead.
-    fn candidate<'r>(
-        &'r self,
-        d: &Derivation,
-        _toks: &mut Vec<RhsTok<'r>>,
-    ) -> Option<Candidate<'r>> {
+    fn candidate<'d>(&self, d: &'d Derivation) -> Option<Candidate<'d>> {
         let ready = match self.predicted_rhs {
             Some(n) => d.facts().rhs_operand_slots as usize >= n,
             None => true,

@@ -26,12 +26,13 @@
 //!   ([`Derivation::child`], [`Derivation::child_remaining_cost`]): no
 //!   child is built unless it is pushed, and pushing one costs an arena
 //!   slot.
-//! - A popped complete top-down derivation reaches the checker as
-//!   borrowed tokens ([`Derivation::td_tokens`]) whose tensor and index
-//!   names carry ids [`Rules`] interned once per search; its [`TacoProgram`]
-//!   is built only when the checker asks for it or the search returns
-//!   it ([`Derivation::td_program`]). A bottom-up candidate is built as
-//!   a program ([`Derivation::bu_program`]).
+//! - A popped complete top-down derivation is its rules
+//!   ([`Derivation::rules`]), which may be copied to another thread.
+//!   It reaches the checker as borrowed tokens ([`Rules::td_tokens`])
+//!   whose tensor and index names carry ids [`Rules`] interned once per
+//!   search; its [`TacoProgram`] is built only when the checker asks for
+//!   it or the search returns it ([`Rules::td_program`]). A bottom-up
+//!   candidate is built as a program ([`Derivation::bu_program`]).
 //!
 //! Every quantity is computed as the tree-shaped state this replaced
 //! computed it — the same holes summed in the same left-to-right order,
@@ -281,6 +282,59 @@ impl Rules {
             Leaf::Nothing if info.rhs.len() == 1 => self.td_expr(rules, consts),
             other => panic!("rule {rule:?} ({other:?}) cannot derive a top-down expression"),
         }
+    }
+}
+
+impl Rules {
+    /// The template of a complete top-down derivation, given as its
+    /// rules, as tokens: fills `out` with its right-hand side and returns
+    /// its LHS. The tokens follow the derivation, as
+    /// [`Rules::td_program`]'s AST does, and carry the names the search
+    /// interned here.
+    pub(crate) fn td_tokens<'r>(
+        &'r self,
+        derivation: &[RuleId],
+        out: &mut Vec<RhsTok<'r>>,
+    ) -> AccessRef<'r> {
+        out.clear();
+        let mut consts = 0;
+        // `PROGRAM → TENSOR1 "=" EXPR`, then `TENSOR1 → <lhs access>`,
+        // then the derivation of EXPR.
+        for &rule in &derivation[2..] {
+            let info = self.info(rule);
+            out.push(match &info.leaf {
+                Leaf::Access { access, ids_at, .. } => {
+                    RhsTok::Access(self.interned(access, *ids_at))
+                }
+                Leaf::Const => {
+                    consts += 1;
+                    RhsTok::ConstSym(consts - 1)
+                }
+                Leaf::Op(op) => RhsTok::Op(*op),
+                Leaf::Nothing if info.binary => RhsTok::Binary,
+                // A unit rule such as `EXPR → TENSOR`.
+                Leaf::Nothing if info.rhs.len() == 1 => continue,
+                other => panic!("rule {rule:?} ({other:?}) cannot derive a top-down expression"),
+            });
+        }
+        self.access_ref(derivation[1])
+    }
+
+    /// The template of a complete top-down derivation, given as its
+    /// rules. The AST follows the derivation, so `(b + c) * d` and
+    /// `b + c * d` stay distinct.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the derivation leaves a hole open.
+    pub(crate) fn td_program(&self, derivation: &[RuleId]) -> TacoProgram {
+        // `PROGRAM → TENSOR1 "=" EXPR`, then `TENSOR1 → <lhs access>`,
+        // then the derivation of EXPR.
+        let mut it = derivation.iter();
+        it.next();
+        let lhs = self.access(*it.next().expect("the LHS is derived")).clone();
+        let rhs = self.td_expr(&mut it, &mut 0);
+        TacoProgram::new(lhs, rhs)
     }
 }
 
@@ -638,67 +692,11 @@ impl Derivation {
         }
     }
 
-    /// The template of a complete top-down derivation as tokens: fills
-    /// `out` with its right-hand side and returns its LHS. The tokens
-    /// follow the derivation, as [`Derivation::td_program`]'s AST does,
-    /// and carry the names the search interned in [`Rules`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the derivation is incomplete.
-    pub(crate) fn td_tokens<'r>(
-        &self,
-        rules: &'r Rules,
-        out: &mut Vec<RhsTok<'r>>,
-    ) -> AccessRef<'r> {
-        assert!(
-            self.holes.is_empty(),
-            "only a complete derivation is a template"
-        );
-        out.clear();
-        let mut consts = 0;
-        // `PROGRAM → TENSOR1 "=" EXPR`, then `TENSOR1 → <lhs access>`,
-        // then the derivation of EXPR.
-        for &rule in &self.rules[2..] {
-            let info = rules.info(rule);
-            out.push(match &info.leaf {
-                Leaf::Access { access, ids_at, .. } => {
-                    RhsTok::Access(rules.interned(access, *ids_at))
-                }
-                Leaf::Const => {
-                    consts += 1;
-                    RhsTok::ConstSym(consts - 1)
-                }
-                Leaf::Op(op) => RhsTok::Op(*op),
-                Leaf::Nothing if info.binary => RhsTok::Binary,
-                // A unit rule such as `EXPR → TENSOR`.
-                Leaf::Nothing if info.rhs.len() == 1 => continue,
-                other => panic!("rule {rule:?} ({other:?}) cannot derive a top-down expression"),
-            });
-        }
-        rules.access_ref(self.rules[1])
-    }
-
-    /// The template of a complete top-down derivation. The AST follows
-    /// the derivation, so `(b + c) * d` and `b + c * d` stay distinct.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the derivation is incomplete.
-    pub(crate) fn td_program(&self, rules: &Rules) -> TacoProgram {
-        assert!(
-            self.holes.is_empty(),
-            "only a complete derivation is a program"
-        );
-        // `PROGRAM → TENSOR1 "=" EXPR`, then `TENSOR1 → <lhs access>`,
-        // then the derivation of EXPR.
-        let mut it = self.rules.iter();
-        it.next();
-        let lhs = rules
-            .access(*it.next().expect("the LHS is derived"))
-            .clone();
-        let rhs = rules.td_expr(&mut it, &mut 0);
-        TacoProgram::new(lhs, rhs)
+    /// The rules applied so far, in leftmost-derivation order: a
+    /// complete top-down derivation's template, which
+    /// [`Rules::td_tokens`] and [`Rules::td_program`] read.
+    pub(crate) fn rules(&self) -> &[RuleId] {
+        &self.rules
     }
 
     /// The template of a bottom-up derivation whose open holes are all
@@ -767,7 +765,7 @@ pub(crate) fn spelled(lhs: AccessRef<'_>, rhs: &[RhsTok<'_>]) -> TacoProgram {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gtl_taco::{parse_program, CanonEncoder, TemplateRef};
     use gtl_template::{
@@ -864,7 +862,7 @@ mod tests {
 
     /// The exhaustive arenas: a top-down grammar with `CONSTANT` and all
     /// four operators, and a bottom-up one.
-    fn exhaustive_grammars() -> [TemplateGrammar; 2] {
+    pub(crate) fn exhaustive_grammars() -> [TemplateGrammar; 2] {
         let mut td = generate_td_grammar(&TdSpec {
             include_const: true,
             ..spec(vec![1, 1, 1], 1)
@@ -915,8 +913,8 @@ mod tests {
             complete += 1;
             ops |= d.facts.ops;
             consts += usize::from(d.facts.has_const);
-            let lhs = d.td_tokens(&table, &mut toks);
-            let program = d.td_program(&table);
+            let lhs = table.td_tokens(d.rules(), &mut toks);
+            let program = table.td_program(d.rules());
             let facts = by_tokens.load_ref(TemplateRef { lhs, rhs: &toks });
             assert_eq!(facts, by_program.load(&program), "facts of {program}");
             assert_eq!(by_tokens.key(), by_program.key(), "key of {program}");
@@ -954,8 +952,8 @@ mod tests {
                 if !d.holes.is_empty() {
                     continue;
                 }
-                let lhs = d.td_tokens(&table, &mut toks);
-                let program = d.td_program(&table);
+                let lhs = table.td_tokens(d.rules(), &mut toks);
+                let program = table.td_program(d.rules());
                 let facts = enc.load_ref(TemplateRef { lhs, rhs: &toks });
                 let first = classes_tok.len();
                 classes_tok.push(*by_tokens.entry(enc.key().to_vec()).or_insert(first));
@@ -986,7 +984,7 @@ mod tests {
         let (table, d) = replay(&g, &rules, rules.len());
         assert!(d.facts().complete);
         assert_eq!(d.depth(), 3);
-        assert_eq!(d.td_program(&table).to_string(), src);
+        assert_eq!(table.td_program(d.rules()).to_string(), src);
         let f = d.facts();
         assert_eq!(f.rhs_operand_slots, 3, "the LHS is not an operand slot");
         assert_eq!(f.ops, op_bit(BinOp::Add) | op_bit(BinOp::Mul));

@@ -833,9 +833,10 @@ mod differential {
             assert!(want.is_some(), "a complete derivation converts, {at}");
         }
         let mut toks = Vec::new();
-        let got = match flat.candidate(d, &mut toks) {
-            Some(Candidate::Tokens(lhs)) => {
-                let program = d.td_program(flat.rules());
+        let got = match flat.candidate(d) {
+            Some(Candidate::Rules(rules)) => {
+                let lhs = flat.rules().td_tokens(rules, &mut toks);
+                let program = flat.rules().td_program(d.rules());
                 assert_eq!(spelled(lhs, &toks), program, "tokens, {at}");
                 Some(program)
             }

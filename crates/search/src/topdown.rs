@@ -1,6 +1,5 @@
 //! Algorithm 1: top-down weighted A\* with penalties (§5.1).
 
-use gtl_taco::RhsTok;
 use gtl_template::{GrammarShape, TemplateGrammar};
 
 use crate::driver::{SearchBudget, SearchHooks, SearchOutcome, TemplateChecker};
@@ -53,14 +52,8 @@ impl Expand for TdExpand<'_> {
     }
 
     // Lines 7–11: complete derivations become checker candidates.
-    fn candidate<'r>(
-        &'r self,
-        d: &Derivation,
-        toks: &mut Vec<RhsTok<'r>>,
-    ) -> Option<Candidate<'r>> {
-        d.facts()
-            .complete
-            .then(|| Candidate::Tokens(d.td_tokens(&self.rules, toks)))
+    fn candidate<'d>(&self, d: &'d Derivation) -> Option<Candidate<'d>> {
+        d.facts().complete.then(|| Candidate::Rules(d.rules()))
     }
 
     // Line 12: expand the leftmost nonterminal with every rule.
@@ -273,9 +266,10 @@ pub(crate) mod tests {
     }
 
     /// Overrides `check_ref`: asks for every third template's program,
-    /// and verifies the target from its tokens alone.
+    /// and verifies the `verify_at`-th template from its tokens alone.
     struct Asking {
-        want: TacoProgram,
+        verify_at: Option<u64>,
+        winner: Option<TacoProgram>,
         seen: u64,
         asked: u64,
     }
@@ -291,8 +285,10 @@ pub(crate) mod tests {
             program: &dyn Fn() -> TacoProgram,
         ) -> CheckOutcome {
             self.seen += 1;
-            if spelled(template.lhs, template.rhs) == self.want {
-                return CheckOutcome::Verified(self.want.clone());
+            if self.verify_at == Some(self.seen) {
+                let winner = spelled(template.lhs, template.rhs);
+                self.winner = Some(winner.clone());
+                return CheckOutcome::Verified(winner);
             }
             if self.seen.is_multiple_of(3) {
                 self.asked += 1;
@@ -302,31 +298,44 @@ pub(crate) mod tests {
         }
     }
 
+    /// On one core and past the switch to two, the search builds the
+    /// programs the checker asks for and the winner's, and no others.
     #[test]
     fn programs_are_built_only_when_asked_and_for_the_winner() {
         use crate::frontier::tests::MATERIALISED;
+        use crate::frontier::{run_on, PIPELINE_AFTER};
 
         let g = grammar_with(&["r(i) = m(j,i) * v(i)"], vec![1, 2, 1], 2);
         let ctx = ctx_for(&g);
-        for (target, solves) in [("a(i) = b(i,j) * c(j)", true), ("a(i) = b(i)", false)] {
-            let mut checker = Asking {
-                want: parse_program(target).unwrap(),
-                seen: 0,
-                asked: 0,
-            };
-            let before = MATERIALISED.with(|n| n.get());
-            let budget = SearchBudget {
-                max_attempts: 200,
-                ..SearchBudget::default()
-            };
-            let out = top_down_search(&g, &ctx, budget, &mut checker);
-            let built = MATERIALISED.with(|n| n.get()) - before;
-            assert_eq!(out.solved(), solves, "{target}");
-            assert_eq!(out.attempts, checker.seen, "{target}");
-            assert!(checker.asked > 0, "{target}: {} attempts", out.attempts);
-            assert_eq!(built, checker.asked + u64::from(solves), "{target}");
-            if solves {
-                assert_eq!(out.template, Some(checker.want));
+        let budget = SearchBudget {
+            max_attempts: PIPELINE_AFTER + 400,
+            ..SearchBudget::default()
+        };
+        let exp = TdExpand::new(&g, &ctx, budget.max_depth);
+        for cores in [1, 2] {
+            for verify_at in [Some(7), Some(PIPELINE_AFTER + 150), None] {
+                let at = format!("{cores} cores, verifying at {verify_at:?}");
+                let mut checker = Asking {
+                    verify_at,
+                    winner: None,
+                    seen: 0,
+                    asked: 0,
+                };
+                let before = MATERIALISED.with(|n| n.get());
+                let hooks = SearchHooks::default();
+                let out = run_on(&exp, budget, &mut checker, &hooks, cores);
+                let built = MATERIALISED.with(|n| n.get()) - before;
+                let solves = verify_at.is_some();
+                assert_eq!(out.solved(), solves, "{at}");
+                assert_eq!(out.attempts, checker.seen, "{at}");
+                assert_eq!(
+                    out.attempts,
+                    verify_at.unwrap_or(budget.max_attempts),
+                    "{at}"
+                );
+                assert!(checker.asked > 0, "{at}: {} attempts", out.attempts);
+                assert_eq!(built, checker.asked + u64::from(solves), "{at}");
+                assert_eq!(out.template, checker.winner, "{at}");
             }
         }
     }

@@ -6,15 +6,20 @@
 //! tensor accesses index identifiers with comma-separated index variables.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A tensor identifier (e.g. `Mat1`, or a symbolic template name `b`).
+///
+/// The text is shared, so a clone allocates nothing: checking a template
+/// clones every name it builds a program or a kernel from. It compares,
+/// hashes and prints as its text does.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Ident(String);
+pub struct Ident(Arc<str>);
 
 impl Ident {
     /// Creates an identifier from a name.
     pub fn new(name: impl Into<String>) -> Ident {
-        Ident(name.into())
+        Ident(name.into().into())
     }
 
     /// The identifier text.
@@ -31,19 +36,19 @@ impl fmt::Display for Ident {
 
 impl From<&str> for Ident {
     fn from(s: &str) -> Ident {
-        Ident::new(s)
+        Ident(s.into())
     }
 }
 
 /// An index variable (e.g. `i`, `j`; LLM candidates may use arbitrary
-/// names like `f` before standardisation).
+/// names like `f` before standardisation). Shared like [`Ident`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IndexVar(String);
+pub struct IndexVar(Arc<str>);
 
 impl IndexVar {
     /// Creates an index variable from a name.
     pub fn new(name: impl Into<String>) -> IndexVar {
-        IndexVar(name.into())
+        IndexVar(name.into().into())
     }
 
     /// The index variable text.
@@ -60,7 +65,7 @@ impl fmt::Display for IndexVar {
 
 impl From<&str> for IndexVar {
     fn from(s: &str) -> IndexVar {
-        IndexVar::new(s)
+        IndexVar(s.into())
     }
 }
 

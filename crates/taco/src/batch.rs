@@ -311,14 +311,20 @@ impl BatchKernel {
     /// matches too), with the lane's concrete names in every error.
     ///
     /// Returns the extent of every loop and the tensor bound to every
-    /// slot.
+    /// slot. `extents` and `bound` are scratch, kept by the caller across
+    /// lanes: most lanes a validation sweeps fail here, and then this
+    /// allocates nothing but the error's names.
     fn analyze_lane<'e>(
         &self,
         lane: &Lane<'_>,
         env: &LaneEnv<'e>,
+        extents: &mut Vec<Option<usize>>,
+        bound: &mut Vec<Option<&'e Tensor>>,
     ) -> Result<(Vec<usize>, Vec<&'e Tensor>), SemanticError> {
-        let mut extents: Vec<Option<usize>> = vec![None; self.loop_names.len()];
-        let mut bound: Vec<Option<&Tensor>> = vec![None; self.slot_names.len()];
+        extents.clear();
+        extents.resize(self.loop_names.len(), None);
+        bound.clear();
+        bound.resize(self.slot_names.len(), None);
         for acc in &self.accesses {
             let id = lane.tensors[acc.slot as usize];
             let t = match bound[acc.slot as usize] {
@@ -365,7 +371,7 @@ impl BatchKernel {
                 .map(|e| e.expect("a summation index occurs on the RHS")),
         );
         let bound = bound
-            .into_iter()
+            .iter()
             .map(|t| t.expect("every slot is accessed"))
             .collect();
         Ok((loop_extents, bound))
@@ -413,6 +419,7 @@ impl BatchKernel {
             (0..lanes.len()).map(|_| None).collect();
         let mut bound: Vec<Vec<&Tensor>> = vec![Vec::new(); lanes.len()];
         let mut groups: Vec<Group> = Vec::new();
+        let (mut extents, mut slots) = (Vec::new(), Vec::new());
         for (i, lane) in lanes.iter().enumerate() {
             assert_eq!(
                 lane.tensors.len(),
@@ -424,7 +431,7 @@ impl BatchKernel {
                 self.const_syms.len(),
                 "lane binds one value per constant slot"
             );
-            match self.analyze_lane(lane, env) {
+            match self.analyze_lane(lane, env, &mut extents, &mut slots) {
                 Err(e) => results[i] = Some(Err(EvalError::Semantic(e))),
                 Ok((loop_extents, tensors)) => {
                     bound[i] = tensors;
@@ -445,8 +452,17 @@ impl BatchKernel {
                 }
             }
         }
+        let mut scratch = GroupScratch::default();
         for g in &groups {
-            self.run_group(lanes, env, &g.ids, &g.loop_extents, &bound, &mut results);
+            self.run_group(
+                lanes,
+                env,
+                &g.ids,
+                &g.loop_extents,
+                &bound,
+                &mut results,
+                &mut scratch,
+            );
         }
         results
             .into_iter()
@@ -459,32 +475,51 @@ impl BatchKernel {
     ///
     /// `loop_extents` holds the output loops' extents, then the summation
     /// loops'; `bound[id]` is the tensor lane `id` binds to every slot.
-    fn run_group(
+    #[allow(clippy::too_many_arguments)]
+    fn run_group<'s>(
         &self,
         lanes: &[Lane<'_>],
-        env: &LaneEnv<'_>,
+        env: &'s LaneEnv<'_>,
         ids: &[usize],
         loop_extents: &[usize],
-        bound: &[Vec<&Tensor>],
+        bound: &[Vec<&'s Tensor>],
         results: &mut [Option<Result<Tensor, EvalError>>],
+        scratch: &mut GroupScratch<'s>,
     ) {
         let n_out = self.lhs_loops.len();
         let out_extents = &loop_extents[..n_out];
         let n_loops = loop_extents.len();
+        let n_acc = self.accesses.len();
+        let GroupScratch {
+            strides,
+            out_updates,
+            sum_updates,
+            acc_rats,
+            modes,
+            acc_ints,
+            int_plan,
+            prod_inner,
+            state,
+            regs_i,
+            regs_r,
+            lane_err,
+            cell_vals,
+            int_alive,
+            int_accs,
+            rat_run,
+            rat_accs,
+        } = scratch;
 
         // Shared stride walks: every lane in the group binds the same
         // shape per slot, so one stride table serves them all.
         let first = &bound[ids[0]];
-        let strides: Vec<Vec<(u32, usize)>> = self
-            .accesses
-            .iter()
-            .map(|acc| {
-                let extents = first[acc.slot as usize].shape().extents();
-                access_strides(&acc.loops, extents, |&l| l)
-            })
-            .collect();
-        let mut out_updates = vec![Vec::new(); n_out];
-        let mut sum_updates = vec![Vec::new(); n_loops - n_out];
+        reset(strides, n_acc);
+        for (acc, plan) in self.accesses.iter().zip(strides.iter_mut()) {
+            let extents = first[acc.slot as usize].shape().extents();
+            access_strides_into(&acc.loops, extents, |&l| l, plan);
+        }
+        reset(out_updates, n_out);
+        reset(sum_updates, n_loops - n_out);
         for (a, plan) in strides.iter().enumerate() {
             for &(slot, stride) in plan {
                 let slot = slot as usize;
@@ -498,16 +533,14 @@ impl BatchKernel {
         let sum_iters: usize = loop_extents[n_out..].iter().product();
         let nl = ids.len();
 
-        // Per-lane rational data, one slice per access.
-        let acc_rats: Vec<Vec<&[Rat]>> = ids
-            .iter()
-            .map(|&id| {
-                self.accesses
-                    .iter()
-                    .map(|acc| bound[id][acc.slot as usize].data())
-                    .collect()
-            })
-            .collect();
+        // Per-lane rational data, one slice per access: lane `pos`'s
+        // access `a` is `acc_rats[pos * n_acc + a]`.
+        acc_rats.clear();
+        acc_rats.extend(ids.iter().flat_map(|&id| {
+            self.accesses
+                .iter()
+                .map(move |acc| bound[id][acc.slot as usize].data())
+        }));
 
         // The i64 fast path needs a division-free template, a real
         // summation (with none, every element is read once and the
@@ -516,41 +549,38 @@ impl BatchKernel {
         // Conversion is memoised per environment entry, so a tensor
         // shared by many lanes and evaluations converts once.
         let int_eligible = !self.isa.has_div && sum_iters > 1;
-        let modes: Vec<Mode> = ids
-            .iter()
-            .map(|&id| {
-                if !int_eligible {
-                    return Mode::Exact;
+        modes.clear();
+        modes.extend(ids.iter().map(|&id| {
+            if !int_eligible {
+                return Mode::Exact;
+            }
+            let lane = &lanes[id];
+            if lane.tensors.iter().any(|&t| env.ints(t).is_none()) {
+                return Mode::Exact;
+            }
+            if self.product_loads.is_some() {
+                match self.fold_coeff(lane) {
+                    Some(coeff) => Mode::Int { coeff },
+                    None => Mode::Exact,
                 }
-                let lane = &lanes[id];
-                if lane.tensors.iter().any(|&t| env.ints(t).is_none()) {
-                    return Mode::Exact;
-                }
-                if self.product_loads.is_some() {
-                    match self.fold_coeff(lane) {
-                        Some(coeff) => Mode::Int { coeff },
-                        None => Mode::Exact,
-                    }
-                } else {
-                    Mode::Int { coeff: 1 }
-                }
-            })
-            .collect();
-        let acc_ints: Vec<Option<Vec<&[i64]>>> = ids
-            .iter()
-            .zip(&modes)
-            .map(|(&id, mode)| {
-                matches!(mode, Mode::Int { .. }).then(|| {
-                    self.accesses
-                        .iter()
-                        .map(|acc| {
-                            env.ints(lanes[id].tensors[acc.slot as usize])
-                                .expect("int mode implies integer conversion")
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
+            } else {
+                Mode::Int { coeff: 1 }
+            }
+        }));
+        // Per-lane integer data, laid out like `acc_rats`; empty slices
+        // for an exact-mode lane.
+        const EMPTY: &[i64] = &[];
+        acc_ints.clear();
+        for (&id, mode) in ids.iter().zip(modes.iter()) {
+            for acc in &self.accesses {
+                acc_ints.push(match mode {
+                    Mode::Int { .. } => env
+                        .ints(lanes[id].tensors[acc.slot as usize])
+                        .expect("int mode implies integer conversion"),
+                    Mode::Exact => EMPTY,
+                });
+            }
+        }
 
         // Product fast-path plan: for every int-mode lane, the folded
         // coefficient and its per-load data slices, resolved once per
@@ -558,64 +588,48 @@ impl BatchKernel {
         // re-deriving these per iteration (mode match, Option unwrap,
         // slot indexing) costs more than the 8-element inner products
         // it wraps.
-        const EMPTY: &[i64] = &[];
-        let int_plan: Vec<(usize, i64, [&[i64]; 3])> = self
-            .product_loads
-            .as_ref()
-            .map(|loads| {
-                modes
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(pos, mode)| {
-                        let Mode::Int { coeff } = *mode else {
-                            return None;
-                        };
-                        let data = acc_ints[pos].as_ref().expect("int lane has data");
-                        let mut d = [EMPTY; 3];
-                        for (i, &a) in loads.iter().enumerate() {
-                            d[i] = data[a as usize];
-                        }
-                        Some((pos, coeff, d))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-
-        // Product specialisation: per-load stride along the innermost
-        // summation dimension, shared by the whole group.
-        let prod_inner: Option<Vec<usize>> = self.product_loads.as_ref().map(|loads| {
+        int_plan.clear();
+        prod_inner.clear();
+        if let Some(loads) = &self.product_loads {
+            for (pos, mode) in modes.iter().enumerate() {
+                let Mode::Int { coeff } = *mode else {
+                    continue;
+                };
+                let mut d = [EMPTY; 3];
+                for (i, &a) in loads.iter().enumerate() {
+                    d[i] = acc_ints[pos * n_acc + a as usize];
+                }
+                int_plan.push((pos, coeff, d));
+            }
+            // Product specialisation: per-load stride along the innermost
+            // summation dimension, shared by the whole group.
             let inner_slot = (n_loops > n_out).then(|| (n_loops - 1) as u32);
-            loads
-                .iter()
-                .map(|&a| {
-                    inner_slot
-                        .and_then(|s| {
-                            strides[a as usize]
-                                .iter()
-                                .find(|(slot, _)| *slot == s)
-                                .map(|&(_, stride)| stride)
-                        })
-                        .unwrap_or(0)
-                })
-                .collect()
-        });
+            prod_inner.extend(loads.iter().map(|&a| {
+                inner_slot
+                    .and_then(|s| {
+                        strides[a as usize]
+                            .iter()
+                            .find(|(slot, _)| *slot == s)
+                            .map(|&(_, stride)| stride)
+                    })
+                    .unwrap_or(0)
+            }));
+        }
 
         let out_len: usize = out_extents.iter().product();
-        let mut state = LoopState {
-            counters: vec![0usize; n_loops],
-            base_off: vec![0usize; self.accesses.len()],
-            sum_off: vec![0usize; self.accesses.len()],
-        };
+        refill(&mut state.counters, n_loops, 0);
+        refill(&mut state.base_off, n_acc, 0);
+        refill(&mut state.sum_off, n_acc, 0);
         let n_regs = self.isa.n_regs;
-        let mut regs_i = vec![0i64; n_regs * nl];
-        let mut regs_r = vec![Rat::ZERO; n_regs * nl];
+        refill(regs_i, n_regs * nl, 0);
+        refill(regs_r, n_regs * nl, Rat::ZERO);
         let mut outs: Vec<Vec<Rat>> = ids.iter().map(|_| Vec::with_capacity(out_len)).collect();
-        let mut lane_err: Vec<Option<EvalError>> = vec![None; nl];
-        let mut cell_vals: Vec<Rat> = vec![Rat::ZERO; nl];
-        let mut int_alive: Vec<bool> = vec![false; nl];
-        let mut int_accs: Vec<i64> = vec![0i64; nl];
-        let mut rat_run: Vec<bool> = vec![false; nl];
-        let mut rat_accs: Vec<Rat> = vec![Rat::ZERO; nl];
+        refill(lane_err, nl, None);
+        refill(cell_vals, nl, Rat::ZERO);
+        refill(int_alive, nl, false);
+        refill(int_accs, nl, 0);
+        refill(rat_run, nl, false);
+        refill(rat_accs, nl, Rat::ZERO);
 
         for _ in 0..out_len {
             // Which lanes attempt the fast path this cell; a mid-cell
@@ -627,8 +641,9 @@ impl BatchKernel {
                 rat_run[pos] = matches!(mode, Mode::Exact) && lane_err[pos].is_none();
             }
             if any_int {
-                match (&self.product_loads, &prod_inner) {
-                    (Some(loads), Some(inner_strides)) => {
+                match &self.product_loads {
+                    Some(loads) => {
+                        let inner_strides = &prod_inner[..];
                         // Tight multiply-accumulate sweep: the inner
                         // summation dimension runs over local offsets, the
                         // outer dims advance the shared odometer. State
@@ -655,7 +670,7 @@ impl BatchKernel {
                                     let a = a as usize;
                                     offs[i] = state.base_off[a] + state.sum_off[a];
                                 }
-                                for &(pos, coeff, d) in &int_plan {
+                                for &(pos, coeff, d) in int_plan.iter() {
                                     if !int_alive[pos] {
                                         continue;
                                     }
@@ -715,7 +730,7 @@ impl BatchKernel {
                             }
                         }
                     }
-                    _ => {
+                    None => {
                         // Generic SoA sweep over the register machine
                         // (sum_iters > 1 is guaranteed by the gate).
                         for acc in int_accs.iter_mut() {
@@ -730,9 +745,7 @@ impl BatchKernel {
                                         let off = state.base_off[a] + state.sum_off[a];
                                         for pos in 0..nl {
                                             if int_alive[pos] {
-                                                regs_i[d + pos] = acc_ints[pos]
-                                                    .as_ref()
-                                                    .expect("int lane has data")[a][off];
+                                                regs_i[d + pos] = acc_ints[pos * n_acc + a][off];
                                             }
                                         }
                                     }
@@ -807,7 +820,7 @@ impl BatchKernel {
                             advance(
                                 &mut state.counters[n_out..],
                                 &loop_extents[n_out..],
-                                &sum_updates,
+                                sum_updates,
                                 &mut state.sum_off,
                             );
                         }
@@ -843,7 +856,7 @@ impl BatchKernel {
                                     let off = state.base_off[a] + state.sum_off[a];
                                     for pos in 0..nl {
                                         if rat_run[pos] {
-                                            regs_r[d + pos] = acc_rats[pos][a][off];
+                                            regs_r[d + pos] = acc_rats[pos * n_acc + a][off];
                                         }
                                     }
                                 }
@@ -912,7 +925,7 @@ impl BatchKernel {
                         advance(
                             &mut state.counters[n_out..],
                             &loop_extents[n_out..],
-                            &sum_updates,
+                            sum_updates,
                             &mut state.sum_off,
                         );
                     }
@@ -931,7 +944,7 @@ impl BatchKernel {
             advance(
                 &mut state.counters[..n_out],
                 &loop_extents[..n_out],
-                &out_updates,
+                out_updates,
                 &mut state.base_off,
             );
         }
@@ -953,10 +966,50 @@ impl BatchKernel {
 /// maintained incrementally (output contribution and summation
 /// contribution kept separate, so a full summation sweep wraps the latter
 /// back to zero).
+#[derive(Default)]
 struct LoopState {
     counters: Vec<usize>,
     base_off: Vec<usize>,
     sum_off: Vec<usize>,
+}
+
+/// Buffers [`BatchKernel::run_group`] reuses across the shape groups of
+/// one [`BatchKernel::evaluate_lanes`] call, so that a call with many
+/// small groups allocates per lane little but the lane's output.
+#[derive(Default)]
+struct GroupScratch<'s> {
+    strides: Vec<Vec<(u32, usize)>>,
+    out_updates: Vec<Vec<(u32, usize)>>,
+    sum_updates: Vec<Vec<(u32, usize)>>,
+    /// Per lane, then per access: the access's rational data.
+    acc_rats: Vec<&'s [Rat]>,
+    modes: Vec<Mode>,
+    /// Laid out like `acc_rats`: the access's `i64` data, empty for an
+    /// exact-mode lane.
+    acc_ints: Vec<&'s [i64]>,
+    int_plan: Vec<(usize, i64, [&'s [i64]; 3])>,
+    prod_inner: Vec<usize>,
+    state: LoopState,
+    regs_i: Vec<i64>,
+    regs_r: Vec<Rat>,
+    lane_err: Vec<Option<EvalError>>,
+    cell_vals: Vec<Rat>,
+    int_alive: Vec<bool>,
+    int_accs: Vec<i64>,
+    rat_run: Vec<bool>,
+    rat_accs: Vec<Rat>,
+}
+
+/// `vecs` as `n` empty vectors, keeping their buffers.
+fn reset<T>(vecs: &mut Vec<Vec<T>>, n: usize) {
+    vecs.resize_with(n, Vec::new);
+    vecs.iter_mut().for_each(Vec::clear);
+}
+
+/// `v` as `n` copies of `value`, keeping its buffer.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.resize(n, value);
 }
 
 /// Row-major `(loop slot, stride)` pairs for one access: stride of dim
@@ -967,9 +1020,20 @@ struct LoopState {
 pub(crate) fn access_strides<I, S: Copy + PartialEq>(
     indices: &[I],
     extents: &[usize],
-    mut slot_of: impl FnMut(&I) -> S,
+    slot_of: impl FnMut(&I) -> S,
 ) -> Vec<(S, usize)> {
-    let mut strides: Vec<(S, usize)> = Vec::with_capacity(indices.len());
+    let mut strides = Vec::with_capacity(indices.len());
+    access_strides_into(indices, extents, slot_of, &mut strides);
+    strides
+}
+
+/// [`access_strides`] written into `strides`, which must be empty.
+fn access_strides_into<I, S: Copy + PartialEq>(
+    indices: &[I],
+    extents: &[usize],
+    mut slot_of: impl FnMut(&I) -> S,
+    strides: &mut Vec<(S, usize)>,
+) {
     let mut stride = 1usize;
     for (ix, &extent) in indices.iter().zip(extents).rev() {
         let slot = slot_of(ix);
@@ -980,7 +1044,6 @@ pub(crate) fn access_strides<I, S: Copy + PartialEq>(
         stride *= extent;
     }
     strides.reverse();
-    strides
 }
 
 /// Advances a row-major odometer one step (rightmost fastest), applying

@@ -18,9 +18,12 @@ pub enum Phase {
     /// Kernel analysis, dimension prediction, grammar generation and
     /// PCFG weight learning.
     GrammarLearn,
-    /// The weighted A\* template search proper — engine wall time with
-    /// the time attributed to validation and verification subtracted,
-    /// so the phases partition the round instead of double-counting.
+    /// The search time the lift waited for: the search loop's wall time
+    /// minus the checker's busy time (validation and verification), so
+    /// the phases partition the round instead of double-counting. Once a
+    /// long search runs its frontier on a second core alongside the
+    /// checker, frontier work done while the checker is busy is hidden,
+    /// and only the exposed part counts here.
     Search,
     /// Checking each template the search hands over, verification
     /// excepted: the feasibility test, the canonical key and seen-set,
