@@ -21,11 +21,12 @@
 //! running lifts are cancelled through their cancel flags and queued
 //! jobs drain with `shutting_down` failures.
 //!
-//! `--store PATH` makes completed lifts durable: every deterministic
-//! terminal outcome is appended to a crash-tolerant `gtl_store` log,
-//! and a restarted server prefills its result cache from it — repeat
-//! lifts answer as cache hits with zero search attempts. The store is
-//! one append-only file; at startup it is compacted in place when
+//! `--store PATH` makes solved lifts durable: every solved lift is
+//! appended to a crash-tolerant `gtl_store` log, and the store's index
+//! is the server's only map of solved lifts, so after a restart repeat
+//! lifts answer as cache hits with zero search attempts. Failures are
+//! cached in memory only and never written. The store is one
+//! append-only file; at startup it is compacted in place when
 //! superseded records outnumber live ones.
 //! `--max-inflight-per-client N` caps how many lifts one client may
 //! have queued or running at once (excess submissions are rejected

@@ -9,57 +9,20 @@
 //! Only deterministic terminal outcomes are stored — lifts that ended by
 //! cancellation, timeout or shutdown are not, since rerunning them can
 //! legitimately produce a different answer.
+//!
+//! Each answered key has one home. With a [`LiftStore`], solved lifts
+//! live only in the store's index; a bounded in-memory map holds what is
+//! never persisted: every outcome of a store-less cache, and the
+//! failures of a store-backed one.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use gtl::{LiftQuery, StaggConfig};
-use gtl_store::LiftRecord;
-
-/// A stored terminal outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedOutcome {
-    /// The verified solution, when the lift succeeded.
-    pub solution: Option<String>,
-    /// The wire failure reason, when it did not.
-    pub reason: Option<String>,
-    /// Optional failure detail.
-    pub detail: Option<String>,
-    /// Templates sent to validation by the original run.
-    pub attempts: u64,
-    /// Search-queue pops of the original run.
-    pub nodes: u64,
-}
-
-impl CachedOutcome {
-    /// The persistent form of this outcome, for `--store` servers.
-    pub fn to_record(&self, key: u64, label: &str, seconds: f64) -> LiftRecord {
-        LiftRecord {
-            key,
-            label: label.to_string(),
-            solution: self.solution.clone(),
-            reason: self.reason.clone(),
-            detail: self.detail.clone(),
-            attempts: self.attempts,
-            nodes: self.nodes,
-            seconds,
-        }
-    }
-
-    /// Rehydrates a persisted outcome (the warm-start direction).
-    pub fn from_record(record: &LiftRecord) -> CachedOutcome {
-        CachedOutcome {
-            solution: record.solution.clone(),
-            reason: record.reason.clone(),
-            detail: record.detail.clone(),
-            attempts: record.attempts,
-            nodes: record.nodes,
-        }
-    }
-}
+use gtl_store::{LiftRecord, LiftStore, StoreError};
 
 /// Collapses whitespace runs to single spaces and trims, so the cache
 /// key survives reformatting of the same kernel.
@@ -121,21 +84,27 @@ pub fn request_key(query: &LiftQuery, config: &StaggConfig) -> u64 {
     h.finish()
 }
 
-/// A bounded, thread-safe map of request keys to terminal outcomes,
-/// with hit/miss counters surfaced through the `stats` request.
+/// The outcomes a server has answered, with hit/miss counters
+/// surfaced through the `stats` request (one count per lookup, whichever
+/// map answers).
 #[derive(Debug)]
 pub struct ResultCache {
-    map: Mutex<HashMap<u64, CachedOutcome>>,
+    /// Where solved lifts live, when the server persists them.
+    store: Option<Arc<LiftStore>>,
+    /// Outcomes that are never persisted.
+    map: Mutex<HashMap<u64, LiftRecord>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ResultCache {
-    /// Creates a cache bounded to `capacity` entries (minimum 1); a full
-    /// cache is cleared wholesale.
-    pub fn new(capacity: usize) -> ResultCache {
+    /// Creates a cache over an optional store. `capacity` (minimum 1)
+    /// bounds only the in-memory map, which a full insert clears
+    /// wholesale; stored solves are never evicted.
+    pub fn new(capacity: usize, store: Option<Arc<LiftStore>>) -> ResultCache {
         ResultCache {
+            store,
             map: Mutex::new(HashMap::new()),
             capacity: capacity.max(1),
             hits: AtomicU64::new(0),
@@ -143,33 +112,48 @@ impl ResultCache {
         }
     }
 
-    /// Looks up a key, counting the outcome as a hit or miss.
-    pub fn lookup(&self, key: u64) -> Option<CachedOutcome> {
-        let found = self
-            .map
-            .lock()
-            .expect("result cache poisoned")
-            .get(&key)
-            .cloned();
-        match found {
-            Some(outcome) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(outcome)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    fn map(&self) -> MutexGuard<'_, HashMap<u64, LiftRecord>> {
+        self.map.lock().expect("result cache poisoned")
     }
 
-    /// Stores a terminal outcome.
-    pub fn insert(&self, key: u64, outcome: CachedOutcome) {
-        let mut map = self.map.lock().expect("result cache poisoned");
-        if map.len() >= self.capacity && !map.contains_key(&key) {
+    /// Looks up a key, store first, counting the outcome as a hit or
+    /// miss. Only solved store records answer: the write side never
+    /// persists failures, but a merged or hand-edited store may carry
+    /// them, and serving one forever would make a transient failure
+    /// permanent.
+    pub fn lookup(&self, key: u64) -> Option<LiftRecord> {
+        let found = self
+            .store
+            .as_ref()
+            .and_then(|store| store.get(key))
+            .filter(LiftRecord::solved)
+            .or_else(|| self.map().get(&key).cloned());
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Stores a terminal outcome in its one home. A solve, when a store
+    /// is configured, is appended to it and replaces any failure held
+    /// for its key; the result says whether the log grew (see
+    /// [`LiftStore::append`]). Anything else goes to the in-memory map
+    /// and returns `Ok(false)`.
+    ///
+    /// # Errors
+    ///
+    /// The store's append error. An I/O failure still leaves the record
+    /// in the store's index, so it is served until the process exits.
+    pub fn insert(&self, record: LiftRecord) -> Result<bool, StoreError> {
+        if let (Some(store), true) = (&self.store, record.solved()) {
+            self.map().remove(&record.key);
+            return store.append(record);
+        }
+        let mut map = self.map();
+        if map.len() >= self.capacity && !map.contains_key(&record.key) {
             map.clear();
         }
-        map.insert(key, outcome);
+        map.insert(record.key, record);
+        Ok(false)
     }
 
     /// Lookups answered from the cache so far.
@@ -182,20 +166,14 @@ impl ResultCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries currently stored.
+    /// Outcomes held in memory (stored solves are not counted).
     pub fn len(&self) -> usize {
-        self.map.lock().expect("result cache poisoned").len()
+        self.map().len()
     }
 
-    /// Whether the cache is empty.
+    /// Whether nothing is held in memory.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl Default for ResultCache {
-    fn default() -> ResultCache {
-        ResultCache::new(1024)
     }
 }
 
@@ -240,21 +218,25 @@ mod tests {
         );
     }
 
+    fn record(key: u64, solution: Option<&str>) -> LiftRecord {
+        LiftRecord {
+            key,
+            label: "k".into(),
+            solution: solution.map(Into::into),
+            reason: solution.is_none().then(|| "search_exhausted".into()),
+            detail: None,
+            attempts: 3,
+            nodes: 10,
+            seconds: 0.5,
+        }
+    }
+
     #[test]
     fn hits_and_misses_are_counted() {
-        let cache = ResultCache::new(8);
+        let cache = ResultCache::new(8, None);
         assert!(cache.lookup(7).is_none());
         assert_eq!(cache.misses(), 1);
-        cache.insert(
-            7,
-            CachedOutcome {
-                solution: Some("a = b(i)".into()),
-                reason: None,
-                detail: None,
-                attempts: 3,
-                nodes: 10,
-            },
-        );
+        cache.insert(record(7, Some("a = b(i)"))).unwrap();
         let hit = cache.lookup(7).unwrap();
         assert_eq!(hit.solution.as_deref(), Some("a = b(i)"));
         assert_eq!(cache.hits(), 1);
@@ -262,33 +244,40 @@ mod tests {
 
     #[test]
     fn capacity_bound_clears_wholesale() {
-        let cache = ResultCache::new(2);
+        let cache = ResultCache::new(2, None);
         for key in 0..3 {
-            cache.insert(
-                key,
-                CachedOutcome {
-                    solution: None,
-                    reason: Some("search_exhausted".into()),
-                    detail: None,
-                    attempts: 0,
-                    nodes: 0,
-                },
-            );
+            cache.insert(record(key, None)).unwrap();
         }
         assert!(cache.len() <= 2, "bounded: {}", cache.len());
         // Re-inserting an existing key never clears.
         let before = cache.len();
-        cache.insert(
-            2,
-            CachedOutcome {
-                solution: None,
-                reason: Some("search_exhausted".into()),
-                detail: None,
-                attempts: 1,
-                nodes: 1,
-            },
-        );
+        cache.insert(record(2, None)).unwrap();
         assert_eq!(cache.len(), before);
+    }
+
+    #[test]
+    fn a_store_holds_the_solves_and_memory_the_rest() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("gtl-cache-homes-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = Arc::new(LiftStore::open(&path).unwrap());
+        // A failure someone appended by hand is never served.
+        store.append(record(9, None)).unwrap();
+        let cache = ResultCache::new(1, Some(Arc::clone(&store)));
+        assert!(cache.lookup(9).is_none());
+
+        // A failure lives in memory; a solve of its key replaces it.
+        assert_eq!(cache.insert(record(1, None)), Ok(false));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.insert(record(1, Some("a = b(i)"))), Ok(true));
+        assert!(cache.is_empty());
+        assert_eq!(store.len(), 2);
+        // A full map clears without touching stored solves.
+        cache.insert(record(2, None)).unwrap();
+        cache.insert(record(3, None)).unwrap();
+        assert!(cache.lookup(1).unwrap().solved());
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

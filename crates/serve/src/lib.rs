@@ -14,10 +14,11 @@
 //!
 //! A request-level [`ResultCache`] keyed by a normalized hash of the C
 //! source + configuration answers repeated identical lifts instantly
-//! (hit/miss counters surface in the `stats` request), and
-//! cancellation — client `cancel` requests, per-request timeouts,
-//! graceful shutdown — rides the search's `gtl_search::CancelFlag`
-//! end to end.
+//! (hit/miss counters surface in the `stats` request); with a
+//! `gtl_store::LiftStore` behind it, solved lifts live only in the
+//! store's index and survive restarts. Cancellation — client `cancel`
+//! requests, per-request timeouts, graceful shutdown — rides the
+//! search's `gtl_search::CancelFlag` end to end.
 //!
 //! The wire protocol is specified in `docs/PROTOCOL.md`; the serving
 //! architecture is part of `docs/ARCHITECTURE.md`.
@@ -65,7 +66,7 @@ pub mod transport;
 // callers keep their `gtl_serve::json` path.
 pub use gtl_store::json;
 
-pub use cache::{normalize_source, request_key, CachedOutcome, ResultCache};
+pub use cache::{normalize_source, request_key, ResultCache};
 pub use client::{ClientError, LiftClient};
 pub use json::{Json, JsonError};
 pub use gtl_trace::{LatencyHistogram, Phase, PhaseTimes, SpanRecord};

@@ -35,7 +35,7 @@ use gtl_trace::{
 };
 use gtl_validate::{LiftTask, TaskParam, TaskParamKind};
 
-use crate::cache::{request_key, CachedOutcome, ResultCache};
+use crate::cache::{request_key, ResultCache};
 use crate::protocol::{
     ErrorCode, Event, KernelSpec, LiftRequest, OracleStat, Request, ServerStats, WireError,
     WireParamKind,
@@ -62,7 +62,9 @@ pub struct ServerConfig {
     /// Default per-request timeout (from lift start); `None` means no
     /// timeout unless the request asks for one.
     pub default_timeout: Option<Duration>,
-    /// Result-cache entry bound.
+    /// Bound on the outcomes the result cache holds in memory: every
+    /// outcome of a store-less server, only the failures of a
+    /// store-backed one (its solves live in the store).
     pub result_cache_capacity: usize,
     /// Which oracle provider *kinds* requests may name in their
     /// `oracle` field (`synthetic`, `scripted`, `replay`, `record`).
@@ -72,11 +74,11 @@ pub struct ServerConfig {
     /// `oracle` field never hit the allowlist).
     pub oracle_allowlist: Vec<String>,
     /// The persistent lift store, when the server should survive
-    /// restarts: the result cache is prefilled from it at startup and
-    /// every *solved* lift is appended to it (failures are cached
-    /// in-memory only — a wall-clock budget failure must not become
-    /// permanent across restarts). This is the `lift_server --store`
-    /// path; `None` keeps results in-memory only.
+    /// restarts. Its index is the only map of solved lifts: every
+    /// *solved* lift is appended to it and cache hits read it first.
+    /// Failures are cached in memory only — a wall-clock budget failure
+    /// must not become permanent across restarts. This is the
+    /// `lift_server --store` path; `None` keeps results in memory only.
     pub store: Option<Arc<LiftStore>>,
     /// Per-client fairness: the maximum lifts one client may have
     /// queued or running at once. Submissions beyond it are rejected
@@ -89,9 +91,9 @@ pub struct ServerConfig {
     /// and never affect the solving request's own stream.
     pub peers: Vec<String>,
     /// Whether this server accepts `share_lift` pushes. Off by default:
-    /// a shared record enters the result cache (and the store) without
-    /// a local search, so an operator opts in explicitly
-    /// (`lift_server --accept-shares`).
+    /// a shared record enters the result cache (the store, when one is
+    /// configured) without a local search, so an operator opts in
+    /// explicitly (`lift_server --accept-shares`).
     pub accept_shared_lifts: bool,
     /// Slow-request log threshold: a lift whose pipeline run takes at
     /// least this long is logged to stderr with its trace ID and
@@ -436,34 +438,26 @@ impl Inner {
         }
     }
 
-    /// Caches a deterministic terminal outcome and, when a store is
-    /// configured and the lift *solved*, persists it so a restarted
-    /// server answers the same request without running a search.
-    /// Failures stay in-memory only: a budget can be exhausted by wall
-    /// clock, so persisting one would make a transient failure
+    /// Caches a deterministic terminal outcome. When a store is
+    /// configured and the lift *solved*, the cache persists it, so a
+    /// restarted server answers the same request without running a
+    /// search. Failures stay in memory only: a budget can be exhausted
+    /// by wall clock, so persisting one would make a transient failure
     /// permanent across restarts (and a restart is exactly when a
     /// faster box or a raised budget deserves a fresh try — the same
     /// rule the warm-started batch runner applies). Persistence is
-    /// best-effort: the in-memory answer is already correct, and the
-    /// next identical outcome supersedes cleanly.
-    fn remember(
-        &self,
-        key: u64,
-        label: &str,
-        outcome: CachedOutcome,
-        elapsed_ms: u64,
-        trace: (&str, &str), // (trace_id, request_id) for the append span
-    ) {
-        self.results.insert(key, outcome.clone());
-        if outcome.solution.is_none() {
+    /// best-effort: the store's index serves the record even when the
+    /// write fails, and the next identical outcome supersedes cleanly.
+    /// `trace` is the (trace_id, request_id) of the append span.
+    fn remember(&self, record: LiftRecord, trace: (&str, &str)) {
+        let append_started = Instant::now();
+        if let Err(e) = self.results.insert(record.clone()) {
+            eprintln!("lift_server: store append failed: {e}");
+        }
+        if !record.solved() {
             return;
         }
-        let record = outcome.to_record(key, label, elapsed_ms as f64 / 1000.0);
-        if let Some(store) = &self.config.store {
-            let append_started = Instant::now();
-            if let Err(e) = store.append(record.clone()) {
-                eprintln!("lift_server: store append failed: {e}");
-            }
+        if self.config.store.is_some() {
             let append_us = append_started
                 .elapsed()
                 .as_micros()
@@ -922,16 +916,16 @@ fn process(inner: &Inner, job: Job) {
             // resubmitting the same kernel must find the entry in place
             // (and, with `--store`, already on disk).
             inner.remember(
-                job.cache_key,
-                &job.query.label,
-                CachedOutcome {
+                LiftRecord {
+                    key: job.cache_key,
+                    label: job.query.label.clone(),
                     solution: Some(solution.clone()),
                     reason: None,
                     detail: None,
                     attempts: report.attempts,
                     nodes: report.nodes_expanded,
+                    seconds: elapsed_ms as f64 / 1000.0,
                 },
-                elapsed_ms,
                 (&state.trace_id, &id),
             );
             inner.release(client, &id);
@@ -963,16 +957,16 @@ fn process(inner: &Inner, job: Job) {
             // plain cancel and do not cache.
             if !matches!(failure, FailureReason::Cancelled) {
                 inner.remember(
-                    job.cache_key,
-                    &job.query.label,
-                    CachedOutcome {
+                    LiftRecord {
+                        key: job.cache_key,
+                        label: job.query.label.clone(),
                         solution: None,
                         reason: Some(reason.clone()),
                         detail: detail.clone(),
                         attempts: report.attempts,
                         nodes: report.nodes_expanded,
+                        seconds: elapsed_ms as f64 / 1000.0,
                     },
-                    elapsed_ms,
                     (&state.trace_id, &id),
                 );
             }
@@ -1330,7 +1324,7 @@ impl ServerHandle {
     /// half of replica lift-sharing), returning the terminal event for
     /// the share request's one-event stream.
     ///
-    /// The record enters the result cache — and the store, when one is
+    /// The record enters the result cache — the store, when one is
     /// configured — exactly as if this server had solved it, so a
     /// repeat of the kernel is answered as a warm cache hit with zero
     /// search attempts. The store's identical-append dedup makes
@@ -1368,21 +1362,12 @@ impl ServerHandle {
                 record.seconds
             ));
         }
-        let stored = match &inner.config.store {
-            Some(store) => match store.append(record.clone()) {
-                Ok(appended) => appended,
-                Err(e) => {
-                    // The in-memory cache still serves the record; only
-                    // durability was lost, as with local solves.
-                    eprintln!("lift_server: shared-lift append failed: {e}");
-                    false
-                }
-            },
-            None => false,
-        };
-        inner
-            .results
-            .insert(record.key, CachedOutcome::from_record(&record));
+        let stored = inner.results.insert(record).unwrap_or_else(|e| {
+            // The store's index still serves the record; only
+            // durability was lost, as with local solves.
+            eprintln!("lift_server: shared-lift append failed: {e}");
+            false
+        });
         Event::Shared {
             id: id.to_string(),
             stored,
@@ -1495,30 +1480,12 @@ pub struct LiftServer {
 
 impl LiftServer {
     /// Starts the worker pool and monitor. With a configured
-    /// [`ServerConfig::store`], the result cache is prefilled from the
-    /// store's live records, so repeat lifts from before a restart are
+    /// [`ServerConfig::store`], the result cache reads solved lifts from
+    /// the store's index, so repeat lifts from before a restart are
     /// answered as cache hits with zero search attempts.
     pub fn start(config: ServerConfig) -> LiftServer {
         let workers = config.workers.max(1);
-        // A store-backed cache must hold at least the whole store, or
-        // prefilling would evict the very outcomes it just loaded.
-        let capacity = match &config.store {
-            Some(store) => config.result_cache_capacity.max(store.len()),
-            None => config.result_cache_capacity,
-        };
-        let results = ResultCache::new(capacity);
-        if let Some(store) = &config.store {
-            // Solved records only: the write side never persists
-            // failures, but a merged or hand-edited store may carry
-            // them, and serving one forever would make a transient
-            // failure permanent — the exact thing the filter in
-            // `remember` exists to prevent.
-            for record in store.records() {
-                if record.solved() {
-                    results.insert(record.key, CachedOutcome::from_record(&record));
-                }
-            }
-        }
+        let results = ResultCache::new(config.result_cache_capacity, config.store.clone());
         let journal = SpanJournal::new(config.journal_capacity.max(1));
         let inner = Arc::new(Inner {
             results,

@@ -1,19 +1,22 @@
 //! The persistence contract of `--store` serving: a restarted server
 //! answers repeat lifts from the store as result-cache hits with zero
 //! search attempts and an answer identical to the original in every
-//! deterministic field, and per-client fairness caps admissions with a
-//! typed `rate_limited` error.
+//! deterministic field; the store's index is the only map of solved
+//! lifts, so a full in-memory cache never drops one, while failures
+//! stay in memory; and per-client fairness caps admissions with a typed
+//! `rate_limited` error.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gtl::StaggConfig;
+use gtl::{LiftQuery, StaggConfig};
+use gtl_benchsuite::by_name;
 use gtl_search::SearchBudget;
 use gtl_serve::{
-    ErrorCode, Event, LiftRequest, LiftServer, ServerConfig, ServerHandle, WireError,
+    request_key, ErrorCode, Event, LiftRequest, LiftServer, ServerConfig, ServerHandle, WireError,
 };
-use gtl_store::LiftStore;
+use gtl_store::{LiftRecord, LiftStore};
 
 fn quick_base() -> StaggConfig {
     StaggConfig::top_down().with_budget(SearchBudget {
@@ -23,14 +26,24 @@ fn quick_base() -> StaggConfig {
 }
 
 fn stored_server(store: Arc<LiftStore>, workers: usize) -> LiftServer {
+    stored_server_with(store, workers, 64, false)
+}
+
+fn stored_server_with(
+    store: Arc<LiftStore>,
+    workers: usize,
+    result_cache_capacity: usize,
+    accept_shared_lifts: bool,
+) -> LiftServer {
     LiftServer::start(ServerConfig {
         workers,
         queue_capacity: 16,
         base: quick_base(),
         progress_interval: Duration::from_millis(20),
         default_timeout: None,
-        result_cache_capacity: 64,
+        result_cache_capacity,
         store: Some(store),
+        accept_shared_lifts,
         ..ServerConfig::default()
     })
 }
@@ -118,6 +131,119 @@ fn restart_round_trip_serves_repeats_with_zero_search() {
         assert_eq!(handle.stats().store_compactions, 1);
         server.shutdown();
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The terminal `failed` of a blocking lift: (reason, cached).
+fn failed_of(handle: &ServerHandle, request: LiftRequest) -> (String, bool) {
+    let events = handle.lift_blocking(request);
+    match events.last() {
+        Some(Event::Failed { reason, cached, .. }) => (reason.clone(), *cached),
+        other => panic!("expected failed, got {other:?}"),
+    }
+}
+
+/// A suite benchmark under a budget too small to solve it.
+fn starved(id: &str) -> LiftRequest {
+    let mut request = LiftRequest::benchmark(id, "blas_axpy");
+    request.overrides.max_attempts = Some(1);
+    request
+}
+
+/// Lifts driven so far, summed over every oracle spec.
+fn lifts_driven(handle: &ServerHandle) -> u64 {
+    handle.stats().oracles.iter().map(|o| o.lifts).sum()
+}
+
+#[test]
+fn stored_solves_survive_a_full_result_cache() {
+    let path = tmp_store("evict");
+    let store = Arc::new(LiftStore::open(&path).unwrap());
+    let server = stored_server_with(store, 1, 2, false);
+    let handle = server.handle();
+    let dot = done_of(&handle, LiftRequest::benchmark("r1", "blas_dot"));
+    for (id, name) in [("r2", "blas_gemv"), ("r3", "blas_axpy")] {
+        assert!(!done_of(&handle, LiftRequest::benchmark(id, name)).3);
+    }
+    assert_eq!(handle.stats().store_appended, 3);
+    assert_eq!(lifts_driven(&handle), 3);
+
+    // Three solves overfill a two-entry cache; the first must still hit.
+    let again = done_of(&handle, LiftRequest::benchmark("r4", "blas_dot"));
+    assert!(again.3, "a stored solve must survive a full cache");
+    assert_eq!(again, (dot.0, dot.1, dot.2, true));
+    let stats = handle.stats();
+    assert_eq!(stats.store_appended, 3, "a hit is not re-persisted");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 3));
+    assert_eq!(lifts_driven(&handle), 3, "no oracle consulted for the hit");
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn failures_are_cached_in_memory_only() {
+    let path = tmp_store("failure");
+    {
+        let store = Arc::new(LiftStore::open(&path).unwrap());
+        let server = stored_server(store, 1);
+        let handle = server.handle();
+        let (reason, cached) = failed_of(&handle, starved("f1"));
+        assert!(!cached);
+        assert_eq!(failed_of(&handle, starved("f2")), (reason, true));
+        assert_eq!(handle.stats().store_appended, 0, "failures are not persisted");
+        server.shutdown();
+    }
+    // A restart forgets the failure: the same request runs again.
+    let store = Arc::new(LiftStore::open(&path).unwrap());
+    assert!(store.is_empty());
+    let server = stored_server(store, 1);
+    let handle = server.handle();
+    assert!(!failed_of(&handle, starved("f3")).1);
+    assert_eq!(handle.stats().cache_misses, 1);
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_solve_supersedes_a_cached_failure_of_its_key() {
+    let path = tmp_store("supersede");
+    let store = Arc::new(LiftStore::open(&path).unwrap());
+    let server = stored_server_with(Arc::clone(&store), 1, 64, true);
+    let handle = server.handle();
+    let (solution, ..) = done_of(&handle, LiftRequest::benchmark("r1", "blas_axpy"));
+    assert!(!failed_of(&handle, starved("f1")).1);
+
+    // A peer shares a solve under the starved request's own key.
+    let b = by_name("blas_axpy").unwrap();
+    let query = LiftQuery {
+        label: b.name.to_string(),
+        source: b.source.to_string(),
+        task: b.lift_task(),
+        ground_truth: Some(b.parse_ground_truth()),
+    };
+    let key = request_key(&query, &starved("f2").overrides.apply(&quick_base()));
+    let record = LiftRecord {
+        key,
+        label: b.name.to_string(),
+        solution: Some(solution.clone()),
+        reason: None,
+        detail: None,
+        attempts: 7,
+        nodes: 9,
+        seconds: 0.25,
+    };
+    let Event::Shared { stored: true, .. } = handle.share("s1", record) else {
+        panic!("the share must be stored");
+    };
+
+    // The repeat reads the store first: the solve, not the failure.
+    assert_eq!(
+        done_of(&handle, starved("f3")),
+        (solution, 7, 9, true),
+        "the stored solve answers"
+    );
+    assert_eq!(store.len(), 2);
+    server.shutdown();
     let _ = std::fs::remove_file(&path);
 }
 

@@ -247,8 +247,8 @@ impl LiftStore {
         self.len() == 0
     }
 
-    /// A snapshot of every live record, sorted by label then key (a
-    /// deterministic order for exports and cache prefill).
+    /// A snapshot of every live record, sorted by label then key so
+    /// the order is deterministic.
     pub fn records(&self) -> Vec<LiftRecord> {
         let mut records: Vec<LiftRecord> = self
             .index
