@@ -649,7 +649,11 @@ impl BatchKernel {
                         // outer dims advance the shared odometer. State
                         // wraps back to zero after the full sweep.
                         let has_sum = n_loops > n_out;
-                        let inner = if has_sum { loop_extents[n_loops - 1] } else { 1 };
+                        let inner = if has_sum {
+                            loop_extents[n_loops - 1]
+                        } else {
+                            1
+                        };
                         if inner == 0 || sum_iters == 0 {
                             for pos in 0..nl {
                                 if int_alive[pos] {
@@ -1328,7 +1332,11 @@ mod tests {
         let e = env(&[
             ("b1", Shape::new(vec![2, 3]), &[1, 2, 3, 4, 5, 6]),
             ("c1", Shape::new(vec![3]), &[7, -8, 9]),
-            ("bh", Shape::new(vec![2, 3]), &[big, big, big, big, big, big]),
+            (
+                "bh",
+                Shape::new(vec![2, 3]),
+                &[big, big, big, big, big, big],
+            ),
         ]);
         // Addition + negation: not a product, exercises the SoA register
         // machine; the huge lane overflows per cell and demotes alone.
@@ -1427,11 +1435,7 @@ mod tests {
         let mut e = TensorEnv::new();
         e.insert(
             "bf".into(),
-            Tensor::from_data(
-                Shape::new(vec![2]),
-                vec![Rat::new(1, 2), Rat::new(1, 3)],
-            )
-            .unwrap(),
+            Tensor::from_data(Shape::new(vec![2]), vec![Rat::new(1, 2), Rat::new(1, 3)]).unwrap(),
         );
         e.insert("bi".into(), Tensor::from_ints(Shape::new(vec![2]), &[6, 6]));
         e.insert("ci".into(), Tensor::from_ints(Shape::new(vec![2]), &[2, 3]));

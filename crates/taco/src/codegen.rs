@@ -225,7 +225,9 @@ mod tests {
         assert_eq!(k.size_params, vec!["i", "j"]);
         assert_eq!(k.tensor_params, vec!["b", "c"]);
         assert_eq!(k.output, "a");
-        assert!(k.source.contains("void gemv(int N_i, int N_j, int *b, int *c, int *a)"));
+        assert!(k
+            .source
+            .contains("void gemv(int N_i, int N_j, int *b, int *c, int *a)"));
         assert!(k.source.contains("a[i] = 0;"));
         assert!(k.source.contains("a[i] += (b[(i) * N_j + j] * c[j]);"));
     }

@@ -308,12 +308,7 @@ mod tests {
         let out = evaluate(&p, &e).unwrap();
         assert_eq!(
             out.data(),
-            &[
-                Rat::from(19),
-                Rat::from(22),
-                Rat::from(43),
-                Rat::from(50)
-            ]
+            &[Rat::from(19), Rat::from(22), Rat::from(43), Rat::from(50)]
         );
     }
 
@@ -368,22 +363,13 @@ mod tests {
         // a(i,j) = b(i,j,k) * c(k): tensor-times-vector.
         let p = parse_program("a(i,j) = b(i,j,k) * c(k)").unwrap();
         let e = env(&[
-            (
-                "b",
-                Shape::new(vec![2, 2, 2]),
-                &[1, 2, 3, 4, 5, 6, 7, 8],
-            ),
+            ("b", Shape::new(vec![2, 2, 2]), &[1, 2, 3, 4, 5, 6, 7, 8]),
             ("c", Shape::new(vec![2]), &[1, 10]),
         ]);
         let out = evaluate(&p, &e).unwrap();
         assert_eq!(
             out.data(),
-            &[
-                Rat::from(21),
-                Rat::from(43),
-                Rat::from(65),
-                Rat::from(87)
-            ]
+            &[Rat::from(21), Rat::from(43), Rat::from(65), Rat::from(87)]
         );
     }
 

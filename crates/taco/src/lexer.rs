@@ -141,7 +141,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 }
                 out.push(Token::Ident(name));
             }
-            other => return Err(LexError { offset: off, found: other }),
+            other => {
+                return Err(LexError {
+                    offset: off,
+                    found: other,
+                })
+            }
         }
     }
     Ok(out)

@@ -59,9 +59,9 @@ pub use ast::{
 pub use batch::{BatchKernel, Lane, LaneEnv};
 pub use canon::{canonical_fingerprint, canonicalize, CanonEncoder, Facts, KeySet};
 pub use codegen::{generate_c, GeneratedKernel};
-pub use isa::{Encoder, Inst, IsaProgram, Opcode};
 pub use eval::{
     evaluate, evaluate_analyzed, evaluate_interpreted, EvalCache, EvalCacheStats, EvalError,
 };
+pub use isa::{Encoder, Inst, IsaProgram, Opcode};
 pub use parser::{parse_expr, parse_program, preprocess_candidate, ParseError};
 pub use semantics::{analyze, IndexAnalysis, SemanticError, TensorEnv};

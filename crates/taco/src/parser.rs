@@ -48,7 +48,10 @@ impl fmt::Display for ParseError {
                 position,
                 found,
                 expected,
-            } => write!(f, "expected {expected} at token {position}, found {found:?}"),
+            } => write!(
+                f,
+                "expected {expected} at token {position}, found {found:?}"
+            ),
             ParseError::TrailingTokens { position } => {
                 write!(f, "trailing tokens starting at token {position}")
             }
@@ -297,7 +300,11 @@ pub fn preprocess_candidate(line: &str) -> Option<String> {
         start += 1;
     }
     if start > 0 && start < bytes.len() && (bytes[start] == '.' || bytes[start] == ')') {
-        s = bytes[start + 1..].iter().collect::<String>().trim_start().to_string();
+        s = bytes[start + 1..]
+            .iter()
+            .collect::<String>()
+            .trim_start()
+            .to_string();
     } else if s.starts_with("- ") || s.starts_with("* ") {
         s = s[2..].trim_start().to_string();
     }

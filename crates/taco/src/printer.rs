@@ -83,7 +83,11 @@ mod tests {
         let e = Expr::binary(
             BinOp::Sub,
             Expr::access("b", &["i"]),
-            Expr::binary(BinOp::Sub, Expr::access("c", &["i"]), Expr::access("d", &["i"])),
+            Expr::binary(
+                BinOp::Sub,
+                Expr::access("c", &["i"]),
+                Expr::access("d", &["i"]),
+            ),
         );
         assert_eq!(e.to_string(), "b(i) - (c(i) - d(i))");
         // And it round-trips.
@@ -95,7 +99,11 @@ mod tests {
         let e = Expr::binary(
             BinOp::Add,
             Expr::access("b", &["i"]),
-            Expr::binary(BinOp::Add, Expr::access("c", &["i"]), Expr::access("d", &["i"])),
+            Expr::binary(
+                BinOp::Add,
+                Expr::access("c", &["i"]),
+                Expr::access("d", &["i"]),
+            ),
         );
         // Reassociation is semantics-preserving for +, so parens may drop.
         let printed = e.to_string();

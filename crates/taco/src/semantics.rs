@@ -214,7 +214,10 @@ mod tests {
             "b".into(),
             Tensor::from_ints(Shape::new(vec![2, 3]), &[1, 2, 3, 4, 5, 6]),
         );
-        env.insert("c".into(), Tensor::from_ints(Shape::new(vec![3]), &[7, 8, 9]));
+        env.insert(
+            "c".into(),
+            Tensor::from_ints(Shape::new(vec![3]), &[7, 8, 9]),
+        );
         env
     }
 

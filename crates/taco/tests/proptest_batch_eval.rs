@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 
 use gtl_taco::{
-    evaluate_interpreted, Access, BatchKernel, BinOp, EvalError, Expr, Lane, LaneEnv,
-    TacoProgram, TensorEnv,
+    evaluate_interpreted, Access, BatchKernel, BinOp, EvalError, Expr, Lane, LaneEnv, TacoProgram,
+    TensorEnv,
 };
 use gtl_tensor::{Rat, Shape, Tensor, TensorGen};
 use proptest::prelude::*;
@@ -101,7 +101,14 @@ fn arb_profile() -> impl Strategy<Value = ValueProfile> {
 }
 
 /// Constant-slot values a lane may bind, including overflow fodder.
-const CONST_POOL: &[i64] = &[0, 1, -3, 7, 600_000_000_000_000_000, -600_000_000_000_000_000];
+const CONST_POOL: &[i64] = &[
+    0,
+    1,
+    -3,
+    7,
+    600_000_000_000_000_000,
+    -600_000_000_000_000_000,
+];
 
 /// A tiny deterministic generator for lane bindings (xorshift64), so a
 /// failing case replays from the proptest seed alone.
@@ -131,14 +138,24 @@ fn slot_shape(template: &TacoProgram, slot: &str) -> Vec<usize> {
         .accesses()
         .iter()
         .find(|acc| acc.tensor.as_str() == slot)
-        .map(|acc| acc.indices.iter().map(|ix| extent_of(ix.as_str())).collect())
+        .map(|acc| {
+            acc.indices
+                .iter()
+                .map(|ix| extent_of(ix.as_str()))
+                .collect()
+        })
         .unwrap_or_default()
 }
 
 /// Builds the concrete-tensor pool: two same-shape candidates per slot
 /// (`g*`/`h*`, so lanes land in shared shape groups), plus a wrong-rank
 /// tensor every lane may draw to exercise semantic errors.
-fn build_env(kernel: &BatchKernel, template: &TacoProgram, seed: u64, profile: ValueProfile) -> TensorEnv {
+fn build_env(
+    kernel: &BatchKernel,
+    template: &TacoProgram,
+    seed: u64,
+    profile: ValueProfile,
+) -> TensorEnv {
     let scale = |r: &Rat| match profile {
         ValueProfile::SmallInts => *r,
         ValueProfile::HugeInts => *r * Rat::from(600_000_000_000_000_000i64),

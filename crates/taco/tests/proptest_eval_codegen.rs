@@ -93,8 +93,11 @@ fn arb_program() -> impl Strategy<Value = TacoProgram> {
 fn build_env(p: &TacoProgram, seed: u64) -> Option<TensorEnv> {
     let mut shapes: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for acc in p.rhs.accesses() {
-        let extents: Vec<usize> =
-            acc.indices.iter().map(|ix| extent_of(ix.as_str())).collect();
+        let extents: Vec<usize> = acc
+            .indices
+            .iter()
+            .map(|ix| extent_of(ix.as_str()))
+            .collect();
         match shapes.get(acc.tensor.as_str()) {
             Some(prev) if *prev != extents => return None,
             _ => {
@@ -361,7 +364,9 @@ fn known_program_agrees() {
     let program = parse_c(&kernel.source).unwrap();
     let mut args: Vec<ArgValue> = Vec::new();
     for iv in &kernel.size_params {
-        args.push(ArgValue::Scalar(Rat::from(analysis.extents[&iv.as_str().into()] as i64)));
+        args.push(ArgValue::Scalar(Rat::from(
+            analysis.extents[&iv.as_str().into()] as i64,
+        )));
     }
     for t in &kernel.tensor_params {
         args.push(ArgValue::Array(env[t].data().to_vec()));

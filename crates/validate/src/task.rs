@@ -207,8 +207,7 @@ impl LiftTask {
                 TaskParamKind::ArrayIn { dims, nonzero } => {
                     let extents = dims.iter().map(resolve).collect::<Result<Vec<_>, _>>()?;
                     let shape = Shape::new(extents);
-                    let data: Vec<Rat> =
-                        (0..shape.len()).map(|_| draw(*nonzero, gen)).collect();
+                    let data: Vec<Rat> = (0..shape.len()).map(|_| draw(*nonzero, gen)).collect();
                     let t = Tensor::from_data(shape, data).expect("length from shape");
                     args.push(ArgValue::Array(t.data().to_vec()));
                     env.insert(p.name.clone(), t);
@@ -242,8 +241,7 @@ impl LiftTask {
     /// per-run dispatch cost is paid exactly once, at compile time.
     pub fn run_reference(&self, instance: &TaskInstance) -> Result<Tensor, TaskError> {
         let compiled = self.ref_program.get_or_compile(&self.func);
-        let result =
-            run_compiled(compiled, instance.args.clone()).map_err(TaskError::Runtime)?;
+        let result = run_compiled(compiled, instance.args.clone()).map_err(TaskError::Runtime)?;
         let array_slot = self
             .params
             .iter()
@@ -256,8 +254,7 @@ impl LiftTask {
             })
             .count();
         let data = result.arrays[array_slot].clone();
-        Tensor::from_data(instance.output_shape.clone(), data)
-            .map_err(|_| TaskError::ShapeMismatch)
+        Tensor::from_data(instance.output_shape.clone(), data).map_err(|_| TaskError::ShapeMismatch)
     }
 
     /// A default size binding (distinct small extents per symbol).

@@ -357,8 +357,7 @@ mod tests {
         let examples = generate_examples(&task, &ExampleConfig::default()).unwrap();
         let template = parse_program("a = b(i) + c(i)").unwrap();
         let mut stats = ValidationStats::default();
-        assert!(validate_template(&template, &task, &examples, |_, _| true, &mut stats)
-            .is_none());
+        assert!(validate_template(&template, &task, &examples, |_, _| true, &mut stats).is_none());
     }
 
     #[test]
@@ -381,8 +380,7 @@ mod tests {
         let examples = generate_examples(&task, &ExampleConfig::default()).unwrap();
         let template = parse_program("a = b(i,j) * c(j)").unwrap();
         let mut stats = ValidationStats::default();
-        assert!(validate_template(&template, &task, &examples, |_, _| true, &mut stats)
-            .is_none());
+        assert!(validate_template(&template, &task, &examples, |_, _| true, &mut stats).is_none());
         assert_eq!(stats.substitutions_tried, 0);
     }
 }
