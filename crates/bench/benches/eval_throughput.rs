@@ -104,7 +104,7 @@ fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Vec<String>>, Vec<TacoProgram>) 
     let mut gen = TensorGen::from_label(m.name);
     let mut env = TensorEnv::new();
     for slot in kernel.tensor_slots() {
-        let shape = m.env[slot].shape().clone();
+        let shape = m.env[slot.as_str()].shape().clone();
         for v in 0..4 {
             env.insert(format!("{slot}{v}"), gen.int_tensor(shape.clone(), -5, 5));
         }
@@ -128,7 +128,7 @@ fn filter_fixture(m: &Micro) -> (TensorEnv, Vec<Vec<String>>, Vec<TacoProgram>) 
                         let s = kernel
                             .tensor_slots()
                             .iter()
-                            .position(|n| n == acc.tensor.as_str())
+                            .position(|n| *n == acc.tensor)
                             .expect("slot bound");
                         Expr::Access(Access {
                             tensor: lane[s].as_str().into(),

@@ -21,7 +21,8 @@ use gtl_search::{
     SearchHooks, SearchOutcome, TemplateChecker,
 };
 use gtl_taco::{
-    parse_program, preprocess_candidate, CanonEncoder, KeySet, RhsTok, TacoProgram, TemplateRef,
+    parse_program, preprocess_candidate, CanonEncoder, KeySet, NameTable, RhsTok, TacoProgram,
+    TemplateRef,
 };
 use gtl_trace::{Phase, PhaseCollector, PhaseSpan, PhaseTimes};
 use gtl_template::{
@@ -345,6 +346,7 @@ impl Stagg {
             stats: ValidationStats::default(),
             check_time: Duration::ZERO,
             verify_time: Duration::ZERO,
+            program_names: NameTable::default(),
             program_ids: Vec::new(),
             program_tokens: Vec::new(),
         };
@@ -409,8 +411,9 @@ impl Stagg {
 /// Top-down templates arrive as tokens ([`TemplateChecker::check_ref`]),
 /// bottom-up ones as programs ([`TemplateChecker::check`], which feeds
 /// the program's tokens through the same body). Feasibility, the
-/// canonical key, the seen-set and the zero-substitution test read the
-/// tokens; a program is built only for a template validation evaluates.
+/// canonical key, the seen-set and validation read the tokens; a program
+/// is built only for a template with a substitution that passes every
+/// example (and for the feedback sample).
 struct RoundChecker<'r> {
     task: &'r LiftTask,
     verify: VerifyConfig,
@@ -435,8 +438,9 @@ struct RoundChecker<'r> {
     check_time: Duration,
     /// The part of `check_time` spent inside the bounded verifier.
     verify_time: Duration,
-    /// [`TemplateChecker::check`]'s buffers for a program's name ids and
-    /// tokens, kept across calls.
+    /// [`TemplateChecker::check`]'s buffers for a program's name table,
+    /// name ids and tokens, kept across calls.
+    program_names: NameTable<'static>,
     program_ids: Vec<u32>,
     program_tokens: Vec<RhsTok<'static>>,
 }
@@ -448,7 +452,7 @@ impl RoundChecker<'_> {
     fn check_timed<P: Borrow<TacoProgram>>(
         &mut self,
         template: TemplateRef<'_>,
-        program: impl FnOnce() -> P,
+        program: impl Fn() -> P,
     ) -> CheckOutcome {
         let started = Instant::now();
         let mut verify_time = Duration::ZERO;
@@ -461,7 +465,7 @@ impl RoundChecker<'_> {
     fn check_template<P: Borrow<TacoProgram>>(
         &mut self,
         template: TemplateRef<'_>,
-        program: impl FnOnce() -> P,
+        program: impl Fn() -> P,
         verify_time: &mut Duration,
     ) -> CheckOutcome {
         if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
@@ -488,17 +492,10 @@ impl RoundChecker<'_> {
                 return CheckOutcome::Failed;
             }
         }
-        // Validation of a template without substitutions returns before
-        // evaluating anything and moves no counter: skip building it.
-        if !self.validator.has_substitutions(template) {
-            self.reject(program);
-            return CheckOutcome::Failed;
-        }
-        let program = program();
-        let template = program.borrow();
         let (task, verify, observer) = (self.task, &self.verify, self.observer);
-        let verified = self.validator.validate(
+        let verified = self.validator.validate_ref(
             template,
+            &program,
             |concrete, _sub| {
                 if let Some(observer) = observer {
                     observer.validated(concrete);
@@ -513,7 +510,7 @@ impl RoundChecker<'_> {
         match verified {
             Some(concrete) => CheckOutcome::Verified(concrete),
             None => {
-                self.reject(|| template);
+                self.reject(program);
                 CheckOutcome::Failed
             }
         }
@@ -530,9 +527,12 @@ impl RoundChecker<'_> {
 
 impl TemplateChecker for RoundChecker<'_> {
     fn check(&mut self, template: &TacoProgram) -> CheckOutcome {
+        let mut names = std::mem::take(&mut self.program_names).recycle();
         let mut ids = std::mem::take(&mut self.program_ids);
         let mut rhs = recycle(std::mem::take(&mut self.program_tokens));
-        let outcome = self.check_timed(template.template_ref(&mut ids, &mut rhs), || template);
+        let tokens = template.template_ref_reusing(&mut names, &mut ids, &mut rhs);
+        let outcome = self.check_timed(tokens, || template);
+        self.program_names = names.recycle();
         self.program_tokens = recycle(rhs);
         self.program_ids = ids;
         outcome

@@ -370,6 +370,20 @@ impl<'a> NameTable<'a> {
         table
     }
 
+    /// The table emptied, as a table for names of any lifetime. It keeps
+    /// its buffer: collecting the empty vector in place reuses it.
+    pub fn recycle<'b>(mut self) -> NameTable<'b> {
+        self.names.clear();
+        NameTable {
+            names: self
+                .names
+                .into_iter()
+                .map(|_| unreachable!("the table is empty"))
+                .collect(),
+            tensors: 0,
+        }
+    }
+
     /// Adds the names of `access`. The table stays sorted and distinct
     /// as it fills: a template has a handful of names, each met often.
     fn add(&mut self, access: &'a Access) {
@@ -505,10 +519,24 @@ impl TacoProgram {
         ids: &'a mut Vec<u32>,
         rhs: &'t mut Vec<RhsTok<'a>>,
     ) -> TemplateRef<'t> {
-        let mut names = NameTable::default();
+        self.template_ref_reusing(&mut NameTable::default(), ids, rhs)
+    }
+
+    /// [`TacoProgram::template_ref`] with `names` emptied and refilled
+    /// with this program's names. A caller that loads one program after
+    /// another keeps one table ([`NameTable::recycle`]) and, once its
+    /// buffers have grown, allocates nothing.
+    pub fn template_ref_reusing<'a, 't>(
+        &'a self,
+        names: &mut NameTable<'a>,
+        ids: &'a mut Vec<u32>,
+        rhs: &'t mut Vec<RhsTok<'a>>,
+    ) -> TemplateRef<'t> {
+        names.names.clear();
+        names.tensors = 0;
         names.add(&self.lhs);
         self.rhs.for_each_access(&mut |a| names.add(a));
-        self.template_ref_in(&names, ids, rhs)
+        self.template_ref_in(names, ids, rhs)
     }
 
     /// [`TacoProgram::template_ref`] with the names interned by `names`,

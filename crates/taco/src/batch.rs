@@ -7,8 +7,8 @@
 //! only in which tensors are read and which constants multiply them.
 //!
 //! [`BatchKernel`] lowers the template **once** into the fixed-width
-//! micro-ISA of [`crate::isa`] and evaluates a whole slice of
-//! [`Lane`]s — one per substitution or instance — in a single sweep:
+//! micro-ISA of [`crate::isa`] and runs a whole slice of [`Lane`]s — one
+//! per substitution or instance — in a single sweep:
 //!
 //! - lanes binding the same shapes share one loop odometer and one set of
 //!   precomputed stride walks (lanes are grouped by their per-slot shape
@@ -27,13 +27,30 @@
 //!   run unrolled multiply-accumulate inner loops, amortising the
 //!   odometer across all lanes.
 //!
-//! [`crate::evaluate`] is this engine with a single identity lane.
+//! The sweep finishes each output cell before it starts the next, and
+//! has two uses:
+//!
+//! - [`BatchKernel::evaluate_lanes`] keeps every cell and returns each
+//!   lane's output tensor or error. Verification and [`crate::evaluate`]
+//!   (one identity lane) use it.
+//! - [`BatchKernel::filter_lanes`] compares each cell with an expected
+//!   tensor as it is made. A lane leaves the sweep at its first wrong or
+//!   failing cell, a shape group whose output extents differ from the
+//!   expected tensor's is dropped before it runs, and the sweep stops
+//!   once no lane is left. It builds no output and no error, and keeps
+//!   its buffers in a [`GroupScratch`] from one call to the next, so
+//!   rejecting a lane allocates nothing. Validation uses it.
+//!
+//! A kernel is lowered from a template's tokens ([`BatchKernel::lower`]),
+//! in place of the one it held, so validation lowers template after
+//! template into one kernel; [`BatchKernel::new`] lowers a program's
+//! tokens into a fresh one.
 
 use std::cell::OnceCell;
 
 use gtl_tensor::{Rat, Shape, Tensor};
 
-use crate::ast::{Expr, IndexVar, TacoProgram};
+use crate::ast::{BinOp, Ident, IndexVar, RhsTok, TacoProgram, TemplateRef};
 use crate::eval::EvalError;
 use crate::isa::{Encoder, IsaProgram, Opcode};
 use crate::semantics::{SemanticError, TensorEnv};
@@ -102,12 +119,8 @@ impl<'e> LaneEnv<'e> {
         self.entries[id as usize].name
     }
 
-    fn tensor(&self, id: u32) -> Result<&'e Tensor, SemanticError> {
-        self.entries[id as usize]
-            .tensor
-            .ok_or_else(|| SemanticError::UnboundTensor {
-                name: self.name(id).to_string(),
-            })
+    fn tensor(&self, id: u32) -> Option<&'e Tensor> {
+        self.entries[id as usize].tensor
     }
 
     fn ints(&self, id: u32) -> Option<&[i64]> {
@@ -122,13 +135,15 @@ impl<'e> LaneEnv<'e> {
     }
 }
 
-/// One template access: which tensor slot it reads and, per index
-/// position, the loop slot of its index variable (strides are resolved
-/// per shape group at evaluation time).
-#[derive(Debug, Clone)]
+/// One template access: which tensor slot it reads and where, in
+/// [`BatchKernel`]'s `access_loops`, the loop slot of each of its index
+/// positions is (strides are resolved per shape group at evaluation
+/// time).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BatchAccess {
     slot: u32,
-    loops: Vec<u32>,
+    start: u32,
+    end: u32,
 }
 
 /// Per-lane engine choice within one shape group.
@@ -144,6 +159,42 @@ enum Mode {
     Exact,
 }
 
+/// A node of the right-hand side that lowering has entered but not yet
+/// emitted: its value lands in register `depth` once its operands are
+/// lowered.
+#[derive(Debug, Clone, Copy)]
+enum Open {
+    /// A negation, waiting for its operand.
+    Neg(u16),
+    /// A binary node, waiting for its left operand and its operator.
+    Left(u16),
+    /// A binary node with its operator, waiting for its right operand.
+    Right(u16, BinOp),
+}
+
+/// Why a lane fails semantic analysis, as ids: the [`SemanticError`]
+/// [`crate::analyze`] reports, whose names only
+/// [`BatchKernel::evaluate_lanes`] spells out.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// Slot bound to the unbound environment entry `id`.
+    Unbound(u32),
+    /// An access reads entry `id` at the wrong rank.
+    Rank {
+        id: u32,
+        access_rank: usize,
+        bound_rank: usize,
+    },
+    /// Two accesses give loop `lp` different extents.
+    Extent {
+        lp: usize,
+        first: usize,
+        second: usize,
+    },
+    /// No access constrains output position `k`.
+    Unconstrained(usize),
+}
+
 /// A template lowered once for evaluation under many substitutions.
 ///
 /// ```
@@ -153,7 +204,8 @@ enum Mode {
 /// // The template leaves tensor names symbolic; each lane binds them.
 /// let template = parse_program("y(i) = m(i,j) * x(j)").unwrap();
 /// let kernel = BatchKernel::new(&template);
-/// assert_eq!(kernel.tensor_slots(), ["m", "x"]);
+/// let slots: Vec<&str> = kernel.tensor_slots().iter().map(|s| s.as_str()).collect();
+/// assert_eq!(slots, ["m", "x"]);
 ///
 /// let mat = Tensor::from_ints(Shape::new(vec![2, 2]), &[1, 2, 3, 4]);
 /// let v = Tensor::from_ints(Shape::new(vec![2]), &[10, 100]);
@@ -167,118 +219,181 @@ enum Mode {
 /// assert_eq!(results[0].as_ref().unwrap().data(), &[Rat::from(210), Rat::from(430)]);
 /// assert_eq!(results[0], results[1]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BatchKernel {
     /// The index variable of every loop: one output loop per LHS
     /// position, then the summation indices in RHS first-appearance
     /// order.
     loop_names: Vec<IndexVar>,
+    /// The interned id of each loop's index variable, aligned with
+    /// `loop_names`: what lowering looks a loop up by.
+    loop_ids: Vec<u32>,
     /// Per LHS position, the loop slot its index variable binds: a
     /// repeated LHS index binds its later occurrence, as in the
     /// interpreter.
     lhs_loops: Vec<u32>,
     /// Template tensor names, in RHS first-use order (the slot table).
-    slot_names: Vec<String>,
+    slot_names: Vec<Ident>,
+    /// The interned id of each slot's tensor name, aligned with
+    /// `slot_names`: what lowering looks a slot up by.
+    slot_ids: Vec<u32>,
     /// Symbolic-constant ids, in RHS first-use order.
     const_syms: Vec<u32>,
     /// Access table, in RHS traversal order.
     accesses: Vec<BatchAccess>,
+    /// The loop slot of every index position of every access, access by
+    /// access.
+    access_loops: Vec<u32>,
     /// The lowered instruction stream.
     isa: IsaProgram,
     /// Access ids of the product specialisation, when the template is a
-    /// pure multiplication tree with at most three tensor leaves.
-    product_loads: Option<Vec<u32>>,
+    /// pure multiplication tree with at most three tensor leaves; empty
+    /// otherwise.
+    product_loads: Vec<u32>,
+    /// Lowering's stack of entered nodes; empty between lowerings.
+    open: Vec<Open>,
 }
 
 impl BatchKernel {
-    /// Lowers `template` into the micro-ISA. Infallible: name binding and
-    /// shape checking happen per lane at evaluation time, with the checks
-    /// of [`crate::analyze`].
+    /// Lowers `template` into the micro-ISA: [`BatchKernel::lower`] of
+    /// the program's tokens. Infallible: name binding and shape checking
+    /// happen per lane at evaluation time, with the checks of
+    /// [`crate::analyze`].
     pub fn new(template: &TacoProgram) -> BatchKernel {
-        let mut loop_names = template.lhs.indices.clone();
-        loop_names.extend(template.summation_indices());
-        let mut kernel = BatchKernel {
-            loop_names,
-            lhs_loops: Vec::new(),
-            slot_names: Vec::new(),
-            const_syms: Vec::new(),
-            accesses: Vec::new(),
-            isa: IsaProgram {
-                insts: Vec::new(),
-                n_regs: 0,
-                imms: Vec::new(),
-                n_syms: 0,
-                has_div: false,
-            },
-            product_loads: None,
-        };
-        kernel.lhs_loops = template
-            .lhs
-            .indices
-            .iter()
-            .map(|ix| kernel.loop_slot(ix))
-            .collect();
-        let mut enc = Encoder::new();
-        kernel.lower(&template.rhs, 0, &mut enc);
-        kernel.isa = enc.finish();
-        kernel.product_loads = kernel.isa.product_loads();
+        let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+        let mut kernel = BatchKernel::default();
+        kernel.lower(template.template_ref(&mut ids, &mut rhs));
         kernel
     }
 
-    /// The loop slot an index variable binds: its last occurrence among
-    /// the loops (LHS and summation indices are disjoint, so only a
-    /// repeated LHS index has more than one).
-    fn loop_slot(&self, ix: &IndexVar) -> u32 {
-        self.loop_names
+    /// Lowers `template` in place of the kernel's current template,
+    /// reusing every buffer: once they have grown, this allocates
+    /// nothing. Slots and loops are found by the tokens' interned ids,
+    /// and the names are shared, not copied.
+    ///
+    /// The kernel equals [`BatchKernel::new`] of the template's program,
+    /// whichever [`crate::NameTable`] numbered the tokens: ids only say
+    /// which accesses share a tensor or an index, which any one table
+    /// says alike.
+    pub fn lower(&mut self, template: TemplateRef<'_>) {
+        let lhs = template.lhs;
+        self.loop_names.clear();
+        self.loop_ids.clear();
+        self.loop_names.extend(lhs.access.indices.iter().cloned());
+        self.loop_ids.extend_from_slice(lhs.indices);
+        // Summation indices: RHS indices not on the LHS, in order of
+        // first appearance.
+        for acc in template.accesses() {
+            for (ix, &id) in acc.access.indices.iter().zip(acc.indices) {
+                if !self.loop_ids.contains(&id) {
+                    self.loop_names.push(ix.clone());
+                    self.loop_ids.push(id);
+                }
+            }
+        }
+        self.lhs_loops.clear();
+        for &id in lhs.indices {
+            let l = self.loop_slot(id);
+            self.lhs_loops.push(l);
+        }
+        self.slot_names.clear();
+        self.slot_ids.clear();
+        self.const_syms.clear();
+        self.accesses.clear();
+        self.access_loops.clear();
+        self.open.clear();
+        // Postorder lowering with depth registers: an expression at depth
+        // `d` leaves its value in register `d`; a binary node lowers its
+        // left operand at its own depth and its right one a level deeper.
+        // The tokens are in derivation order, so a node is emitted when
+        // the leaf that completes its last operand has been.
+        let mut enc = Encoder::reusing(std::mem::take(&mut self.isa));
+        let mut depth = 0u16;
+        for &tok in template.rhs {
+            match tok {
+                RhsTok::Binary => {
+                    self.open.push(Open::Left(depth));
+                    continue;
+                }
+                RhsTok::Neg => {
+                    self.open.push(Open::Neg(depth));
+                    continue;
+                }
+                RhsTok::Op(op) => {
+                    let Some(Open::Left(d)) = self.open.pop() else {
+                        panic!("an operator follows a binary node's left operand");
+                    };
+                    self.open.push(Open::Right(d, op));
+                    depth = d + 1;
+                    continue;
+                }
+                RhsTok::Access(a) => {
+                    let slot = match self.slot_ids.iter().position(|&s| s == a.tensor) {
+                        Some(s) => s as u32,
+                        None => {
+                            self.slot_ids.push(a.tensor);
+                            self.slot_names.push(a.access.tensor.clone());
+                            (self.slot_ids.len() - 1) as u32
+                        }
+                    };
+                    let start = self.access_loops.len() as u32;
+                    for &id in a.indices {
+                        let l = self.loop_slot(id);
+                        self.access_loops.push(l);
+                    }
+                    let end = self.access_loops.len() as u32;
+                    self.accesses.push(BatchAccess { slot, start, end });
+                    enc.load(depth, (self.accesses.len() - 1) as u32);
+                }
+                RhsTok::Const(c) => enc.const_imm(depth, c),
+                RhsTok::ConstSym(id) => {
+                    let sym = match self.const_syms.iter().position(|&s| s == id) {
+                        Some(s) => s,
+                        None => {
+                            self.const_syms.push(id);
+                            self.const_syms.len() - 1
+                        }
+                    };
+                    enc.const_sym(depth, sym as u16);
+                }
+            }
+            // A leaf: emit every node whose last operand it completes.
+            while let Some(&node) = self.open.last() {
+                match node {
+                    Open::Left(_) => break,
+                    Open::Neg(d) => enc.neg(d, d),
+                    Open::Right(d, op) => enc.bin(op, d, d, d + 1),
+                }
+                self.open.pop();
+            }
+        }
+        self.isa = enc.finish();
+        self.isa.product_loads_into(&mut self.product_loads);
+    }
+
+    /// The loop slot of the index variable `id`: its last occurrence
+    /// among the loops (LHS and summation indices are disjoint, so only
+    /// a repeated LHS index has more than one).
+    fn loop_slot(&self, id: u32) -> u32 {
+        self.loop_ids
             .iter()
-            .rposition(|n| n == ix)
+            .rposition(|&l| l == id)
             .expect("every RHS index is an output or a summation index") as u32
     }
 
-    /// Postorder lowering with depth registers: an expression at depth `d`
-    /// leaves its value in register `d`.
-    fn lower(&mut self, expr: &Expr, depth: u16, enc: &mut Encoder) {
-        match expr {
-            Expr::Access(acc) => {
-                let name = acc.tensor.as_str();
-                let slot = match self.slot_names.iter().position(|n| n == name) {
-                    Some(s) => s as u32,
-                    None => {
-                        self.slot_names.push(name.to_string());
-                        (self.slot_names.len() - 1) as u32
-                    }
-                };
-                let access = self.accesses.len() as u32;
-                let loops = acc.indices.iter().map(|ix| self.loop_slot(ix)).collect();
-                self.accesses.push(BatchAccess { slot, loops });
-                enc.load(depth, access);
-            }
-            Expr::Const(c) => enc.const_imm(depth, *c),
-            Expr::ConstSym(id) => {
-                let sym = match self.const_syms.iter().position(|s| s == id) {
-                    Some(s) => s,
-                    None => {
-                        self.const_syms.push(*id);
-                        self.const_syms.len() - 1
-                    }
-                };
-                enc.const_sym(depth, sym as u16);
-            }
-            Expr::Neg(inner) => {
-                self.lower(inner, depth, enc);
-                enc.neg(depth, depth);
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                self.lower(lhs, depth, enc);
-                self.lower(rhs, depth + 1, enc);
-                enc.bin(*op, depth, depth, depth + 1);
-            }
-        }
+    /// The loop slot of each index position of `acc`.
+    fn loops(&self, acc: &BatchAccess) -> &[u32] {
+        &self.access_loops[acc.start as usize..acc.end as usize]
+    }
+
+    /// The product specialisation's access ids, if the template has one.
+    fn product(&self) -> Option<&[u32]> {
+        (!self.product_loads.is_empty()).then_some(&self.product_loads[..])
     }
 
     /// The template's tensor slots: names in RHS first-use order. A
-    /// [`Lane`] binds one concrete tensor name per entry.
-    pub fn tensor_slots(&self) -> &[String] {
+    /// [`Lane`] binds one concrete tensor per entry.
+    pub fn tensor_slots(&self) -> &[Ident] {
         &self.slot_names
     }
 
@@ -289,7 +404,7 @@ impl BatchKernel {
             .accesses
             .iter()
             .filter(|acc| acc.slot as usize == slot)
-            .map(|acc| acc.loops.len());
+            .map(|acc| self.loops(acc).len());
         let first = ranks.next()?;
         ranks.all(|r| r == first).then_some(first)
     }
@@ -305,46 +420,47 @@ impl BatchKernel {
         &self.isa
     }
 
-    /// Per-lane semantic analysis: the same walk, checks and error
-    /// construction as [`crate::analyze`] on the substituted program (the
-    /// access table preserves RHS traversal order, so the *first* error
-    /// matches too), with the lane's concrete names in every error.
+    /// Per-lane semantic analysis: the same walk and checks as
+    /// [`crate::analyze`] on the substituted program. The access table
+    /// preserves RHS traversal order, so the *first* fault matches too.
     ///
-    /// Returns the extent of every loop and the tensor bound to every
-    /// slot. `extents` and `bound` are scratch, kept by the caller across
-    /// lanes: most lanes a validation sweeps fail here, and then this
-    /// allocates nothing but the error's names.
+    /// On success, `bound` holds the tensor of every slot and
+    /// `loop_extents` the extent of every loop: the output loops', then
+    /// the summation loops'. `extents` is scratch. Nothing here
+    /// allocates: most lanes a validation sweeps fail here.
     fn analyze_lane<'e>(
         &self,
         lane: &Lane<'_>,
         env: &LaneEnv<'e>,
         extents: &mut Vec<Option<usize>>,
-        bound: &mut Vec<Option<&'e Tensor>>,
-    ) -> Result<(Vec<usize>, Vec<&'e Tensor>), SemanticError> {
+        bound: &mut [Option<&'e Tensor>],
+        loop_extents: &mut [usize],
+    ) -> Result<(), Fault> {
         extents.clear();
         extents.resize(self.loop_names.len(), None);
-        bound.clear();
-        bound.resize(self.slot_names.len(), None);
+        bound.fill(None);
         for acc in &self.accesses {
-            let id = lane.tensors[acc.slot as usize];
-            let t = match bound[acc.slot as usize] {
+            let slot = acc.slot as usize;
+            let id = lane.tensors[slot];
+            let t = match bound[slot] {
                 Some(t) => t,
-                None => env.tensor(id)?,
+                None => env.tensor(id).ok_or(Fault::Unbound(id))?,
             };
-            bound[acc.slot as usize] = Some(t);
-            if t.rank() != acc.loops.len() {
-                return Err(SemanticError::RankMismatch {
-                    name: env.name(id).to_string(),
-                    access_rank: acc.loops.len(),
+            bound[slot] = Some(t);
+            let loops = self.loops(acc);
+            if t.rank() != loops.len() {
+                return Err(Fault::Rank {
+                    id,
+                    access_rank: loops.len(),
                     bound_rank: t.rank(),
                 });
             }
-            for (&l, &extent) in acc.loops.iter().zip(t.shape().extents()) {
+            for (&l, &extent) in loops.iter().zip(t.shape().extents()) {
                 match extents[l as usize] {
                     None => extents[l as usize] = Some(extent),
                     Some(first) if first != extent => {
-                        return Err(SemanticError::ExtentMismatch {
-                            index: self.loop_names[l as usize].as_str().to_string(),
+                        return Err(Fault::Extent {
+                            lp: l as usize,
                             first,
                             second: extent,
                         })
@@ -354,27 +470,41 @@ impl BatchKernel {
             }
         }
         // Output loops take their extent from the slot their index binds.
-        let mut loop_extents = Vec::with_capacity(extents.len());
+        let n_out = self.lhs_loops.len();
         for (k, &l) in self.lhs_loops.iter().enumerate() {
-            match extents[l as usize] {
-                Some(extent) => loop_extents.push(extent),
-                None => {
-                    return Err(SemanticError::UnconstrainedOutputIndex {
-                        index: self.loop_names[k].as_str().to_string(),
-                    })
-                }
-            }
+            loop_extents[k] = extents[l as usize].ok_or(Fault::Unconstrained(k))?;
         }
-        loop_extents.extend(
-            extents[self.lhs_loops.len()..]
-                .iter()
-                .map(|e| e.expect("a summation index occurs on the RHS")),
-        );
-        let bound = bound
-            .iter()
-            .map(|t| t.expect("every slot is accessed"))
-            .collect();
-        Ok((loop_extents, bound))
+        for (out, extent) in loop_extents[n_out..].iter_mut().zip(&extents[n_out..]) {
+            *out = extent.expect("a summation index occurs on the RHS");
+        }
+        Ok(())
+    }
+
+    /// The error [`crate::analyze`] reports for `fault`, with the lane's
+    /// concrete names.
+    fn semantic_error(&self, fault: Fault, env: &LaneEnv<'_>) -> SemanticError {
+        match fault {
+            Fault::Unbound(id) => SemanticError::UnboundTensor {
+                name: env.name(id).to_string(),
+            },
+            Fault::Rank {
+                id,
+                access_rank,
+                bound_rank,
+            } => SemanticError::RankMismatch {
+                name: env.name(id).to_string(),
+                access_rank,
+                bound_rank,
+            },
+            Fault::Extent { lp, first, second } => SemanticError::ExtentMismatch {
+                index: self.loop_names[lp].as_str().to_string(),
+                first,
+                second,
+            },
+            Fault::Unconstrained(k) => SemanticError::UnconstrainedOutputIndex {
+                index: self.loop_names[k].as_str().to_string(),
+            },
+        }
     }
 
     /// Folds every constant leaf into one `i64` coefficient for the
@@ -410,71 +540,131 @@ impl BatchKernel {
         lanes: &[Lane<'_>],
         env: &LaneEnv<'_>,
     ) -> Vec<Result<Tensor, EvalError>> {
-        /// Lanes binding the same shape to every slot.
-        struct Group {
-            ids: Vec<usize>,
-            loop_extents: Vec<usize>,
-        }
         let mut results: Vec<Option<Result<Tensor, EvalError>>> =
             (0..lanes.len()).map(|_| None).collect();
-        let mut bound: Vec<Vec<&Tensor>> = vec![Vec::new(); lanes.len()];
-        let mut groups: Vec<Group> = Vec::new();
-        let (mut extents, mut slots) = (Vec::new(), Vec::new());
-        for (i, lane) in lanes.iter().enumerate() {
-            assert_eq!(
-                lane.tensors.len(),
-                self.slot_names.len(),
-                "lane binds one tensor per slot"
-            );
-            assert_eq!(
-                lane.constants.len(),
-                self.const_syms.len(),
-                "lane binds one value per constant slot"
-            );
-            match self.analyze_lane(lane, env, &mut extents, &mut slots) {
-                Err(e) => results[i] = Some(Err(EvalError::Semantic(e))),
-                Ok((loop_extents, tensors)) => {
-                    bound[i] = tensors;
-                    let same_shapes = |g: &&mut Group| {
-                        let first = &bound[g.ids[0]];
-                        first
-                            .iter()
-                            .zip(&bound[i])
-                            .all(|(a, b)| a.shape() == b.shape())
-                    };
-                    match groups.iter_mut().find(same_shapes) {
-                        Some(g) => g.ids.push(i),
-                        None => groups.push(Group {
-                            ids: vec![i],
-                            loop_extents,
-                        }),
-                    }
-                }
-            }
-        }
-        let mut scratch = GroupScratch::default();
-        for g in &groups {
-            self.run_group(
-                lanes,
-                env,
-                &g.ids,
-                &g.loop_extents,
-                &bound,
-                &mut results,
-                &mut scratch,
-            );
-        }
+        self.sweep(
+            lanes,
+            env,
+            &mut Sink::Collect(&mut results),
+            &mut GroupScratch::default(),
+        );
         results
             .into_iter()
             .map(|r| r.expect("every lane resolved"))
             .collect()
     }
 
-    /// Evaluates the lanes of one shape group: shared odometer, shared
-    /// strides, lane-major registers.
+    /// Keeps alive only the lanes whose output equals `expected`.
+    ///
+    /// A lane marked dead in `alive` is not run. A live lane stays alive
+    /// exactly when [`BatchKernel::evaluate_lanes`] would give it
+    /// `Ok(expected)`: it dies at its first output cell that differs
+    /// from `expected`'s or fails to evaluate, or before it runs when its
+    /// bindings fail analysis or give an output shape other than
+    /// `expected`'s. The sweep stops once no lane is alive. `scratch`
+    /// keeps this call's buffers for the next one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alive` does not hold one flag per lane, and on the
+    /// arity mismatches [`BatchKernel::evaluate_lanes`] panics on.
+    pub fn filter_lanes(
+        &self,
+        lanes: &[Lane<'_>],
+        env: &LaneEnv<'_>,
+        expected: &Tensor,
+        alive: &mut [bool],
+        scratch: &mut GroupScratch,
+    ) {
+        assert_eq!(alive.len(), lanes.len(), "one flag per lane");
+        self.sweep(lanes, env, &mut Sink::Compare { expected, alive }, scratch);
+    }
+
+    /// Analyses the lanes, groups them by shape and runs each group into
+    /// `sink`, with `scratch`'s buffers.
+    fn sweep(
+        &self,
+        lanes: &[Lane<'_>],
+        env: &LaneEnv<'_>,
+        sink: &mut Sink<'_>,
+        scratch: &mut GroupScratch,
+    ) {
+        let mut views = std::mem::take(&mut scratch.views).recycle();
+        let GroupScratch { lane, group, .. } = scratch;
+        let (n_slots, n_loops) = (self.slot_names.len(), self.loop_names.len());
+        let n_out = self.lhs_loops.len();
+        refill(&mut views.bound, lanes.len() * n_slots, None);
+        refill(&mut lane.loop_extents, lanes.len() * n_loops, 0);
+        refill(&mut lane.group_of, lanes.len(), NO_GROUP);
+        lane.firsts.clear();
+        for (i, l) in lanes.iter().enumerate() {
+            assert_eq!(l.tensors.len(), n_slots, "lane binds one tensor per slot");
+            assert_eq!(
+                l.constants.len(),
+                self.const_syms.len(),
+                "lane binds one value per constant slot"
+            );
+            if let Sink::Compare { alive, .. } = sink {
+                if !alive[i] {
+                    continue;
+                }
+            }
+            let analysed = self.analyze_lane(
+                l,
+                env,
+                &mut lane.extents,
+                &mut views.bound[i * n_slots..(i + 1) * n_slots],
+                &mut lane.loop_extents[i * n_loops..(i + 1) * n_loops],
+            );
+            if let Err(fault) = analysed {
+                match sink {
+                    Sink::Collect(results) => {
+                        let e = self.semantic_error(fault, env);
+                        results[i] = Some(Err(EvalError::Semantic(e)));
+                    }
+                    Sink::Compare { alive, .. } => alive[i] = false,
+                }
+                continue;
+            }
+            // Lanes binding the same shape to every slot form a group.
+            let shapes = |l: usize| {
+                views.bound[l * n_slots..(l + 1) * n_slots]
+                    .iter()
+                    .map(|t| t.map(Tensor::shape))
+            };
+            lane.group_of[i] = match lane.firsts.iter().position(|&f| shapes(f).eq(shapes(i))) {
+                Some(g) => g as u32,
+                None => {
+                    lane.firsts.push(i);
+                    (lane.firsts.len() - 1) as u32
+                }
+            };
+        }
+        for (g, &first) in lane.firsts.iter().enumerate() {
+            let loop_extents = &lane.loop_extents[first * n_loops..(first + 1) * n_loops];
+            lane.ids.clear();
+            lane.ids
+                .extend((first..lanes.len()).filter(|&i| lane.group_of[i] == g as u32));
+            if let Sink::Compare { expected, alive } = sink {
+                if loop_extents[..n_out] != *expected.shape().extents() {
+                    for &i in &lane.ids {
+                        alive[i] = false;
+                    }
+                    continue;
+                }
+            }
+            self.run_group(lanes, env, &lane.ids, loop_extents, sink, group, &mut views);
+        }
+        scratch.views = views.recycle();
+    }
+
+    /// Runs the lanes `ids` of one shape group: shared odometer, shared
+    /// strides, lane-major registers. Output cells are made one at a
+    /// time, in row-major order, and each is handed to `sink` as soon as
+    /// it is made.
     ///
     /// `loop_extents` holds the output loops' extents, then the summation
-    /// loops'; `bound[id]` is the tensor lane `id` binds to every slot.
+    /// loops'.
     #[allow(clippy::too_many_arguments)]
     fn run_group<'s>(
         &self,
@@ -482,27 +672,35 @@ impl BatchKernel {
         env: &'s LaneEnv<'_>,
         ids: &[usize],
         loop_extents: &[usize],
-        bound: &[Vec<&'s Tensor>],
-        results: &mut [Option<Result<Tensor, EvalError>>],
-        scratch: &mut GroupScratch<'s>,
+        sink: &mut Sink<'_>,
+        scratch: &mut GroupBufs,
+        views: &mut Views<'s>,
     ) {
         let n_out = self.lhs_loops.len();
         let out_extents = &loop_extents[..n_out];
         let n_loops = loop_extents.len();
         let n_acc = self.accesses.len();
-        let GroupScratch {
+        let n_slots = self.slot_names.len();
+        let Views {
+            bound,
+            acc_rats,
+            acc_ints,
+            int_plan,
+        } = views;
+        let tensor = |id: usize, slot: u32| {
+            bound[id * n_slots + slot as usize].expect("an analysed lane binds every slot")
+        };
+        let GroupBufs {
             strides,
             out_updates,
             sum_updates,
-            acc_rats,
             modes,
-            acc_ints,
-            int_plan,
             prod_inner,
             state,
             regs_i,
             regs_r,
             lane_err,
+            done,
             cell_vals,
             int_alive,
             int_accs,
@@ -512,14 +710,13 @@ impl BatchKernel {
 
         // Shared stride walks: every lane in the group binds the same
         // shape per slot, so one stride table serves them all.
-        let first = &bound[ids[0]];
-        reset(strides, n_acc);
+        let strides = reset(strides, n_acc);
         for (acc, plan) in self.accesses.iter().zip(strides.iter_mut()) {
-            let extents = first[acc.slot as usize].shape().extents();
-            access_strides_into(&acc.loops, extents, |&l| l, plan);
+            let extents = tensor(ids[0], acc.slot).shape().extents();
+            access_strides_into(self.loops(acc), extents, |&l| l, plan);
         }
-        reset(out_updates, n_out);
-        reset(sum_updates, n_loops - n_out);
+        let out_updates = reset(out_updates, n_out);
+        let sum_updates = reset(sum_updates, n_loops - n_out);
         for (a, plan) in strides.iter().enumerate() {
             for &(slot, stride) in plan {
                 let slot = slot as usize;
@@ -539,7 +736,7 @@ impl BatchKernel {
         acc_rats.extend(ids.iter().flat_map(|&id| {
             self.accesses
                 .iter()
-                .map(move |acc| bound[id][acc.slot as usize].data())
+                .map(move |acc| tensor(id, acc.slot).data())
         }));
 
         // The i64 fast path needs a division-free template, a real
@@ -558,7 +755,7 @@ impl BatchKernel {
             if lane.tensors.iter().any(|&t| env.ints(t).is_none()) {
                 return Mode::Exact;
             }
-            if self.product_loads.is_some() {
+            if self.product().is_some() {
                 match self.fold_coeff(lane) {
                     Some(coeff) => Mode::Int { coeff },
                     None => Mode::Exact,
@@ -590,7 +787,7 @@ impl BatchKernel {
         // it wraps.
         int_plan.clear();
         prod_inner.clear();
-        if let Some(loads) = &self.product_loads {
+        if let Some(loads) = self.product() {
             for (pos, mode) in modes.iter().enumerate() {
                 let Mode::Int { coeff } = *mode else {
                     continue;
@@ -623,25 +820,30 @@ impl BatchKernel {
         let n_regs = self.isa.n_regs;
         refill(regs_i, n_regs * nl, 0);
         refill(regs_r, n_regs * nl, Rat::ZERO);
-        let mut outs: Vec<Vec<Rat>> = ids.iter().map(|_| Vec::with_capacity(out_len)).collect();
+        // Only a collecting sweep keeps the cells it makes.
+        let mut outs: Vec<Vec<Rat>> = match sink {
+            Sink::Collect(_) => ids.iter().map(|_| Vec::with_capacity(out_len)).collect(),
+            Sink::Compare { .. } => Vec::new(),
+        };
         refill(lane_err, nl, None);
+        refill(done, nl, false);
         refill(cell_vals, nl, Rat::ZERO);
         refill(int_alive, nl, false);
         refill(int_accs, nl, 0);
         refill(rat_run, nl, false);
         refill(rat_accs, nl, Rat::ZERO);
 
-        for _ in 0..out_len {
+        for cell in 0..out_len {
             // Which lanes attempt the fast path this cell; a mid-cell
             // overflow flips the lane into `rat_run` (per-cell demotion).
             let mut any_int = false;
             for (pos, mode) in modes.iter().enumerate() {
-                int_alive[pos] = matches!(mode, Mode::Int { .. }) && lane_err[pos].is_none();
+                int_alive[pos] = matches!(mode, Mode::Int { .. }) && !done[pos];
                 any_int |= int_alive[pos];
-                rat_run[pos] = matches!(mode, Mode::Exact) && lane_err[pos].is_none();
+                rat_run[pos] = matches!(mode, Mode::Exact) && !done[pos];
             }
             if any_int {
-                match &self.product_loads {
+                match self.product() {
                     Some(loads) => {
                         let inner_strides = &prod_inner[..];
                         // Tight multiply-accumulate sweep: the inner
@@ -907,6 +1109,7 @@ impl BatchKernel {
                                             Ok(v) => regs_r[d + pos] = v,
                                             Err(e) => {
                                                 lane_err[pos] = Some(e.into());
+                                                done[pos] = true;
                                                 rat_run[pos] = false;
                                             }
                                         }
@@ -922,6 +1125,7 @@ impl BatchKernel {
                                 Ok(v) => rat_accs[pos] = v,
                                 Err(e) => {
                                     lane_err[pos] = Some(e.into());
+                                    done[pos] = true;
                                     rat_run[pos] = false;
                                 }
                             }
@@ -940,9 +1144,28 @@ impl BatchKernel {
                     }
                 }
             }
-            for pos in 0..nl {
-                if lane_err[pos].is_none() {
-                    outs[pos].push(cell_vals[pos]);
+            match sink {
+                Sink::Collect(_) => {
+                    for pos in 0..nl {
+                        if !done[pos] {
+                            outs[pos].push(cell_vals[pos]);
+                        }
+                    }
+                }
+                Sink::Compare { expected, .. } => {
+                    // A lane leaves the sweep at its first wrong cell, and
+                    // the sweep ends once no lane is left.
+                    let want = &expected.data()[cell];
+                    let mut any_left = false;
+                    for pos in 0..nl {
+                        if !done[pos] {
+                            done[pos] = cell_vals[pos] != *want;
+                            any_left |= !done[pos];
+                        }
+                    }
+                    if !any_left {
+                        break;
+                    }
                 }
             }
             advance(
@@ -953,17 +1176,38 @@ impl BatchKernel {
             );
         }
 
-        for (pos, &id) in ids.iter().enumerate() {
-            results[id] = Some(match lane_err[pos].take() {
-                Some(e) => Err(e),
-                None => Ok(Tensor::from_data(
-                    Shape::new(out_extents.to_vec()),
-                    std::mem::take(&mut outs[pos]),
-                )
-                .expect("output length matches shape")),
-            });
+        match sink {
+            Sink::Collect(results) => {
+                for (pos, &id) in ids.iter().enumerate() {
+                    results[id] = Some(match lane_err[pos].take() {
+                        Some(e) => Err(e),
+                        None => Ok(Tensor::from_data(
+                            Shape::new(out_extents.to_vec()),
+                            std::mem::take(&mut outs[pos]),
+                        )
+                        .expect("output length matches shape")),
+                    });
+                }
+            }
+            Sink::Compare { alive, .. } => {
+                for (pos, &id) in ids.iter().enumerate() {
+                    alive[id] = !done[pos];
+                }
+            }
         }
     }
+}
+
+/// What a sweep does with the output cells it makes.
+enum Sink<'o> {
+    /// Keep them: every lane's output tensor or error, by lane.
+    Collect(&'o mut [Option<Result<Tensor, EvalError>>]),
+    /// Compare each with `expected`'s cell: a lane whose cell differs or
+    /// fails to evaluate is dead in `alive`.
+    Compare {
+        expected: &'o Tensor,
+        alive: &'o mut [bool],
+    },
 }
 
 /// The loop nest's mutable state: raw counters plus per-access offsets
@@ -977,26 +1221,57 @@ struct LoopState {
     sum_off: Vec<usize>,
 }
 
-/// Buffers [`BatchKernel::run_group`] reuses across the shape groups of
-/// one [`BatchKernel::evaluate_lanes`] call, so that a call with many
-/// small groups allocates per lane little but the lane's output.
+/// The buffers of [`BatchKernel::filter_lanes`], kept by its caller from
+/// one call to the next so that the calls allocate nothing once the
+/// buffers have grown. One scratch serves any kernel and any lanes.
 #[derive(Default)]
-struct GroupScratch<'s> {
+pub struct GroupScratch {
+    lane: LaneBufs,
+    group: GroupBufs,
+    /// Empty between sweeps.
+    views: Views<'static>,
+}
+
+impl std::fmt::Debug for GroupScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupScratch").finish_non_exhaustive()
+    }
+}
+
+/// Marks a lane that is in no shape group.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Per-lane analysis results, and the shape groups they form.
+#[derive(Default)]
+struct LaneBufs {
+    /// Scratch for [`BatchKernel::analyze_lane`].
+    extents: Vec<Option<usize>>,
+    /// Per lane, then per loop: the loop's extent.
+    loop_extents: Vec<usize>,
+    /// Per lane, its group ([`NO_GROUP`]: none).
+    group_of: Vec<u32>,
+    /// Per group, its first lane.
+    firsts: Vec<usize>,
+    /// The lanes of the group being run.
+    ids: Vec<usize>,
+}
+
+/// Buffers [`BatchKernel::run_group`] reuses from one shape group to the
+/// next.
+#[derive(Default)]
+struct GroupBufs {
     strides: Vec<Vec<(u32, usize)>>,
     out_updates: Vec<Vec<(u32, usize)>>,
     sum_updates: Vec<Vec<(u32, usize)>>,
-    /// Per lane, then per access: the access's rational data.
-    acc_rats: Vec<&'s [Rat]>,
     modes: Vec<Mode>,
-    /// Laid out like `acc_rats`: the access's `i64` data, empty for an
-    /// exact-mode lane.
-    acc_ints: Vec<&'s [i64]>,
-    int_plan: Vec<(usize, i64, [&'s [i64]; 3])>,
     prod_inner: Vec<usize>,
     state: LoopState,
     regs_i: Vec<i64>,
     regs_r: Vec<Rat>,
     lane_err: Vec<Option<EvalError>>,
+    /// Per lane: whether it has left the sweep (failed, or, when
+    /// comparing, differed).
+    done: Vec<bool>,
     cell_vals: Vec<Rat>,
     int_alive: Vec<bool>,
     int_accs: Vec<i64>,
@@ -1004,10 +1279,50 @@ struct GroupScratch<'s> {
     rat_accs: Vec<Rat>,
 }
 
-/// `vecs` as `n` empty vectors, keeping their buffers.
-fn reset<T>(vecs: &mut Vec<Vec<T>>, n: usize) {
-    vecs.resize_with(n, Vec::new);
+/// A sweep's buffers that borrow the environment's tensors for `'s`.
+#[derive(Default)]
+struct Views<'s> {
+    /// Per lane, then per slot: the tensor the lane binds.
+    bound: Vec<Option<&'s Tensor>>,
+    /// Per lane of a group, then per access: the access's rational data.
+    acc_rats: Vec<&'s [Rat]>,
+    /// Laid out like `acc_rats`: the access's `i64` data, empty for an
+    /// exact-mode lane.
+    acc_ints: Vec<&'s [i64]>,
+    int_plan: Vec<(usize, i64, [&'s [i64]; 3])>,
+}
+
+impl Views<'_> {
+    /// The buffers emptied, as buffers for any lifetime.
+    fn recycle<'b>(self) -> Views<'b> {
+        Views {
+            bound: recycle(self.bound),
+            acc_rats: recycle(self.acc_rats),
+            acc_ints: recycle(self.acc_ints),
+            int_plan: recycle(self.int_plan),
+        }
+    }
+}
+
+/// `v` emptied, as a buffer for elements of another type of the same
+/// layout (a borrow of another lifetime): collecting the empty vector in
+/// place keeps its allocation.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+/// The first `n` of `vecs`, emptied. Vectors past the `n`th are kept, so
+/// their buffers serve a later, larger call.
+fn reset<T>(vecs: &mut Vec<Vec<T>>, n: usize) -> &mut [Vec<T>] {
+    if vecs.len() < n {
+        vecs.resize_with(n, Vec::new);
+    }
+    let vecs = &mut vecs[..n];
     vecs.iter_mut().for_each(Vec::clear);
+    vecs
 }
 
 /// `v` as `n` copies of `value`, keeping its buffer.
@@ -1165,7 +1480,7 @@ fn inner_product3(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Access, Ident};
+    use crate::ast::{Access, Expr};
     use crate::eval::evaluate_interpreted;
     use crate::parser::parse_program;
     use gtl_tensor::RatError;
@@ -1220,7 +1535,7 @@ mod tests {
         let names: Map<&str, &str> = k
             .tensor_slots()
             .iter()
-            .map(String::as_str)
+            .map(Ident::as_str)
             .zip(lane.tensors.iter().copied())
             .collect();
         let consts: Map<u32, i64> = k
@@ -1461,5 +1776,153 @@ mod tests {
         // in exact arithmetic.
         let lanes = [lane(&["m", "x"])];
         assert_lanes_match_interpreter("y(i) = m(i,j) * x(j)", &lanes, &e);
+    }
+
+    /// The tree-walk lowering [`BatchKernel::new`] did before kernels were
+    /// lowered from tokens: the reference for the token lowering.
+    fn tree_kernel(t: &TacoProgram) -> BatchKernel {
+        fn loop_slot(k: &BatchKernel, ix: &IndexVar) -> u32 {
+            k.loop_names.iter().rposition(|n| n == ix).unwrap() as u32
+        }
+        fn lower(k: &mut BatchKernel, e: &Expr, depth: u16, enc: &mut Encoder) {
+            match e {
+                Expr::Access(acc) => {
+                    let slot = match k.slot_names.iter().position(|n| *n == acc.tensor) {
+                        Some(s) => s as u32,
+                        None => {
+                            k.slot_names.push(acc.tensor.clone());
+                            (k.slot_names.len() - 1) as u32
+                        }
+                    };
+                    let start = k.access_loops.len() as u32;
+                    for ix in &acc.indices {
+                        let l = loop_slot(k, ix);
+                        k.access_loops.push(l);
+                    }
+                    let end = k.access_loops.len() as u32;
+                    k.accesses.push(BatchAccess { slot, start, end });
+                    enc.load(depth, (k.accesses.len() - 1) as u32);
+                }
+                Expr::Const(c) => enc.const_imm(depth, *c),
+                Expr::ConstSym(id) => {
+                    let sym = match k.const_syms.iter().position(|s| s == id) {
+                        Some(s) => s,
+                        None => {
+                            k.const_syms.push(*id);
+                            k.const_syms.len() - 1
+                        }
+                    };
+                    enc.const_sym(depth, sym as u16);
+                }
+                Expr::Neg(inner) => {
+                    lower(k, inner, depth, enc);
+                    enc.neg(depth, depth);
+                }
+                Expr::Binary { op, lhs, rhs } => {
+                    lower(k, lhs, depth, enc);
+                    lower(k, rhs, depth + 1, enc);
+                    enc.bin(*op, depth, depth, depth + 1);
+                }
+            }
+        }
+        let mut k = BatchKernel {
+            loop_names: t.lhs.indices.clone(),
+            ..BatchKernel::default()
+        };
+        k.loop_names.extend(t.summation_indices());
+        k.lhs_loops = t.lhs.indices.iter().map(|ix| loop_slot(&k, ix)).collect();
+        let mut enc = Encoder::new();
+        lower(&mut k, &t.rhs, 0, &mut enc);
+        k.isa = enc.finish();
+        k.product_loads = k.isa.product_loads().unwrap_or_default();
+        k
+    }
+
+    /// What a lowering decides: every field but the ids it looked names
+    /// up by, which only the table that numbered them gives meaning.
+    #[allow(clippy::type_complexity)]
+    fn lowering(
+        k: &BatchKernel,
+    ) -> (
+        &[IndexVar],
+        &[u32],
+        &[Ident],
+        &[u32],
+        &[BatchAccess],
+        &[u32],
+        &IsaProgram,
+        &[u32],
+    ) {
+        (
+            &k.loop_names,
+            &k.lhs_loops,
+            &k.slot_names,
+            &k.const_syms,
+            &k.accesses,
+            &k.access_loops,
+            &k.isa,
+            &k.product_loads,
+        )
+    }
+
+    /// Templates over tensors `a`–`d` (`a` also on the RHS), indices
+    /// `i`–`k`, repeated LHS indices, literal and symbolic constants.
+    fn arb_template() -> impl Strategy<Value = TacoProgram> {
+        use proptest::prelude::*;
+        let access = (
+            prop::sample::select(vec!["a", "b", "c", "d"]),
+            prop::collection::vec(prop::sample::select(vec!["i", "j", "k"]), 0..4),
+        )
+            .prop_map(|(name, indices)| Expr::access(name, &indices));
+        let leaf = prop_oneof![
+            access.clone(),
+            access,
+            (-2i64..3).prop_map(Expr::Const),
+            (0u32..3).prop_map(Expr::ConstSym),
+        ];
+        let rhs = leaf.prop_recursive(4, 16, 2, |inner| {
+            prop_oneof![
+                (
+                    prop::sample::select(crate::ast::BinOp::ALL.to_vec()),
+                    inner.clone(),
+                    inner.clone()
+                )
+                    .prop_map(|(op, l, r)| Expr::binary(op, l, r)),
+                inner.prop_map(|e| Expr::Neg(Box::new(e))),
+            ]
+        });
+        let lhs = prop::sample::select(vec![vec![], vec!["i"], vec!["i", "j"], vec!["i", "i"]])
+            .prop_map(|indices| Access::new("a", &indices));
+        (lhs, rhs).prop_map(|(lhs, rhs)| TacoProgram::new(lhs, rhs))
+    }
+
+    use proptest::strategy::Strategy;
+
+    proptest::proptest! {
+        /// Lowering a template's tokens into a kernel that held another
+        /// template, with ids from a table that also holds other names
+        /// (as a search's table does), gives the kernel
+        /// `BatchKernel::new` builds from the program, and that is the
+        /// kernel the tree-walk lowering builds: the same slot, loop and
+        /// access order and the same ISA.
+        #[test]
+        fn token_lowering_equals_the_programs_kernel(
+            template in arb_template(),
+            before in arb_template(),
+        ) {
+            let fresh = BatchKernel::new(&template);
+            proptest::prop_assert_eq!(lowering(&fresh), lowering(&tree_kernel(&template)));
+            let mut accesses = vec![&template.lhs, &before.lhs];
+            accesses.extend(before.rhs.accesses());
+            accesses.extend(template.rhs.accesses());
+            let table = crate::ast::NameTable::new(accesses);
+            let mut reused = BatchKernel::new(&before);
+            let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+            reused.lower(template.template_ref_in(&table, &mut ids, &mut rhs));
+            proptest::prop_assert_eq!(lowering(&reused), lowering(&fresh));
+            proptest::prop_assert!(reused.open.is_empty());
+            proptest::prop_assert_eq!(reused.slot_ids.len(), reused.slot_names.len());
+            proptest::prop_assert_eq!(reused.loop_ids.len(), reused.loop_names.len());
+        }
     }
 }

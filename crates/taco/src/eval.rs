@@ -170,7 +170,7 @@ pub fn evaluate(program: &TacoProgram, env: &TensorEnv) -> Result<Tensor, EvalEr
     let ids: Vec<u32> = kernel
         .tensor_slots()
         .iter()
-        .map(|name| lane_env.push(name, env.get(name)))
+        .map(|name| lane_env.push(name.as_str(), env.get(name.as_str())))
         .collect();
     let lane = Lane {
         tensors: &ids,

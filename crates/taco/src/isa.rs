@@ -75,7 +75,7 @@ pub struct Inst {
 
 /// A lowered template: the instruction stream plus everything needed to
 /// allocate its runtime state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IsaProgram {
     /// Instructions in evaluation (postorder) order; the template's value
     /// ends up in register 0.
@@ -101,14 +101,27 @@ impl IsaProgram {
     /// leaves, in instruction order, when there are one to three of them.
     pub fn product_loads(&self) -> Option<Vec<u32>> {
         let mut loads = Vec::new();
+        self.product_loads_into(&mut loads).then_some(loads)
+    }
+
+    /// [`IsaProgram::product_loads`] written into `loads`, which is left
+    /// empty when the program is not such a product.
+    pub(crate) fn product_loads_into(&self, loads: &mut Vec<u32>) -> bool {
+        loads.clear();
         for inst in &self.insts {
             match inst.op {
                 Opcode::LoadSlot => loads.push(inst.a as u32),
                 Opcode::ConstImm | Opcode::ConstSym | Opcode::Mul => {}
-                _ => return None,
+                _ => {
+                    loads.clear();
+                    return false;
+                }
             }
         }
-        (!loads.is_empty() && loads.len() <= 3).then_some(loads)
+        if loads.len() > 3 {
+            loads.clear();
+        }
+        !loads.is_empty()
     }
 }
 
@@ -142,6 +155,23 @@ impl Encoder {
     /// An empty encoder.
     pub fn new() -> Encoder {
         Encoder::default()
+    }
+
+    /// An empty encoder that writes into `program`'s buffers, so a
+    /// program lowered in place of another allocates nothing.
+    pub fn reusing(program: IsaProgram) -> Encoder {
+        let IsaProgram {
+            mut insts,
+            mut imms,
+            ..
+        } = program;
+        insts.clear();
+        imms.clear();
+        Encoder {
+            insts,
+            imms,
+            ..Encoder::default()
+        }
     }
 
     fn touch(&mut self, reg: u16) {

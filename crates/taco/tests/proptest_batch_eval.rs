@@ -10,12 +10,16 @@
 //! inputs that hit division by zero, and non-integer rationals that
 //! defeat the fast path at conversion. Lanes also bind wrong-rank and
 //! missing tensors, so semantic-error classification is compared too.
+//!
+//! The filter ([`BatchKernel::filter_lanes`]) is checked against the
+//! evaluator over the same draws: a lane passes the filter exactly when
+//! its evaluated result equals the expected tensor.
 
 use std::collections::HashMap;
 
 use gtl_taco::{
-    evaluate_interpreted, Access, BatchKernel, BinOp, EvalError, Expr, Lane, LaneEnv, TacoProgram,
-    TensorEnv,
+    evaluate_interpreted, parse_program, Access, BatchKernel, BinOp, EvalError, Expr, GroupScratch,
+    Ident, Lane, LaneEnv, TacoProgram, TensorEnv,
 };
 use gtl_tensor::{Rat, Shape, Tensor, TensorGen};
 use proptest::prelude::*;
@@ -165,7 +169,7 @@ fn build_env(
     let mut gen = TensorGen::new(seed);
     let mut env = TensorEnv::new();
     for (s, slot) in kernel.tensor_slots().iter().enumerate() {
-        let extents = slot_shape(template, slot);
+        let extents = slot_shape(template, slot.as_str());
         for prefix in ["g", "h"] {
             let t = gen.int_tensor(Shape::new(extents.clone()), -5, 5);
             env.insert(format!("{prefix}{s}"), t.map(scale));
@@ -182,13 +186,14 @@ struct NamedLane {
     constants: Vec<i64>,
 }
 
-/// Evaluates named lanes through the id-based batch interface: every
-/// name of `env` gets an id, and a name `env` lacks is bound to nothing.
-fn evaluate_named(
-    kernel: &BatchKernel,
+/// Runs `f` on named lanes resolved for the id-based batch interface:
+/// every name of `env` gets an id, and a name `env` lacks is bound to
+/// nothing.
+fn with_views<R>(
     lanes: &[NamedLane],
     env: &TensorEnv,
-) -> Vec<Result<Tensor, EvalError>> {
+    f: impl FnOnce(&[Lane<'_>], &LaneEnv<'_>) -> R,
+) -> R {
     let mut lane_env = LaneEnv::from_env(env);
     let ids: Vec<Vec<u32>> = lanes
         .iter()
@@ -207,7 +212,18 @@ fn evaluate_named(
             constants: &lane.constants,
         })
         .collect();
-    kernel.evaluate_lanes(&views, &lane_env)
+    f(&views, &lane_env)
+}
+
+/// Evaluates named lanes through the id-based batch interface.
+fn evaluate_named(
+    kernel: &BatchKernel,
+    lanes: &[NamedLane],
+    env: &TensorEnv,
+) -> Vec<Result<Tensor, EvalError>> {
+    with_views(lanes, env, |views, lane_env| {
+        kernel.evaluate_lanes(views, lane_env)
+    })
 }
 
 /// Derives `n` lanes from the pick stream: mostly well-shaped bindings
@@ -238,7 +254,7 @@ fn concretize(kernel: &BatchKernel, template: &TacoProgram, lane: &NamedLane) ->
     let names: HashMap<&str, &str> = kernel
         .tensor_slots()
         .iter()
-        .map(String::as_str)
+        .map(Ident::as_str)
         .zip(lane.tensors.iter().map(String::as_str))
         .collect();
     let consts: HashMap<u32, i64> = kernel
@@ -317,7 +333,7 @@ proptest! {
 /// template's zero divisors, and semantic errors in single lanes.
 #[test]
 fn wide_mixed_batch_matches_interpreter() {
-    let template = gtl_taco::parse_program("a(i) = s0(i,j) * s1(j)").unwrap();
+    let template = parse_program("a(i) = s0(i,j) * s1(j)").unwrap();
     let kernel = BatchKernel::new(&template);
     let mut env = TensorEnv::new();
     let mut gen = TensorGen::new(7);
@@ -358,5 +374,254 @@ fn wide_mixed_batch_matches_interpreter() {
     assert!(
         got.iter().any(Result::is_ok),
         "the draw must include successful lanes"
+    );
+}
+
+/// The output shape of every well-bound lane: the LHS indices' extents.
+fn output_shape(template: &TacoProgram) -> Shape {
+    Shape::new(
+        template
+            .lhs
+            .indices
+            .iter()
+            .map(|ix| extent_of(ix.as_str()))
+            .collect(),
+    )
+}
+
+/// The tensors a draw filters against, in turn: a lane's output (so it
+/// and its equals pass), that output with one cell changed (a lane that
+/// made it dies at that cell), a tensor of the right shape that no lane
+/// is likely to make, and one of another shape (every shape group is
+/// dropped before it runs).
+fn expected_tensors(
+    template: &TacoProgram,
+    results: &[Result<Tensor, EvalError>],
+    picks: &mut Picks,
+) -> Vec<Tensor> {
+    let shape = output_shape(template);
+    let made: Vec<&Tensor> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
+    let mut out = Vec::new();
+    if !made.is_empty() {
+        let hit = made[picks.pick(made.len())].clone();
+        let mut data = hit.data().to_vec();
+        if !data.is_empty() {
+            let cell = picks.pick(data.len());
+            data[cell] += Rat::from(1);
+        }
+        out.push(hit.clone());
+        out.push(Tensor::from_data(hit.shape().clone(), data).unwrap());
+    }
+    out.push(Tensor::from_ints(shape.clone(), &vec![7; shape.len()]));
+    let mut other = shape.extents().to_vec();
+    other.push(2);
+    out.push(Tensor::from_ints(
+        Shape::new(other.clone()),
+        &vec![0; other.iter().product()],
+    ));
+    out
+}
+
+/// Filters `lanes` against each expected tensor through one scratch,
+/// with some lanes dead from the start, and checks every flag against
+/// evaluation plus comparison.
+fn assert_filter_matches_evaluation(
+    kernel: &BatchKernel,
+    lanes: &[NamedLane],
+    env: &TensorEnv,
+    expected: &[Tensor],
+    picks: &mut Picks,
+) -> Result<(), TestCaseError> {
+    let results = evaluate_named(kernel, lanes, env);
+    with_views(lanes, env, |views, lane_env| {
+        let mut scratch = GroupScratch::default();
+        for want in expected {
+            let before: Vec<bool> = (0..lanes.len()).map(|_| picks.pick(5) != 0).collect();
+            let mut alive = before.clone();
+            kernel.filter_lanes(views, lane_env, want, &mut alive, &mut scratch);
+            for (i, result) in results.iter().enumerate() {
+                prop_assert_eq!(
+                    alive[i],
+                    before[i] && result.as_ref() == Ok(want),
+                    "lane {:?} against {:?}: evaluated to {:?}",
+                    lanes[i],
+                    want,
+                    result
+                );
+            }
+        }
+        Ok(())
+    })
+}
+
+proptest! {
+    /// Filtering keeps a live lane exactly when evaluating it gives the
+    /// expected tensor, across lane widths (none included), shape
+    /// groups, value profiles, and expected tensors that lanes match,
+    /// miss in one cell, or miss in shape.
+    #[test]
+    fn filter_agrees_with_evaluation_and_compare(
+        template in arb_template(),
+        seed in 0u64..100_000,
+        profile in arb_profile(),
+        width in prop::sample::select(vec![0usize, 1, 2, 8, 64]),
+    ) {
+        let kernel = BatchKernel::new(&template);
+        let env = build_env(&kernel, &template, seed, profile);
+        let mut picks = Picks(seed | 1);
+        let lanes = derive_lanes(&kernel, &mut picks, width);
+        let results = evaluate_named(&kernel, &lanes, &env);
+        let expected = expected_tensors(&template, &results, &mut picks);
+        assert_filter_matches_evaluation(&kernel, &lanes, &env, &expected, &mut picks)?;
+    }
+}
+
+/// One filter call over named lanes, every lane alive at the start.
+fn filter_named(src: &str, lanes: &[&[&str]], env: &TensorEnv, expected: &[i64]) -> Vec<bool> {
+    let template = parse_program(src).unwrap();
+    let kernel = BatchKernel::new(&template);
+    let lanes: Vec<NamedLane> = lanes
+        .iter()
+        .map(|names| NamedLane {
+            tensors: names.iter().map(|n| n.to_string()).collect(),
+            constants: vec![],
+        })
+        .collect();
+    let expected = Tensor::from_ints(Shape::new(vec![expected.len()]), expected);
+    let results = evaluate_named(&kernel, &lanes, env);
+    let alive = with_views(&lanes, env, |views, lane_env| {
+        let mut alive = vec![true; views.len()];
+        kernel.filter_lanes(
+            views,
+            lane_env,
+            &expected,
+            &mut alive,
+            &mut GroupScratch::default(),
+        );
+        alive
+    });
+    let compared: Vec<bool> = results
+        .iter()
+        .map(|r| r.as_ref() == Ok(&expected))
+        .collect();
+    assert_eq!(alive, compared, "filter and evaluation disagree");
+    alive
+}
+
+fn int_env(entries: &[(&str, &[i64])]) -> TensorEnv {
+    let mut env = TensorEnv::new();
+    for (name, data) in entries {
+        env.insert(
+            name.to_string(),
+            Tensor::from_ints(Shape::new(vec![data.len()]), data),
+        );
+    }
+    env
+}
+
+#[test]
+fn filter_drops_a_lane_at_a_mismatch_before_its_zero_divisor() {
+    let env = int_env(&[
+        ("g0", &[1, 1]),
+        ("h0", &[3, 1]),
+        ("g1", &[1, 0]),
+        ("h1", &[1, 1]),
+    ]);
+    let src = "a(i) = s0(i) / s1(i)";
+    // Right first cell, then a zero divisor; right throughout; a wrong
+    // first cell before the zero divisor.
+    let lanes: [&[&str]; 3] = [&["g0", "g1"], &["g0", "h1"], &["h0", "g1"]];
+    assert_eq!(
+        filter_named(src, &lanes, &env, &[1, 1]),
+        [false, true, false]
+    );
+}
+
+#[test]
+fn filter_drops_a_shape_group_with_other_output_extents() {
+    let env = int_env(&[("v2", &[1, 2]), ("v3", &[1, 2, 3]), ("w3", &[1, 2, 4])]);
+    let lanes: [&[&str]; 3] = [&["v2"], &["v3"], &["w3"]];
+    assert_eq!(
+        filter_named("a(i) = s0(i)", &lanes, &env, &[1, 2]),
+        [true, false, false]
+    );
+    assert_eq!(
+        filter_named("a(i) = s0(i)", &lanes, &env, &[1, 2, 3]),
+        [false, true, false]
+    );
+}
+
+#[test]
+fn filter_redoes_an_overflowing_cell_exactly() {
+    let big = 4_000_000_000_000_000_000i64;
+    let mut env = int_env(&[("x", &[1, 1, 1]), ("y", &[1, 1, 2])]);
+    env.insert(
+        "m".into(),
+        Tensor::from_ints(Shape::new(vec![2, 3]), &[big, big, big, 1, 2, 3]),
+    );
+    // Cell 0 overflows i64 (3 · 4e18) and is redone in exact arithmetic:
+    // 1.2e19 does not fit an i64 expected tensor, so compare with the
+    // evaluated output instead.
+    let template = parse_program("a(i) = s0(i,j) * s1(j)").unwrap();
+    let kernel = BatchKernel::new(&template);
+    let lanes = vec![
+        NamedLane {
+            tensors: vec!["m".into(), "x".into()],
+            constants: vec![],
+        },
+        NamedLane {
+            tensors: vec!["m".into(), "y".into()],
+            constants: vec![],
+        },
+    ];
+    let results = evaluate_named(&kernel, &lanes, &env);
+    let want = results[0].clone().unwrap();
+    assert_eq!(want.data()[0], Rat::from(big) * Rat::from(3));
+    assert_filter_matches_evaluation(&kernel, &lanes, &env, &[want], &mut Picks(1)).unwrap();
+}
+
+#[test]
+fn filter_passes_a_lane_with_fractional_inputs() {
+    let mut env = int_env(&[("c", &[2, 3])]);
+    env.insert(
+        "f".into(),
+        Tensor::from_data(Shape::new(vec![2]), vec![Rat::new(1, 2), Rat::new(1, 3)]).unwrap(),
+    );
+    env.insert("g".into(), Tensor::from_ints(Shape::new(vec![2]), &[1, 1]));
+    // f · c = 1/2·2 + 1/3·3 = 2, and g · c = 5.
+    let template = parse_program("a = s0(i) * s1(i)").unwrap();
+    let kernel = BatchKernel::new(&template);
+    let lane = |a: &str| NamedLane {
+        tensors: vec![a.into(), "c".into()],
+        constants: vec![],
+    };
+    let lanes = [lane("f"), lane("g")];
+    let two = Tensor::from_ints(Shape::scalar(), &[2]);
+    let alive = with_views(&lanes, &env, |views, lane_env| {
+        let mut alive = vec![true; 2];
+        kernel.filter_lanes(
+            views,
+            lane_env,
+            &two,
+            &mut alive,
+            &mut GroupScratch::default(),
+        );
+        alive
+    });
+    assert_eq!(alive, [true, false]);
+}
+
+#[test]
+fn filter_of_no_lanes_is_fine() {
+    let kernel = BatchKernel::new(&parse_program("a(i) = b(i)").unwrap());
+    let expected = Tensor::from_ints(Shape::new(vec![1]), &[0]);
+    let mut alive: [bool; 0] = [];
+    let env = LaneEnv::new();
+    kernel.filter_lanes(
+        &[],
+        &env,
+        &expected,
+        &mut alive,
+        &mut GroupScratch::default(),
     );
 }

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use gtl_taco::{Access, BatchKernel, Expr, Ident, TacoProgram};
+use gtl_taco::{Access, Expr, Ident, RhsTok, TacoProgram, TemplateRef};
 
 /// A substitution: tensor symbol → argument name, constant slot → value.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -82,106 +82,131 @@ pub fn apply_substitution(template: &TacoProgram, sub: &Substitution, output: &s
     }
 }
 
-/// Hands `push` the candidate parameter ids of every tensor slot, in
-/// slot order, and returns whether the substitution space is non-empty.
-/// It is empty when a symbol is read at two ranks, when no parameter has
-/// a slot's rank, or when the template has a `Const` slot but the
-/// constant pool is empty. This is the one place that rule lives: the
-/// enumeration and [`crate::Validator::has_substitutions`] both use it.
-///
-/// `slots` yields each tensor symbol once, in first-use order, with the
-/// rank all its accesses agree on (`None` when they disagree). The LHS
-/// symbol `a` reused on the RHS binds the output, whatever its rank.
-pub(crate) fn slot_candidates<'a, 's>(
-    slots: impl Iterator<Item = (&'s str, Option<usize>)>,
-    has_const: bool,
-    by_rank: &'a [Vec<u32>],
-    output: &'a [u32; 1],
-    pool: &'a [i64],
-    mut push: impl FnMut(&'a [u32]),
-) -> bool {
-    for (name, rank) in slots {
-        if name == "a" {
-            push(&output[..]);
-            continue;
-        }
-        match rank.and_then(|r| by_rank.get(r)) {
-            Some(ids) if !ids.is_empty() => push(ids),
-            _ => return false,
+/// What a substitution binds to, interned: per logical rank, the ids of
+/// the task's parameters of that rank; the output parameter's id; and
+/// the source constant pool.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Targets<'a> {
+    pub(crate) by_rank: &'a [Vec<u32>],
+    pub(crate) output: &'a [u32; 1],
+    pub(crate) pool: &'a [i64],
+}
+
+impl<'a> Targets<'a> {
+    /// The candidates of a tensor digit: the output (`None`) or the
+    /// parameters of a rank.
+    fn candidates(&self, digit: Option<usize>) -> &'a [u32] {
+        match digit {
+            None => &self.output[..],
+            Some(rank) => &self.by_rank[rank],
         }
     }
-    !(has_const && pool.is_empty())
 }
 
 /// The dimensionally-sound substitutions of one template over an
 /// interned task (Fig. 8's filtered set), enumerated in a deterministic
 /// order as a lexicographic odometer.
 ///
-/// There is one digit per tensor slot of the template's [`BatchKernel`],
+/// There is one digit per tensor slot of the template's
+/// [`gtl_taco::BatchKernel`],
 /// then one per constant slot, the last digit fastest. A tensor symbol
 /// of rank r draws from the parameter ids of logical rank r (rank-0
 /// symbols bind sizes and data scalars); the LHS symbol `a` reused on
 /// the RHS binds the output, a digit with one candidate. Constant slots
 /// draw from the source constant pool. Bindings are not required to be
 /// injective (Fig. 8 tries `b → Mat1, c → Mat1`).
-pub(crate) struct Substitutions<'a> {
-    /// Candidate parameter ids per tensor slot.
-    cands: Vec<&'a [u32]>,
-    pool: &'a [i64],
+///
+/// It owns only its digits, so one value enumerates template after
+/// template without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct Substitutions {
+    /// Per tensor slot, what it draws from (see [`Targets::candidates`]).
+    tensors: Vec<Option<usize>>,
     /// The current choice per digit: tensor slots, then constant slots.
     choice: Vec<usize>,
     done: bool,
 }
 
-impl<'a> Substitutions<'a> {
-    /// The substitution space of `kernel`'s template; `None` when it is
-    /// empty (see [`slot_candidates`]).
+impl Substitutions {
+    /// Starts over on `template` and returns whether its substitution
+    /// space is non-empty. It reads only the tokens, so a template
+    /// without substitutions is turned away before it is lowered.
     ///
-    /// `by_rank[r]` lists the parameter ids of logical rank r; `output`
-    /// holds the output parameter's id.
-    pub(crate) fn new(
-        kernel: &BatchKernel,
-        by_rank: &'a [Vec<u32>],
-        output: &'a [u32; 1],
-        pool: &'a [i64],
-    ) -> Option<Substitutions<'a>> {
-        let mut cands = Vec::with_capacity(kernel.tensor_slots().len());
-        let slots = kernel
-            .tensor_slots()
-            .iter()
-            .enumerate()
-            .map(|(slot, name)| (name.as_str(), kernel.slot_rank(slot)));
-        let n_consts = kernel.const_slots().len();
-        if !slot_candidates(slots, n_consts > 0, by_rank, output, pool, |c| {
-            cands.push(c)
-        }) {
-            return None;
+    /// The space is empty when a symbol is read at two ranks, when no
+    /// parameter has a slot's rank, or when the template has a `Const`
+    /// slot but the constant pool is empty. Slots are the RHS tensor
+    /// symbols in first-use order and constant slots the distinct
+    /// `Const` placeholders, as in the template's
+    /// [`gtl_taco::BatchKernel`].
+    pub(crate) fn open(&mut self, template: TemplateRef<'_>, targets: Targets<'_>) -> bool {
+        self.tensors.clear();
+        self.done = true;
+        let accesses = template.accesses();
+        for (k, a) in accesses.clone().enumerate() {
+            if accesses.clone().take(k).any(|b| b.tensor == a.tensor) {
+                continue;
+            }
+            if a.access.tensor.as_str() == "a" {
+                // The LHS symbol reused on the RHS binds the output,
+                // whatever its rank.
+                self.tensors.push(None);
+                continue;
+            }
+            let rank = a.indices.len();
+            let agree = accesses
+                .clone()
+                .all(|b| b.tensor != a.tensor || b.indices.len() == rank);
+            if !agree || targets.by_rank.get(rank).is_none_or(Vec::is_empty) {
+                return false;
+            }
+            self.tensors.push(Some(rank));
         }
-        Some(Substitutions {
-            choice: vec![0; cands.len() + n_consts],
-            cands,
-            pool,
-            done: false,
-        })
+        let syms = || {
+            template.rhs.iter().filter_map(|tok| match *tok {
+                RhsTok::ConstSym(id) => Some(id),
+                _ => None,
+            })
+        };
+        let n_consts = syms()
+            .enumerate()
+            .filter(|&(k, id)| !syms().take(k).any(|s| s == id))
+            .count();
+        if n_consts > 0 && targets.pool.is_empty() {
+            return false;
+        }
+        self.choice.clear();
+        self.choice.resize(self.tensors.len() + n_consts, 0);
+        self.done = false;
+        true
     }
 
     /// Appends the next substitution's lane — a parameter id per tensor
     /// slot to `tensors`, a value per constant slot to `constants` — and
     /// advances. Returns `false`, appending nothing, once exhausted.
-    pub(crate) fn next_into(&mut self, tensors: &mut Vec<u32>, constants: &mut Vec<i64>) -> bool {
+    pub(crate) fn next_into(
+        &mut self,
+        targets: Targets<'_>,
+        tensors: &mut Vec<u32>,
+        constants: &mut Vec<i64>,
+    ) -> bool {
         if self.done {
             return false;
         }
-        let n = self.cands.len();
-        tensors.extend(self.cands.iter().zip(&self.choice).map(|(c, &k)| c[k]));
-        constants.extend(self.choice[n..].iter().map(|&k| self.pool[k]));
+        let n = self.tensors.len();
+        tensors.extend(
+            self.tensors
+                .iter()
+                .zip(&self.choice)
+                .map(|(&digit, &k)| targets.candidates(digit)[k]),
+        );
+        constants.extend(self.choice[n..].iter().map(|&k| targets.pool[k]));
         self.done = true;
         for pos in (0..self.choice.len()).rev() {
             self.choice[pos] += 1;
             let radix = if pos < n {
-                self.cands[pos].len()
+                targets.candidates(self.tensors[pos]).len()
             } else {
-                self.pool.len()
+                targets.pool.len()
             };
             if self.choice[pos] < radix {
                 self.done = false;
@@ -512,40 +537,6 @@ mod tests {
                 validate_reference(template, &task, &examples, accept_nth(accept), &mut want_stats);
             prop_assert_eq!(got, want, "validation of {}", template);
             prop_assert_eq!(got_stats, want_stats, "counters of {}", template);
-            }
-        }
-    }
-
-    proptest! {
-        /// The token-side emptiness test agrees with the enumeration it
-        /// skips: a template has substitutions exactly when
-        /// `Substitutions::new` opens a space for its kernel.
-        #[test]
-        fn has_substitutions_agrees_with_the_enumeration(
-            templates in prop::collection::vec(arb_template(), 16..17),
-            gemv in prop::sample::select(vec![false, true]),
-            empty_pool in prop::sample::select(vec![false, true]),
-        ) {
-            let mut task = if gemv { gemv_task() } else { dot_task() };
-            if empty_pool {
-                task.constants.clear();
-            }
-            let validator = Validator::new(&task, &[]);
-            for template in &templates {
-                let kernel = BatchKernel::new(template);
-                let space = Substitutions::new(
-                    &kernel,
-                    &validator.by_rank,
-                    &validator.output,
-                    &task.constants,
-                );
-                let (mut ids, mut rhs) = (Vec::new(), Vec::new());
-                let tokens = template.template_ref(&mut ids, &mut rhs);
-                prop_assert_eq!(
-                    validator.has_substitutions(tokens),
-                    space.is_some(),
-                    "{}", template
-                );
             }
         }
     }

@@ -1,10 +1,26 @@
 //! The template validator (§6): I/O example generation plus the
 //! validate-then-verify loop over substitutions.
+//!
+//! Validation rejects almost every template it sees, so a rejection is
+//! made cheap. A [`Validator`] interns the task and its examples once
+//! per search round and keeps one scratch for the whole round: the
+//! [`BatchKernel`] each template is lowered into from its tokens, the
+//! substitution odometer, the lane vectors and the sweep's
+//! [`GroupScratch`]. Each example filters the lanes with
+//! [`BatchKernel::filter_lanes`], which compares every output cell as it
+//! is made and drops a lane at its first wrong one. So a template whose
+//! substitutions all fail builds no program, no output tensor and no
+//! error, and allocates nothing; a [`TacoProgram`] is built only once a
+//! substitution passes every example. Verification, which needs each
+//! output, still evaluates with [`BatchKernel::evaluate_lanes`].
 
-use gtl_taco::{BatchKernel, EvalCache, Lane, LaneEnv, RhsTok, TacoProgram, TemplateRef};
+use std::borrow::Borrow;
+use std::cell::RefCell;
+
+use gtl_taco::{BatchKernel, EvalCache, GroupScratch, Lane, LaneEnv, TacoProgram, TemplateRef};
 use gtl_tensor::{Tensor, TensorGen};
 
-use crate::subst::{apply_substitution, slot_candidates, Substitution, Substitutions};
+use crate::subst::{apply_substitution, Substitution, Substitutions, Targets};
 use crate::task::{LiftTask, TaskInstance, ValueMode};
 
 /// How many substitutions one batched evaluation sweep carries. Large
@@ -115,11 +131,30 @@ impl ValidationStats {
 pub struct Validator<'t> {
     task: &'t LiftTask,
     /// Per logical rank, the ids of the parameters of that rank.
-    pub(crate) by_rank: Vec<Vec<u32>>,
+    by_rank: Vec<Vec<u32>>,
     /// The output parameter's id.
-    pub(crate) output: [u32; 1],
+    output: [u32; 1],
     /// Per example: its tensors by parameter id, and the expected output.
     examples: Vec<(LaneEnv<'t>, &'t Tensor)>,
+    /// The buffers every validation reuses from the last.
+    scratch: RefCell<Scratch>,
+}
+
+/// What [`Validator::validate_ref`] keeps from one template to the next.
+#[derive(Default)]
+struct Scratch {
+    /// The template being validated, lowered in place of the last.
+    kernel: BatchKernel,
+    subs: Substitutions,
+    /// A batch's lanes: `LANE_BATCH` slot → id arrays, back to back.
+    tensors: Vec<u32>,
+    /// A batch's constant values, laid out like `tensors`.
+    constants: Vec<i64>,
+    /// Empty between batches; see [`recycle`].
+    lanes: Vec<Lane<'static>>,
+    /// Per lane of a batch: whether it passed every example so far.
+    alive: Vec<bool>,
+    sweep: GroupScratch,
 }
 
 impl<'t> Validator<'t> {
@@ -148,6 +183,15 @@ impl<'t> Validator<'t> {
             by_rank,
             output: [task.output as u32],
             examples,
+            scratch: RefCell::default(),
+        }
+    }
+
+    fn targets(&self) -> Targets<'_> {
+        Targets {
+            by_rank: &self.by_rank,
+            output: &self.output,
+            pool: &self.task.constants,
         }
     }
 
@@ -159,67 +203,98 @@ impl<'t> Validator<'t> {
     /// `verify` realises §7; passing `|_, _| true` gives the I/O-only
     /// behaviour of the C2TACO baseline.
     ///
-    /// Substitutions are drained in 64-lane batches (`LANE_BATCH`): the
-    /// template is lowered once into a [`BatchKernel`] and each I/O example
-    /// filters a whole batch of [`Lane`]s in a single pass over a shared
-    /// loop nest, instead of evaluating one substituted program at a time.
-    /// Survivors are handed to `verify` in enumeration order, so the
-    /// returned program (and which substitutions the verifier sees) is the
-    /// first passing substitution the verifier accepts.
+    /// This is [`Validator::validate_ref`] of the program's tokens.
     pub fn validate(
         &self,
         template: &TacoProgram,
+        verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
+        stats: &mut ValidationStats,
+    ) -> Option<TacoProgram> {
+        let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+        let tokens = template.template_ref(&mut ids, &mut rhs);
+        self.validate_ref(tokens, || template, verify, stats)
+    }
+
+    /// [`Validator::validate`] of a template handed over as tokens;
+    /// `program` builds its [`TacoProgram`], which is asked for only once
+    /// a substitution passes every example.
+    ///
+    /// The template is lowered from its tokens into the validator's
+    /// [`BatchKernel`], in place of the last one. Substitutions are
+    /// drained in 64-lane batches (`LANE_BATCH`), and each I/O example
+    /// filters a batch's live lanes in a single pass over a shared loop
+    /// nest ([`BatchKernel::filter_lanes`]). Survivors are handed to
+    /// `verify` in enumeration order, so the returned program (and which
+    /// substitutions the verifier sees) is the first passing
+    /// substitution the verifier accepts. A template none of whose
+    /// substitutions passes allocates nothing here.
+    pub fn validate_ref<P: Borrow<TacoProgram>>(
+        &self,
+        template: TemplateRef<'_>,
+        program: impl FnOnce() -> P,
         mut verify: impl FnMut(&TacoProgram, &Substitution) -> bool,
         stats: &mut ValidationStats,
     ) -> Option<TacoProgram> {
-        let kernel = BatchKernel::new(template);
-        let mut subs =
-            Substitutions::new(&kernel, &self.by_rank, &self.output, &self.task.constants)?;
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch {
+            kernel,
+            subs,
+            tensors,
+            constants,
+            lanes: spare,
+            alive,
+            sweep,
+        } = &mut *scratch;
+        let targets = self.targets();
+        if !subs.open(template, targets) {
+            return None;
+        }
+        kernel.lower(template);
+        let (mut program, mut built) = (Some(program), None);
         let n_tensors = kernel.tensor_slots().len();
         let n_consts = kernel.const_slots().len();
-        let mut tensors = Vec::with_capacity(LANE_BATCH * n_tensors);
-        let mut constants = Vec::with_capacity(LANE_BATCH * n_consts);
-        let mut alive: Vec<usize> = Vec::with_capacity(LANE_BATCH);
         loop {
             tensors.clear();
             constants.clear();
             let mut len = 0;
-            while len < LANE_BATCH && subs.next_into(&mut tensors, &mut constants) {
+            while len < LANE_BATCH && subs.next_into(targets, tensors, constants) {
                 len += 1;
             }
             if len == 0 {
                 return None;
             }
             stats.substitutions_tried += len as u64;
-            let lane = |i: usize| Lane {
+            let mut lanes = recycle(std::mem::take(spare));
+            lanes.extend((0..len).map(|i| Lane {
                 tensors: &tensors[i * n_tensors..(i + 1) * n_tensors],
                 constants: &constants[i * n_consts..(i + 1) * n_consts],
-            };
+            }));
             // Example-major filtering: each example prunes the batch, so
-            // later examples only evaluate lanes that still have a chance.
+            // later examples only run lanes that still have a chance.
             alive.clear();
-            alive.extend(0..len);
-            let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(len);
+            alive.resize(len, true);
             for (env, output) in &self.examples {
-                if alive.is_empty() {
+                if !alive.contains(&true) {
                     break;
                 }
-                lanes.clear();
-                lanes.extend(alive.iter().map(|&i| lane(i)));
-                let results = kernel.evaluate_lanes(&lanes, env);
-                let mut results = results.iter();
-                alive.retain(|_| matches!(results.next(), Some(Ok(out)) if out == *output));
+                kernel.filter_lanes(&lanes, env, output, alive, sweep);
             }
-            for &i in &alive {
+            let mut verified = None;
+            for (lane, _) in lanes.iter().zip(alive.iter()).filter(|(_, &a)| a) {
                 stats.io_passes += 1;
-                let sub = self.substitution(&kernel, lane(i));
+                let template: &P =
+                    built.get_or_insert_with(|| program.take().expect("built once")());
+                let template: &TacoProgram = template.borrow();
+                let sub = self.substitution(kernel, *lane);
                 let concrete = apply_substitution(template, &sub, self.task.output_name());
                 if verify(&concrete, &sub) {
-                    return Some(concrete);
+                    verified = Some(concrete);
+                    break;
                 }
             }
-            if len < LANE_BATCH {
-                return None;
+            *spare = recycle(lanes);
+            if verified.is_some() || len < LANE_BATCH {
+                return verified;
             }
         }
     }
@@ -229,9 +304,9 @@ impl<'t> Validator<'t> {
     fn substitution(&self, kernel: &BatchKernel, lane: Lane<'_>) -> Substitution {
         let mut sub = Substitution::default();
         for (sym, &id) in kernel.tensor_slots().iter().zip(lane.tensors) {
-            if sym != "a" {
+            if sym.as_str() != "a" {
                 let name = &self.task.params[id as usize].name;
-                sub.tensors.insert(sym.clone(), name.clone());
+                sub.tensors.insert(sym.as_str().to_string(), name.clone());
             }
         }
         for (&slot, &value) in kernel.const_slots().iter().zip(lane.constants) {
@@ -240,49 +315,18 @@ impl<'t> Validator<'t> {
         sub
     }
 
-    /// Whether `template` has any substitution to evaluate, read from its
-    /// tokens. [`Validator::validate`] of a template without one returns
-    /// `None` before evaluating anything and without moving a counter.
-    pub fn has_substitutions(&self, template: TemplateRef<'_>) -> bool {
-        let accesses = template.accesses();
-        // Each symbol at its first use, with the rank every use agrees on.
-        let slots = accesses
-            .clone()
-            .enumerate()
-            .filter(|&(k, a)| !accesses.clone().take(k).any(|b| b.tensor == a.tensor))
-            .map(|(_, a)| {
-                let rank = a.indices.len();
-                let agree = accesses
-                    .clone()
-                    .all(|b| b.tensor != a.tensor || b.indices.len() == rank);
-                (a.access.tensor.as_str(), agree.then_some(rank))
-            });
-        let has_const = template
-            .rhs
-            .iter()
-            .any(|tok| matches!(tok, RhsTok::ConstSym(_)));
-        slot_candidates(
-            slots,
-            has_const,
-            &self.by_rank,
-            &self.output,
-            &self.task.constants,
-            |_| {},
-        )
-    }
-
     /// Every substitution of `template`, in enumeration order.
     #[cfg(test)]
     pub(crate) fn substitutions(&self, template: &TacoProgram) -> Vec<Substitution> {
         let kernel = BatchKernel::new(template);
-        let Some(mut subs) =
-            Substitutions::new(&kernel, &self.by_rank, &self.output, &self.task.constants)
-        else {
+        let (mut ids, mut rhs) = (Vec::new(), Vec::new());
+        let mut subs = Substitutions::default();
+        if !subs.open(template.template_ref(&mut ids, &mut rhs), self.targets()) {
             return Vec::new();
-        };
+        }
         let (mut tensors, mut constants) = (Vec::new(), Vec::new());
         let mut out = Vec::new();
-        while subs.next_into(&mut tensors, &mut constants) {
+        while subs.next_into(self.targets(), &mut tensors, &mut constants) {
             let lane = Lane {
                 tensors: &tensors,
                 constants: &constants,
@@ -293,6 +337,16 @@ impl<'t> Validator<'t> {
         }
         out
     }
+}
+
+/// `lanes` emptied, as a buffer for lanes of any lifetime: collecting the
+/// empty vector in place keeps its allocation.
+fn recycle<'b>(mut lanes: Vec<Lane<'_>>) -> Vec<Lane<'b>> {
+    lanes.clear();
+    lanes
+        .into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 /// [`Validator::validate`] for one template: interns the task on every

@@ -208,7 +208,7 @@ impl Trials {
     /// but the task lacks stays unbound and fails to evaluate.
     fn push(&mut self, kernel: &BatchKernel, expected: Tensor, mut env: TensorEnv) {
         for name in kernel.tensor_slots() {
-            self.inputs.push(env.remove(name));
+            self.inputs.push(env.remove(name.as_str()));
         }
         self.expected.push(expected);
     }
@@ -225,7 +225,7 @@ impl Trials {
                 .inputs
                 .iter()
                 .enumerate()
-                .map(|(k, input)| env.push(&slots[k % slots.len()], input.as_ref()))
+                .map(|(k, input)| env.push(slots[k % slots.len()].as_str(), input.as_ref()))
                 .collect();
             let lanes: Vec<Lane<'_>> = (0..self.expected.len())
                 .map(|t| Lane {
