@@ -527,9 +527,7 @@ fn solved_lifts_propagate_to_peers_so_any_replica_serves_repeats() {
     // over the wire; the ack must say it was already present.
     let record = gtl_store::LiftStore::open(&store_path)
         .expect("reopen b store")
-        .records()
-        .into_iter()
-        .next()
+        .get(key_for("blas_dot", &quick_base()))
         .expect("the shared record");
     let share = Request::ShareLift {
         id: "repush".into(),

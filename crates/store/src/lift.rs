@@ -249,7 +249,8 @@ impl LiftStore {
 
     /// A snapshot of every live record, sorted by label then key so
     /// the order is deterministic.
-    pub fn records(&self) -> Vec<LiftRecord> {
+    #[cfg(test)]
+    fn records(&self) -> Vec<LiftRecord> {
         let mut records: Vec<LiftRecord> = self
             .index
             .lock()
