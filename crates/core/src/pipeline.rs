@@ -21,8 +21,8 @@ use gtl_search::{
     SearchHooks, SearchOutcome, TemplateChecker,
 };
 use gtl_taco::{
-    parse_program, preprocess_candidate, CanonEncoder, KeySet, NameTable, RhsTok, TacoProgram,
-    TemplateRef,
+    parse_program, preprocess_candidate, recycle, CanonEncoder, KeySet, NameTable, RhsTok,
+    TacoProgram, TemplateRef,
 };
 use gtl_trace::{Phase, PhaseCollector, PhaseSpan, PhaseTimes};
 use gtl_template::{
@@ -545,16 +545,6 @@ impl TemplateChecker for RoundChecker<'_> {
     ) -> CheckOutcome {
         self.check_timed(template, program)
     }
-}
-
-/// `tokens` emptied, as a buffer for tokens of any lifetime. Collecting
-/// the empty vector in place keeps its allocation.
-fn recycle<'b>(mut tokens: Vec<RhsTok<'_>>) -> Vec<RhsTok<'b>> {
-    tokens.clear();
-    tokens
-        .into_iter()
-        .map(|_| unreachable!("the vector is empty"))
-        .collect()
 }
 
 /// Whole microseconds in `d`, saturating.

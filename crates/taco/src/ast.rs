@@ -372,14 +372,9 @@ impl<'a> NameTable<'a> {
 
     /// The table emptied, as a table for names of any lifetime. It keeps
     /// its buffer: collecting the empty vector in place reuses it.
-    pub fn recycle<'b>(mut self) -> NameTable<'b> {
-        self.names.clear();
+    pub fn recycle<'b>(self) -> NameTable<'b> {
         NameTable {
-            names: self
-                .names
-                .into_iter()
-                .map(|_| unreachable!("the table is empty"))
-                .collect(),
+            names: crate::batch::recycle(self.names),
             tensors: 0,
         }
     }

@@ -1232,12 +1232,6 @@ pub struct GroupScratch {
     views: Views<'static>,
 }
 
-impl std::fmt::Debug for GroupScratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupScratch").finish_non_exhaustive()
-    }
-}
-
 /// Marks a lane that is in no shape group.
 const NO_GROUP: u32 = u32::MAX;
 
@@ -1304,10 +1298,11 @@ impl Views<'_> {
     }
 }
 
-/// `v` emptied, as a buffer for elements of another type of the same
-/// layout (a borrow of another lifetime): collecting the empty vector in
-/// place keeps its allocation.
-fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+/// `v` emptied, as a buffer for elements of the same type with borrows
+/// of another lifetime: collecting the empty vector in place keeps its
+/// allocation. (For a `U` of another size or alignment the result is
+/// simply a new, empty vector.)
+pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
     v.clear();
     v.into_iter()
         .map(|_| unreachable!("the vector is empty"))

@@ -69,6 +69,7 @@ use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
 
 use crate::ast::{Access, BinOp, Expr, RhsTok, TacoProgram, TemplateRef};
+use crate::batch::recycle;
 
 pub mod reference;
 
@@ -170,16 +171,6 @@ pub struct CanonEncoder {
     /// tokens, kept across calls.
     program_ids: Vec<u32>,
     program_tokens: Vec<RhsTok<'static>>,
-}
-
-/// `tokens` emptied, as a buffer for tokens of any lifetime. Collecting
-/// the empty vector in place keeps its allocation.
-fn recycle<'b>(mut tokens: Vec<RhsTok<'_>>) -> Vec<RhsTok<'b>> {
-    tokens.clear();
-    tokens
-        .into_iter()
-        .map(|_| unreachable!("the vector is empty"))
-        .collect()
 }
 
 /// An index id not yet coded by the α-renaming.

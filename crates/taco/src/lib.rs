@@ -56,7 +56,7 @@ pub use ast::{
     canonical_tensor_name, Access, AccessRef, BinOp, Expr, Ident, IndexVar, NameTable, Operand,
     RhsTok, TacoProgram, TemplateRef, CANONICAL_INDICES,
 };
-pub use batch::{BatchKernel, GroupScratch, Lane, LaneEnv};
+pub use batch::{recycle, BatchKernel, GroupScratch, Lane, LaneEnv};
 pub use canon::{canonical_fingerprint, canonicalize, CanonEncoder, Facts, KeySet};
 pub use codegen::{generate_c, GeneratedKernel};
 pub use eval::{

@@ -17,7 +17,9 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
-use gtl_taco::{BatchKernel, EvalCache, GroupScratch, Lane, LaneEnv, TacoProgram, TemplateRef};
+use gtl_taco::{
+    recycle, BatchKernel, EvalCache, GroupScratch, Lane, LaneEnv, TacoProgram, TemplateRef,
+};
 use gtl_tensor::{Tensor, TensorGen};
 
 use crate::subst::{apply_substitution, Substitution, Substitutions, Targets};
@@ -150,7 +152,7 @@ struct Scratch {
     tensors: Vec<u32>,
     /// A batch's constant values, laid out like `tensors`.
     constants: Vec<i64>,
-    /// Empty between batches; see [`recycle`].
+    /// Empty between batches (see [`gtl_taco::recycle`]).
     lanes: Vec<Lane<'static>>,
     /// Per lane of a batch: whether it passed every example so far.
     alive: Vec<bool>,
@@ -337,16 +339,6 @@ impl<'t> Validator<'t> {
         }
         out
     }
-}
-
-/// `lanes` emptied, as a buffer for lanes of any lifetime: collecting the
-/// empty vector in place keeps its allocation.
-fn recycle<'b>(mut lanes: Vec<Lane<'_>>) -> Vec<Lane<'b>> {
-    lanes.clear();
-    lanes
-        .into_iter()
-        .map(|_| unreachable!("the vector is empty"))
-        .collect()
 }
 
 /// [`Validator::validate`] for one template: interns the task on every
