@@ -6,7 +6,7 @@
 //! `realloc`. Counting per thread keeps a measurement on the test's own
 //! thread exact while the test harness's other threads allocate.
 //!
-//! ```ignore
+//! ```
 //! use counting_alloc::{allocations, CountingAlloc};
 //!
 //! #[global_allocator]
