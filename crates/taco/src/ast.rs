@@ -478,6 +478,33 @@ impl<'a> TemplateRef<'a> {
             _ => None,
         })
     }
+
+    /// The template's tensor slots: the first access of each distinct
+    /// right-hand-side tensor, in first-use order. The
+    /// [`crate::BatchKernel`] lowered from the template has one tensor
+    /// slot per item, in this order.
+    pub fn tensor_slots(&self) -> impl Iterator<Item = AccessRef<'a>> + Clone {
+        let accesses = self.accesses();
+        accesses
+            .clone()
+            .enumerate()
+            .filter(move |&(k, a)| !accesses.clone().take(k).any(|b| b.tensor == a.tensor))
+            .map(|(_, a)| a)
+    }
+
+    /// The template's symbolic-constant slots: each distinct `Const` id,
+    /// in first-use order. The [`crate::BatchKernel`] lowered from the
+    /// template has one constant slot per item, in this order.
+    pub fn const_slots(&self) -> impl Iterator<Item = u32> + Clone + 'a {
+        let syms = self.rhs.iter().filter_map(|tok| match *tok {
+            RhsTok::ConstSym(id) => Some(id),
+            _ => None,
+        });
+        syms.clone()
+            .enumerate()
+            .filter(move |&(k, id)| !syms.clone().take(k).any(|s| s == id))
+            .map(|(_, id)| id)
+    }
 }
 
 /// A reference to a single operand slot of an expression.

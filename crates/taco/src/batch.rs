@@ -298,7 +298,12 @@ impl BatchKernel {
         }
         self.slot_names.clear();
         self.slot_ids.clear();
+        for a in template.tensor_slots() {
+            self.slot_ids.push(a.tensor);
+            self.slot_names.push(a.access.tensor.clone());
+        }
         self.const_syms.clear();
+        self.const_syms.extend(template.const_slots());
         self.accesses.clear();
         self.access_loops.clear();
         self.open.clear();
@@ -328,14 +333,11 @@ impl BatchKernel {
                     continue;
                 }
                 RhsTok::Access(a) => {
-                    let slot = match self.slot_ids.iter().position(|&s| s == a.tensor) {
-                        Some(s) => s as u32,
-                        None => {
-                            self.slot_ids.push(a.tensor);
-                            self.slot_names.push(a.access.tensor.clone());
-                            (self.slot_ids.len() - 1) as u32
-                        }
-                    };
+                    let slot = self
+                        .slot_ids
+                        .iter()
+                        .position(|&s| s == a.tensor)
+                        .expect("every tensor has a slot") as u32;
                     let start = self.access_loops.len() as u32;
                     for &id in a.indices {
                         let l = self.loop_slot(id);
@@ -347,13 +349,11 @@ impl BatchKernel {
                 }
                 RhsTok::Const(c) => enc.const_imm(depth, c),
                 RhsTok::ConstSym(id) => {
-                    let sym = match self.const_syms.iter().position(|&s| s == id) {
-                        Some(s) => s,
-                        None => {
-                            self.const_syms.push(id);
-                            self.const_syms.len() - 1
-                        }
-                    };
+                    let sym = self
+                        .const_syms
+                        .iter()
+                        .position(|&s| s == id)
+                        .expect("every `Const` has a slot");
                     enc.const_sym(depth, sym as u16);
                 }
             }
@@ -391,26 +391,16 @@ impl BatchKernel {
         (!self.product_loads.is_empty()).then_some(&self.product_loads[..])
     }
 
-    /// The template's tensor slots: names in RHS first-use order. A
-    /// [`Lane`] binds one concrete tensor per entry.
+    /// The template's tensor slots ([`TemplateRef::tensor_slots`]): names
+    /// in RHS first-use order. A [`Lane`] binds one concrete tensor per
+    /// entry.
     pub fn tensor_slots(&self) -> &[Ident] {
         &self.slot_names
     }
 
-    /// The rank every access of tensor slot `slot` reads it at, or `None`
-    /// when two accesses disagree.
-    pub fn slot_rank(&self, slot: usize) -> Option<usize> {
-        let mut ranks = self
-            .accesses
-            .iter()
-            .filter(|acc| acc.slot as usize == slot)
-            .map(|acc| self.loops(acc).len());
-        let first = ranks.next()?;
-        ranks.all(|r| r == first).then_some(first)
-    }
-
-    /// The template's symbolic-constant slots, in RHS first-use order. A
-    /// [`Lane`] binds one `i64` per entry.
+    /// The template's symbolic-constant slots
+    /// ([`TemplateRef::const_slots`]), in RHS first-use order. A [`Lane`]
+    /// binds one `i64` per entry.
     pub fn const_slots(&self) -> &[u32] {
         &self.const_syms
     }

@@ -68,7 +68,7 @@ use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
 
-use crate::ast::{Access, BinOp, Expr, RhsTok, TacoProgram, TemplateRef};
+use crate::ast::{Access, BinOp, Expr, NameTable, RhsTok, TacoProgram, TemplateRef};
 use crate::batch::recycle;
 
 pub mod reference;
@@ -167,8 +167,9 @@ pub struct CanonEncoder {
     /// The key: its LHS part, written by the load, then its RHS.
     out: Vec<u8>,
     lhs_key_len: usize,
-    /// [`CanonEncoder::load`]'s buffers for a program's name ids and
-    /// tokens, kept across calls.
+    /// [`CanonEncoder::load`]'s buffers for a program's name table,
+    /// name ids and tokens, kept across calls.
+    program_names: NameTable<'static>,
     program_ids: Vec<u32>,
     program_tokens: Vec<RhsTok<'static>>,
 }
@@ -181,9 +182,12 @@ impl CanonEncoder {
     /// feasibility facts: [`CanonEncoder::load_ref`] over the program's
     /// tokens ([`TacoProgram::template_ref`]).
     pub fn load(&mut self, program: &TacoProgram) -> Facts {
+        let mut names = std::mem::take(&mut self.program_names).recycle();
         let mut ids = std::mem::take(&mut self.program_ids);
         let mut rhs = recycle(std::mem::take(&mut self.program_tokens));
-        let facts = self.load_ref(program.template_ref(&mut ids, &mut rhs));
+        let tokens = program.template_ref_reusing(&mut names, &mut ids, &mut rhs);
+        let facts = self.load_ref(tokens);
+        self.program_names = names.recycle();
         self.program_tokens = recycle(rhs);
         self.program_ids = ids;
         facts

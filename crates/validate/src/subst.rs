@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use gtl_taco::{Access, Expr, Ident, RhsTok, TacoProgram, TemplateRef};
+use gtl_taco::{Access, Expr, Ident, TacoProgram, TemplateRef};
 
 /// A substitution: tensor symbol → argument name, constant slot → value.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -108,13 +108,13 @@ impl<'a> Targets<'a> {
 /// order as a lexicographic odometer.
 ///
 /// There is one digit per tensor slot of the template's
-/// [`gtl_taco::BatchKernel`],
-/// then one per constant slot, the last digit fastest. A tensor symbol
-/// of rank r draws from the parameter ids of logical rank r (rank-0
-/// symbols bind sizes and data scalars); the LHS symbol `a` reused on
-/// the RHS binds the output, a digit with one candidate. Constant slots
-/// draw from the source constant pool. Bindings are not required to be
-/// injective (Fig. 8 tries `b → Mat1, c → Mat1`).
+/// [`gtl_taco::BatchKernel`], then one per constant slot, the last digit
+/// fastest. A tensor symbol of rank r draws from the parameter ids of
+/// logical rank r (rank-0 symbols bind sizes and data scalars); the LHS
+/// symbol `a` reused on the RHS binds the output, a digit with one
+/// candidate. Constant slots draw from the source constant pool.
+/// Bindings are not required to be injective (Fig. 8 tries
+/// `b → Mat1, c → Mat1`).
 ///
 /// It owns only its digits, so one value enumerates template after
 /// template without allocating.
@@ -132,20 +132,16 @@ impl Substitutions {
     /// space is non-empty. It reads only the tokens, so a template
     /// without substitutions is turned away before it is lowered.
     ///
+    /// The digits are the template's [`TemplateRef::tensor_slots`] and
+    /// [`TemplateRef::const_slots`], the slots of its
+    /// [`gtl_taco::BatchKernel`].
     /// The space is empty when a symbol is read at two ranks, when no
     /// parameter has a slot's rank, or when the template has a `Const`
-    /// slot but the constant pool is empty. Slots are the RHS tensor
-    /// symbols in first-use order and constant slots the distinct
-    /// `Const` placeholders, as in the template's
-    /// [`gtl_taco::BatchKernel`].
+    /// slot but the constant pool is empty.
     pub(crate) fn open(&mut self, template: TemplateRef<'_>, targets: Targets<'_>) -> bool {
         self.tensors.clear();
         self.done = true;
-        let accesses = template.accesses();
-        for (k, a) in accesses.clone().enumerate() {
-            if accesses.clone().take(k).any(|b| b.tensor == a.tensor) {
-                continue;
-            }
+        for a in template.tensor_slots() {
             if a.access.tensor.as_str() == "a" {
                 // The LHS symbol reused on the RHS binds the output,
                 // whatever its rank.
@@ -153,24 +149,15 @@ impl Substitutions {
                 continue;
             }
             let rank = a.indices.len();
-            let agree = accesses
-                .clone()
+            let agree = template
+                .accesses()
                 .all(|b| b.tensor != a.tensor || b.indices.len() == rank);
             if !agree || targets.by_rank.get(rank).is_none_or(Vec::is_empty) {
                 return false;
             }
             self.tensors.push(Some(rank));
         }
-        let syms = || {
-            template.rhs.iter().filter_map(|tok| match *tok {
-                RhsTok::ConstSym(id) => Some(id),
-                _ => None,
-            })
-        };
-        let n_consts = syms()
-            .enumerate()
-            .filter(|&(k, id)| !syms().take(k).any(|s| s == id))
-            .count();
+        let n_consts = template.const_slots().count();
         if n_consts > 0 && targets.pool.is_empty() {
             return false;
         }
@@ -537,6 +524,31 @@ mod tests {
                 validate_reference(template, &task, &examples, accept_nth(accept), &mut want_stats);
             prop_assert_eq!(got, want, "validation of {}", template);
             prop_assert_eq!(got_stats, want_stats, "counters of {}", template);
+            }
+        }
+    }
+
+    proptest! {
+        /// Whether a template has substitutions, and which, agrees with
+        /// the reference enumeration, also when the constant pool is
+        /// empty and every `Const` slot leaves the space empty.
+        #[test]
+        fn has_substitutions_agrees_with_the_enumeration(
+            templates in prop::collection::vec(arb_template(), 16..17),
+            gemv in prop::sample::select(vec![false, true]),
+            empty_pool in prop::sample::select(vec![false, true]),
+        ) {
+            let mut task = if gemv { gemv_task() } else { dot_task() };
+            if empty_pool {
+                task.constants.clear();
+            }
+            let validator = Validator::new(&task, &[]);
+            for template in &templates {
+                prop_assert_eq!(
+                    validator.substitutions(template),
+                    enumerate_substitutions(template, &task),
+                    "{}", template
+                );
             }
         }
     }
